@@ -50,6 +50,18 @@ def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def inverse_cartan_scaled(n: int) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix (n + 1) * C^{-1}: entry (i, j) is
+    min(i,j) * (n + 1 - max(i,j)) with 1-based indices."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    return tuple(
+        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
 def affine_cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of type A_n^(1) on index set [0, n] (cyclic)."""
     if n == 1:
@@ -139,19 +151,16 @@ def theta(n: int) -> FiniteWeight:
 
 def bilinear(lam: FiniteWeight, mu: FiniteWeight) -> Fraction:
     """Invariant form normalized by (alpha, alpha) = 2, via the inverse
-    Cartan matrix: (omega_i, omega_j) = (C^{-1})_{ij}."""
+    Cartan matrix: (omega_i, omega_j) = (C^{-1})_{ij}.  Summed in
+    integers with (n + 1) * C^{-1}, then divided once."""
     if lam.n != mu.n:
         raise ValueError("rank mismatch")
-    inv = inverse_cartan(lam.n)
-    total = Fraction(0)
-    for i, a in enumerate(lam.coords):
-        if a == 0:
-            continue
-        row = inv[i]
-        for j, b in enumerate(mu.coords):
-            if b:
-                total += a * b * row[j]
-    return total
+    inv = inverse_cartan_scaled(lam.n)
+    total = 0
+    for a, row in zip(lam.coords, inv):
+        if a:
+            total += a * sum(x * b for x, b in zip(row, mu.coords))
+    return Fraction(total, lam.n + 1)
 
 
 def eps_coords(mu: FiniteWeight) -> tuple[int, ...]:

@@ -36,7 +36,7 @@ from .multiplicities import (
     xi_from_eta,
 )
 from .partitions import rho_multi
-from .tableaux import mw_shapes_with_character, tau_bruteforce
+from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce
 from .weyl_orbits import (
     b_vector,
     enumerate_gamma,
@@ -64,6 +64,13 @@ def parse_rat(text: str, name: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"parameter {name}: expected a rational like -3 or 5/2")
+
+
+def parse_weight(n: int, text: str, name: str) -> FiniteWeight:
+    coords = parse_vec(text, name)
+    if len(coords) != n:
+        raise ValidationError(f"parameter {name}: need n values")
+    return FiniteWeight(n, coords)
 
 
 def parse_affine(n: int, cvals: str, degree: str) -> AffineWeight:
@@ -134,6 +141,10 @@ def cmd_tau(args) -> int:
         raise ValidationError("parameter --eta: need n + 1 entries")
     if any(x < 0 for x in eta):
         raise ValidationError("parameter --eta: entries must be non-negative")
+    try:
+        jk_from_eta(eta, args.i)
+    except ValueError as exc:
+        raise ValidationError(f"parameter --eta: {exc}")
     value = tau_formula(args.n, args.i, eta)
     shapes = mw_shapes_with_character(eta, args.i)
     result = {
@@ -155,7 +166,7 @@ def cmd_socle(args) -> int:
     check_rank(args.n)
     if args.level < 1:
         raise ValidationError("parameter --level: must be >= 1")
-    mu = FiniteWeight(args.n, parse_vec(args.mu, "--mu"))
+    mu = parse_weight(args.n, args.mu, "--mu")
     formula = socle_formula(args.level, mu).weight
     probe = AffineWeight(mu.w0_image(), args.level, Fraction(0))
     oracle = socle_oracle(probe).weight
@@ -178,7 +189,7 @@ def cmd_orbit(args) -> int:
     check_rank(args.n)
     if args.level < 1:
         raise ValidationError("parameter --level: must be >= 1")
-    mu = FiniteWeight(args.n, parse_vec(args.mu, "--mu"))
+    mu = parse_weight(args.n, args.mu, "--mu")
     pair = orbit_pair(args.level, mu)
     result = {
         "m": list(pair.m),
@@ -213,8 +224,8 @@ def cmd_gamma(args) -> int:
 
 def cmd_flag_mult(args) -> int:
     check_rank(args.n)
-    lam = FiniteWeight(args.n, parse_vec(args.lam, "--lam"))
-    mu = FiniteWeight(args.n, parse_vec(args.mu, "--mu"))
+    lam = parse_weight(args.n, args.lam, "--lam")
+    mu = parse_weight(args.n, args.mu, "--mu")
     if not lam.is_dominant() or not mu.is_dominant():
         raise ValidationError("parameters --lam/--mu: weights must be dominant")
     if args.r is not None:

@@ -27,6 +27,7 @@ from .affine_cartan import (
     affine_delta,
     bilinear,
     inverse_cartan,
+    inverse_cartan_scaled,
     omega,
     quadratic_f,
     residue,
@@ -88,13 +89,13 @@ def direct_split(mu: FiniteWeight):
 def a_of_eta(eta: FiniteWeight) -> tuple:
     """Coefficients a with eta = sum a_i alpha_i; a_i = (eta, omega_i).
     Errors when eta is not in the root lattice."""
-    inv = inverse_cartan(eta.n)
+    m = eta.n + 1
     out = []
-    for i in range(eta.n):
-        val = sum(inv[i][j] * eta.coords[j] for j in range(eta.n))
-        if val.denominator != 1:
+    for row in inverse_cartan_scaled(eta.n):
+        a, rem = divmod(sum(x * c for x, c in zip(row, eta.coords)), m)
+        if rem:
             raise ValueError("weight is not in the root lattice")
-        out.append(int(val))
+        out.append(a)
     return tuple(out)
 
 
@@ -284,8 +285,9 @@ def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
         if f.denominator != 1 or f < 0:
             threshold = 0  # count is identically 0 at every k
         else:
-            a_cap = a_of_eta(mu - wi) if _in_lattice(mu - wi) else None
-            if a_cap is None:
+            try:
+                a_cap = a_of_eta(mu - wi)
+            except ValueError:  # mu - omega_i off the root lattice
                 threshold = 0
             else:
                 threshold = max(0, stabilize_threshold(int(f), a_cap, b))
@@ -297,14 +299,6 @@ def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
         total += values[-1]
     status = global_threshold if stabilized else "not stabilized"
     return LimitResult(total, status, tuple(sequences))
-
-
-def _in_lattice(eta: FiniteWeight) -> bool:
-    try:
-        a_of_eta(eta)
-        return True
-    except ValueError:
-        return False
 
 
 def rotate(c: int, lam: AffineWeight) -> AffineWeight:

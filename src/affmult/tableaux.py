@@ -6,6 +6,13 @@ n-regular (no part repeats more than n times) and its distinct part
 sizes satisfy a system of congruences; counting admissible shapes with
 a prescribed content character gives the brute-force route to the outer
 multiplicities.
+
+That count (``tau_bruteforce``) is still an exhaustive enumeration: it
+walks the tree of regular shapes of the right size and cuts a branch
+only when no shape below it can qualify, because a residue count
+already exceeds the content character or a block of equal rows breaks
+the congruences.  Every shape it returns is re-checked with ``is_mw``
+and ``shape_character``.
 """
 
 from __future__ import annotations
@@ -87,40 +94,69 @@ def is_mw(shape, i: int, n: int) -> bool:
     return True
 
 
-def _partitions_regular(m: int, n: int) -> Iterator[tuple]:
-    """Partitions of m in which no part repeats more than n times."""
-
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            for reps in range(1, n + 1):
-                used = part * reps
-                if used > remaining:
-                    break
-                prefix.extend([part] * reps)
-                yield from rec(remaining - used, part - 1, prefix)
-                del prefix[-reps:]
-
-    yield from rec(m, m, [])
-
-
 def mw_shapes_with_character(eta, i: int) -> list:
-    """All admissible i-charged shapes whose content character is eta."""
+    """All admissible i-charged shapes whose content character is eta,
+    in the order of the n-regular partitions of |eta| listed by distinct
+    part sizes from the largest down, each with its multiplicity.
+
+    Shapes are built row by row, largest part first.  A branch is
+    abandoned as soon as some residue count exceeds eta (counts only
+    grow), and a block of equal rows is extended below only when its
+    size satisfies the is_mw congruence, which depends on the blocks
+    above alone.  Every returned shape is re-checked against is_mw and
+    shape_character."""
     eta = tuple(eta)
     n = len(eta) - 1
-    total = sum(eta)
+    m = n + 1
     out = []
-    for shape in _partitions_regular(total, n):
-        if is_mw(shape, i, n) and shape_character(shape, i, n) == eta:
-            out.append(shape)
+    if any(e < 0 for e in eta):
+        return out
+    counts = [0] * m
+    rows = []
+
+    def place(r: int, length: int, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) the residues of row r."""
+        full, rem = divmod(length, m)
+        if full:
+            for l in range(m):
+                counts[l] += sign * full
+        start = (1 - r + i) % m
+        for c in range(rem):
+            counts[(start + c) % m] += sign
+
+    def rec(remaining: int, largest: int, prefix: int) -> None:
+        if remaining == 0:
+            out.append(tuple(rows))
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            # the congruence of is_mw fixes the block size modulo n + 1
+            reps = (part + i - 2 * prefix) % m
+            if reps == 0 or part * reps > remaining:
+                continue
+            placed = 0
+            while placed < reps:
+                placed += 1
+                place(prefix + placed, part, 1)
+                if any(c > e for c, e in zip(counts, eta)):
+                    break
+            else:
+                rows.extend([part] * reps)
+                rec(remaining - part * reps, part - 1, prefix + reps)
+                del rows[-reps:]
+            for r in range(prefix + 1, prefix + placed + 1):
+                place(r, part, -1)
+
+    rec(sum(eta), sum(eta), 0)
+    for shape in out:
+        if not (is_mw(shape, i, n) and shape_character(shape, i, n) == eta):
+            raise AssertionError(f"enumerated shape {shape} is not admissible "
+                                 f"with character {eta}")
     return out
 
 
 def tau_bruteforce(eta, i: int) -> int:
     """Count admissible i-charged tableaux with content character eta
-    by exhaustive enumeration of regular shapes."""
+    by exhaustive enumeration of the admissible shapes."""
     return len(mw_shapes_with_character(eta, i))
 
 

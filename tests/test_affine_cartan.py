@@ -19,6 +19,7 @@ from affmult.affine_cartan import (
     eps_coords,
     in_root_lattice,
     inverse_cartan,
+    inverse_cartan_scaled,
     omega,
     quadratic_f,
     theta,
@@ -56,6 +57,26 @@ class TestCartanMatrices:
             for j in range(n):
                 val = sum(C[i][k] * inv[k][j] for k in range(n))
                 assert val == (1 if i == j else 0)
+
+
+class TestScaledInverse:
+    @given(st.integers(1, 8))
+    def test_is_scaled_inverse(self, n):
+        inv = inverse_cartan(n)
+        assert inverse_cartan_scaled(n) == tuple(
+            tuple(int((n + 1) * x) for x in row) for row in inv)
+
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(finite_weights(n), finite_weights(n))))
+    def test_integer_bilinear_matches_fraction_formula(self, pair):
+        lam, mu = pair
+        inv = inverse_cartan(lam.n)
+        expected = sum((a * b * inv[i][j]
+                        for i, a in enumerate(lam.coords)
+                        for j, b in enumerate(mu.coords)), Fraction(0))
+        value = bilinear(lam, mu)
+        assert isinstance(value, Fraction)
+        assert value == expected
 
 
 class TestBilinear:

@@ -1,6 +1,10 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,22 @@ class TestValidation:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert param in err
+
+    @pytest.mark.parametrize("argv,param", [
+        # eta' = (-1, 2, 1) is not of the form e_j + e_k
+        (["tau", "--n", "2", "--i", "1", "--eta", "1,0,0"], "--eta"),
+        (["socle", "--n", "2", "--level", "2", "--mu", "1"], "--mu"),
+        (["flag-mult", "--n", "2", "--lam", "1", "--mu", "0,0"], "--lam"),
+    ])
+    def test_library_errors_exit_two_without_traceback(self, argv, param):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run([sys.executable, "-m", "affmult.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert param in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerify:

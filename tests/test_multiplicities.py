@@ -4,6 +4,10 @@ rotation reduction for general fundamental tensor products."""
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -11,6 +15,7 @@ from affmult.affine_cartan import (
     affine_Lambda,
     affine_delta,
     alpha,
+    inverse_cartan,
     omega,
     theta,
 )
@@ -77,6 +82,27 @@ class TestRootCoefficients:
             pass
         else:
             raise AssertionError("expected an error outside the root lattice")
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.one_of(
+        # arbitrary weights, and sums of simple roots (on the root lattice)
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(
+            lambda c: FiniteWeight(n, tuple(c))),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(
+            lambda a: sum((x * alpha(n, l) for l, x in enumerate(a, 1)),
+                          FiniteWeight.zero(n))))))
+    def test_integer_solve_matches_fraction_formula(self, eta):
+        n = eta.n
+        inv = inverse_cartan(n)
+        expected = [sum(inv[i][j] * eta.coords[j] for j in range(n))
+                    for i in range(n)]
+        # eta lies in the root lattice iff sum_j j * eta(h_j) = 0 mod n + 1
+        on_lattice = sum(j * c for j, c in enumerate(eta.coords, 1)) % (n + 1) == 0
+        assert on_lattice == all(x.denominator == 1 for x in expected)
+        if on_lattice:
+            assert a_of_eta(eta) == tuple(expected)
+        else:
+            with pytest.raises(ValueError):
+                a_of_eta(eta)
 
 
 class TestFlagMultiplicity:

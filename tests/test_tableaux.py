@@ -12,11 +12,58 @@ from affmult.tableaux import (
     is_regular,
     jk_from_eta,
     mw_shapes_with_character,
+    shape_character,
     tau_bruteforce,
 )
 
 shapes = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(
     lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+def partitions_regular(m, n):
+    """Partitions of m in which no part repeats more than n times, by
+    distinct part sizes from the largest down, each with its multiplicity
+    from 1 up."""
+
+    def rec(remaining, largest, prefix):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            for reps in range(1, n + 1):
+                used = part * reps
+                if used > remaining:
+                    break
+                prefix.extend([part] * reps)
+                yield from rec(remaining - used, part - 1, prefix)
+                del prefix[-reps:]
+
+    yield from rec(m, m, [])
+
+
+def reference_shapes(eta, i):
+    """Unpruned filter: every regular partition of |eta|, kept when it is
+    admissible and has content character eta."""
+    eta = tuple(eta)
+    n = len(eta) - 1
+    return [shape for shape in partitions_regular(sum(eta), n)
+            if is_mw(shape, i, n) and shape_character(shape, i, n) == eta]
+
+
+@st.composite
+def characters(draw):
+    """(eta, i) at rank 1-3 with |eta| <= 24: an arbitrary vector, or the
+    character of a random shape, which has at least one tableau."""
+    n = draw(st.integers(1, 3))
+    i = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        eta = draw(st.lists(st.integers(0, 6), min_size=n + 1, max_size=n + 1))
+    else:
+        parts = sorted(draw(st.lists(st.integers(1, 24), max_size=8)), reverse=True)
+        while sum(parts) > 24:
+            parts.pop(0)
+        eta = shape_character(parts, i, n)
+    return tuple(eta), i
 
 
 class TestChargedTableau:
@@ -96,6 +143,18 @@ class TestBruteForce:
         for n in (1, 2):
             for i in range(n + 1):
                 assert tau_bruteforce((0,) * (n + 1), i) == 1
+
+    @given(characters())
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_enumeration_matches_reference(self, case):
+        eta, i = case
+        assert mw_shapes_with_character(eta, i) == reference_shapes(eta, i)
+
+    def test_every_charge_matches_reference(self):
+        for n in (1, 2, 3):
+            for i in range(n + 1):
+                for eta in [(4,) * (n + 1), (6,) * n + (5,), (0,) * (n + 1)]:
+                    assert mw_shapes_with_character(eta, i) == reference_shapes(eta, i)
 
 
 class TestEtaPrime:
