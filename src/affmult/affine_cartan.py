@@ -32,32 +32,22 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the type A_n Cartan matrix.
-
-    Entry (i, j) is min(i,j) * (n + 1 - max(i,j)) / (n + 1) with 1-based
-    indices.
-    """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    return tuple(
-        tuple(
-            Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1)
-            for j in range(1, n + 1)
-        )
-        for i in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def inverse_cartan_scaled(n: int) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix (n + 1) * C^{-1}: entry (i, j) is
+    """The integer matrix (n + 1) * C^{-1} of type A_n: entry (i, j) is
     min(i,j) * (n + 1 - max(i,j)) with 1-based indices."""
     if n < 1:
         raise ValueError("rank must be >= 1")
     return tuple(
         tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1))
         for i in range(1, n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of the type A_n Cartan matrix."""
+    return tuple(
+        tuple(Fraction(x, n + 1) for x in row) for row in inverse_cartan_scaled(n)
     )
 
 
