@@ -53,7 +53,7 @@ def reference_shapes(eta, i):
 @st.composite
 def characters(draw):
     """(eta, i) at rank 1-3 with |eta| <= 24: an arbitrary vector, or the
-    character of a random shape, which has at least one tableau."""
+    character of a random shape, so that non-empty results are common."""
     n = draw(st.integers(1, 3))
     i = draw(st.integers(0, n))
     if draw(st.booleans()):
