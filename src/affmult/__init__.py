@@ -2,7 +2,9 @@
 in tensor products of level-1 fundamental modules of affine type A,
 together with the supporting combinatorics: bounded partitions and
 Gaussian binomials, charged tableaux, affine Weyl orbit formulas, flag
-multiplicity polynomials, and a truncated-character verification oracle.
+multiplicity polynomials, and a verification oracle that decomposes the
+tensor product by the Brauer-Klimyk rule over the closed-form level-1
+characters, within a derived depth bound.
 """
 
 from .affine_cartan import (

@@ -1,11 +1,30 @@
-"""Independent verification oracle: truncated characters of simple
-highest-weight modules of A_n^(1) via the Freudenthal recursion, tensor
-products of truncated characters, and outer multiplicities by peeling
-dominant weights in order.
+"""Independent verification oracle for the outer multiplicities.
 
-Everything is exact.  The positive roots used are the real roots
+``tensor_outer_multiplicities`` decomposes V(Lam) (x) V(Lam2), for two
+dominant weights of level 1, by the Brauer-Klimyk rule
+
+    ch V(Lam) ch V(Lam2) = sum over the weights mu of V(Lam2) of
+        mult(mu) * sign(w) * ch V(w(Lam + mu + rho_hat) - rho_hat),
+
+where w(Lam + mu + rho_hat) is dominant and terms on a wall drop out.
+The weights of V(Lam2) come from the Frenkel-Kac closed form: with Lam2
+of finite part omega_j they are Lam2 + (mu_bar - omega_j) - t*delta for
+mu_bar in omega_j + Q and t = (|mu_bar|^2 - |omega_j|^2)/2 + k, with
+multiplicity the number of n-coloured partitions of k.  A norm
+inequality, derived at ``_admitted_weights`` and checked on every
+reflection descent, bounds the weights that reach a summand within the
+requested delta-depth.  No level-2 character is built and nothing is
+peeled.
+
+``freudenthal_character`` computes truncated characters by the affine
+Freudenthal recursion.  ``reconstruction_check`` re-sums the
+Brauer-Klimyk table with Freudenthal characters and compares it with the
+product of the two factors' Freudenthal characters, an independent check
+of the table.  The positive roots of the recursion are the real roots
 alpha + r*delta (alpha any finite root, r >= 1; alpha positive at r = 0),
 each of multiplicity 1, and the imaginary roots r*delta of multiplicity n.
+
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -13,20 +32,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_bilinear,
+    affine_cartan_matrix,
     alpha,
     bilinear,
+    eps_coords,
+    omega,
     quadratic_f,
     rho_hat,
     theta,
     weight_from_eps,
 )
-from .multiplicities import a_of_eta
+from .multiplicities import _below, a_of_eta
+from .partitions import compositions
 
 
 @dataclass(frozen=True)
@@ -52,28 +76,6 @@ def _finite_roots(n: int) -> tuple:
             root = root + alpha(n, hi)
             pos.append(root)
     return tuple(pos) + tuple(-r for r in pos)
-
-
-@lru_cache(maxsize=None)
-def _positive_finite_roots(n: int) -> tuple:
-    roots = _finite_roots(n)
-    return roots[: len(roots) // 2]
-
-
-def _coeff_vector(n: int, diff: AffineWeight) -> tuple:
-    """Coefficients (c_0, ..., c_n) of a level-0 weight in the simple
-    affine roots, or None if not a non-negative integer combination."""
-    c0 = diff.degree
-    if c0.denominator != 1 or c0 < 0:
-        return None
-    c0 = int(c0)
-    try:
-        rest = a_of_eta(diff.finite + c0 * theta(n))
-    except ValueError:
-        return None
-    if any(x < 0 for x in rest):
-        return None
-    return (c0,) + rest
 
 
 def freudenthal_character(Lam: AffineWeight, depth: int) -> TruncatedCharacter:
@@ -198,51 +200,184 @@ def tensor_character(c1: TruncatedCharacter, c2: TruncatedCharacter,
     return out
 
 
+def _scaled_norm(a) -> int:
+    """(n + 1) * f(a): the norm of the weight with epsilon vector a,
+    scaled to an integer."""
+    s = sum(a)
+    return (len(a) + 1) * sum(x * x for x in a) - s * s
+
+
+def _coloured_partition_counts(n: int, kmax: int) -> list:
+    """Number of n-coloured partitions of k for k = 0..kmax: the
+    coefficients of prod_{r >= 1} (1 - q^r)^(-n)."""
+    counts = [1] + [0] * kmax
+    for r in range(1, kmax + 1):
+        for _ in range(n):
+            for k in range(r, kmax + 1):
+                counts[k] += counts[k - r]
+    return counts
+
+
+def _maximal_weights(n: int, j: int, amax: int):
+    """Maximal weights of V(Lambda_j) modulo delta (Frenkel-Kac): every
+    mu_bar in omega_j + Q whose epsilon vector a has all |a_i| <= amax,
+    as (a, t0) with t0 = (|mu_bar|^2 - |omega_j|^2)/2 the delta-depth of
+    Lambda_j + mu_bar - omega_j - t0*delta.  Its string continues at
+    depth t0 + k with multiplicity the number of n-coloured partitions
+    of k."""
+    m = n + 1
+    w = eps_coords(omega(n, j))
+    norm_w = _scaled_norm(w)
+    cls = sum(w) % m
+    for a in product(range(-amax, amax + 1), repeat=n):
+        if sum(a) % m != cls:
+            continue
+        t0, rem = divmod(_scaled_norm(a) - norm_w, 2 * m)
+        if rem:
+            raise ArithmeticError("non-integral depth of a maximal weight")
+        yield a, t0
+
+
+def _shift_data(Lam: AffineWeight, Lam2: AffineWeight):
+    """Level L of Lam + Lam2 + rho_hat, epsilon vector of
+    c = Lam_bar + rho_bar, and the scaled norm of rho_bar."""
+    n = Lam.n
+    rho_bar = rho_hat(n).finite
+    return (Lam.level + Lam2.level + n + 1, eps_coords(Lam.finite + rho_bar),
+            _scaled_norm(eps_coords(rho_bar)))
+
+
+def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
+    """The maximal weights (a, t0) of V(Lam2) whose strings can reach a
+    summand of V(Lam) (x) V(Lam2) at delta-depth <= depth.
+
+    Let mu = Lam2 + mu_bar - omega_j - t*delta reach xi: nu = Lam + mu +
+    rho_hat is W-conjugate to xi + rho_hat, both of level L = n + 3.
+    Equal norms give t = depth(xi) + (|nu_bar|^2 - |xi_bar + rho_bar|^2)/(2L),
+    and |xi_bar + rho_bar|^2 >= |rho_bar|^2 as xi_bar is dominant, so
+
+        t <= depth + (|nu_bar|^2 - |rho_bar|^2)/(2L),  nu_bar = mu_bar + c,
+
+    with c = Lam_bar + rho_bar; Frenkel-Kac gives t >= t0.  Both together,
+    times 2L, read (L-1)|mu_bar - c/(L-1)|^2 <= R with
+    R = 2L*depth + L|omega_j|^2 - |rho_bar|^2 + L|c|^2/(L-1), a ball since
+    L > 1, so |mu_bar|^2 <= 2|c|^2/(L-1)^2 + 2R/(L-1).  An epsilon vector
+    has a_i^2 <= 2 f(a), which bounds the box searched."""
+    n = Lam.n
+    m = n + 1
+    j = Lam2.c_values().index(1)
+    lev, c, norm_rho = _shift_data(Lam, Lam2)
+    if lev <= 1:
+        raise AssertionError("the depth bound needs level > 1")
+    norm_c = _scaled_norm(c)
+    norm_w = _scaled_norm(eps_coords(omega(n, j)))
+    # every norm below is scaled by m = n + 1
+    big_r = (2 * lev * depth * m + lev * norm_w - norm_rho
+             + Fraction(lev * norm_c, lev - 1))
+    radius_sq = 2 * Fraction(norm_c, (lev - 1) ** 2) + 2 * big_r / (lev - 1)
+    amax = isqrt(int(2 * radius_sq / m))
+    for a, t0 in _maximal_weights(n, j, amax):
+        nu = [x + y for x, y in zip(a, c)]
+        if 2 * lev * m * (t0 - depth) > _scaled_norm(nu) - norm_rho:
+            continue
+        # (L-1)|mu_bar - c/(L-1)|^2 = |(L-1) mu_bar - c|^2 / (L-1)
+        off_centre = [(lev - 1) * x - y for x, y in zip(a, c)]
+        if (_scaled_norm(off_centre) > (lev - 1) * big_r
+                or _scaled_norm(a) > radius_sq):
+            raise AssertionError("admitted weight outside the derived ball")
+        yield a, t0
+
+
+def _brauer_klimyk(Lam: AffineWeight, Lam2: AffineWeight, depth: int,
+                   weights) -> dict:
+    """Brauer-Klimyk sum over the weight strings of V(Lam2) with the
+    given maximal weights (a, t0): reflect nu = Lam + mu + rho_hat to the
+    dominant chamber, drop it on a wall, else add sign * multiplicity at
+    xi = w(nu) - rho_hat.  Keys are (c-values of xi, delta-depth of xi
+    below Lam + Lam2), for depths <= depth."""
+    n = Lam.n
+    m = n + 1
+    A = affine_cartan_matrix(n)
+    lev, c, norm_rho = _shift_data(Lam, Lam2)
+    strings = []
+    for a, t0 in weights:
+        nu_eps = [x + y for x, y in zip(a, c)]
+        nu = weight_from_eps(n, nu_eps)
+        v = [lev - nu.height_sum()] + list(nu.coords)
+        sign = 1
+        shift = 0  # change of delta-depth, from reflections at index 0
+        while True:
+            i = next((k for k in range(m) if v[k] < 0), None)
+            if i is None:
+                break
+            vi = v[i]
+            for k in range(m):
+                if A[k][i]:
+                    v[k] -= vi * A[k][i]
+            if i == 0:
+                shift += vi
+            sign = -sign
+        if 0 in v:
+            continue
+        # the norm identity and the dominance inequality behind
+        # _admitted_weights, checked on every descent
+        norm_xi = _scaled_norm(eps_coords(FiniteWeight(n, tuple(v[1:]))))
+        if (_scaled_norm(nu_eps) - norm_xi != -2 * lev * m * shift
+                or norm_xi < norm_rho):
+            raise AssertionError("descent breaks the norm identity")
+        if t0 + shift <= depth:
+            strings.append((tuple(x - 1 for x in v), t0 + shift, sign))
+    if not strings:
+        return {}
+    counts = _coloured_partition_counts(n, depth - min(s[1] for s in strings))
+    sums = {}
+    for cv, d0, sign in strings:
+        for d in range(d0, depth + 1):
+            sums[(cv, d)] = sums.get((cv, d), 0) + sign * counts[d - d0]
+    return sums
+
+
 def tensor_outer_multiplicities(Lam: AffineWeight, Lam2: AffineWeight,
                                 depth: int) -> dict:
-    """Multiplicity of each simple module V(xi), xi dominant within
-    delta-depth `depth`, in V(Lam) (x) V(Lam2): peel the product
-    character from the top."""
+    """Multiplicity of V(xi) in V(Lam) (x) V(Lam2) for two dominant
+    weights of level 1, by the Brauer-Klimyk rule over the Frenkel-Kac
+    character of V(Lam2): for every dominant xi with Lam + Lam2 - xi in
+    Q+ at delta-depth <= depth, zeros included."""
+    for name, w in (("Lam", Lam), ("Lam2", Lam2)):
+        if w.level != 1 or not w.is_dominant():
+            raise ValueError(f"{name} must be a dominant weight of level 1")
+    if Lam.n != Lam2.n:
+        raise ValueError("rank mismatch")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     n = Lam.n
-    c1 = freudenthal_character(Lam, depth)
-    c2 = freudenthal_character(Lam2, depth)
-    product = tensor_character(c1, c2, depth)
+    sums = _brauer_klimyk(Lam, Lam2, depth, _admitted_weights(Lam, Lam2, depth))
     top = Lam + Lam2
-    dominant = [w for w in product if w.is_dominant()]
-
-    def sort_key(w):
-        cv = _coeff_vector(n, top - w)
-        return (int(top.degree - w.degree), sum(cv), cv)
-
-    dominant.sort(key=sort_key)
-    peeled = {}
-    chars = {}
-    for xi in dominant:
-        val = product[xi]
-        for prev, m in peeled.items():
-            if m == 0:
-                continue
-            if prev not in chars:
-                rem = depth - int(top.degree - prev.degree)
-                chars[prev] = freudenthal_character(prev, rem)
-            val -= m * chars[prev].mult(xi)
-        if val < 0:
-            raise ArithmeticError("negative outer multiplicity during peeling")
-        peeled[xi] = val
-    return peeled
+    table = {}
+    for d in range(depth + 1):
+        for cv in compositions(top.level, n + 1):
+            xi = AffineWeight.from_c_values(n, cv, top.degree - d)
+            if _below(top, xi):
+                table[xi] = sums.pop((cv, d), 0)
+    if any(sums.values()):
+        raise AssertionError("Brauer-Klimyk summand not below Lam + Lam2")
+    if any(val < 0 for val in table.values()):
+        raise ArithmeticError("negative outer multiplicity")
+    return table
 
 
 def reconstruction_check(Lam: AffineWeight, Lam2: AffineWeight,
                          depth: int) -> bool:
-    """Full reconstruction identity: the peeled decomposition re-sums to
-    the product character at every weight within depth."""
+    """Full reconstruction identity: the Brauer-Klimyk table re-summed
+    with Freudenthal characters equals the product of the factors'
+    Freudenthal characters at every weight within depth."""
     c1 = freudenthal_character(Lam, depth)
     c2 = freudenthal_character(Lam2, depth)
-    product = tensor_character(c1, c2, depth)
-    peeled = tensor_outer_multiplicities(Lam, Lam2, depth)
+    expected = tensor_character(c1, c2, depth)
+    table = tensor_outer_multiplicities(Lam, Lam2, depth)
     top = Lam + Lam2
     recon = {}
-    for xi, m in peeled.items():
+    for xi, m in table.items():
         if m == 0:
             continue
         rem = depth - int(top.degree - xi.degree)
@@ -250,4 +385,4 @@ def reconstruction_check(Lam: AffineWeight, Lam2: AffineWeight,
         for w, mw in ch.mults.items():
             if top.degree - w.degree <= depth:
                 recon[w] = recon.get(w, 0) + m * mw
-    return recon == product
+    return recon == expected

@@ -307,10 +307,14 @@ def _parse_range(text: str, name: str) -> list:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(text)]
     except ValueError:
         raise ValidationError(f"parameter {name}: expected N or LO..HI")
+    if not values:
+        raise ValidationError(f"parameter {name}: empty range {text}")
+    return values
 
 
 def _verify_instance(task):
@@ -338,6 +342,8 @@ def cmd_verify(args) -> int:
         raise ValidationError("parameter --n: ranks must be >= 1")
     if args.eta0_max < 0:
         raise ValidationError("parameter --eta0-max: must be >= 0")
+    if args.depth < 0:
+        raise ValidationError("parameter --depth: must be >= 0")
     tasks = []
     for n in ranks:
         for i in range(n + 1):
@@ -355,7 +361,7 @@ def cmd_verify(args) -> int:
     if args.depth > 0:
         for n in ranks:
             if n > 2:
-                continue  # oracle sweep kept to desk scale
+                continue  # oracle rows cover ranks <= 2; the tests check rank 3
             for i in range(n + 1):
                 tasks.append(("oracle", (n, i, args.depth)))
     workers = int(os.environ.get("AFFMULT_THREADS", "0")) or None

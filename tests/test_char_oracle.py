@@ -1,15 +1,25 @@
-"""Truncated-character oracle: Freudenthal weight multiplicities, tensor
-products, and dominant-weight peeling."""
+"""Character oracle: Freudenthal weight multiplicities, the Frenkel-Kac
+level-1 weights, and the Brauer-Klimyk tensor decomposition with its
+derived depth bound."""
 
 from fractions import Fraction
+from math import isqrt
+
+import pytest
 
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_Lambda,
+    bilinear,
     omega,
+    weight_from_eps,
 )
 from affmult.char_oracle import (
+    _admitted_weights,
+    _brauer_klimyk,
+    _coloured_partition_counts,
+    _maximal_weights,
     freudenthal_character,
     reconstruction_check,
     tensor_outer_multiplicities,
@@ -86,3 +96,75 @@ class TestTensorPeeling:
     def test_reconstruction_identity(self):
         assert reconstruction_check(affine_Lambda(1, 0), affine_Lambda(1, 1), 4)
         assert reconstruction_check(affine_Lambda(2, 0), affine_Lambda(2, 2), 3)
+        assert reconstruction_check(affine_Lambda(3, 0), affine_Lambda(3, 1), 2)
+
+
+def frenkel_kac_character(n, j, depth):
+    """Closed-form character of V(Lambda_j) to delta-depth <= depth,
+    built from the oracle's maximal weights and string multiplicities."""
+    lam = affine_Lambda(n, j)
+    w = omega(n, j)
+    # t0 <= depth bounds |mu_bar|^2 by 2*depth + |omega_j|^2; a_i^2 <= 2 f(a)
+    amax = isqrt(int(2 * (2 * depth + bilinear(w, w))))
+    counts = _coloured_partition_counts(n, depth)
+    mults = {}
+    for a, t0 in _maximal_weights(n, j, amax):
+        for t in range(t0, depth + 1):
+            weight = AffineWeight(weight_from_eps(n, a), 1, lam.degree - t)
+            mults[weight] = counts[t - t0]
+    return mults
+
+
+class TestFrenkelKac:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_freudenthal(self, n):
+        for j in range(n + 1):
+            expected = freudenthal_character(affine_Lambda(n, j), 4).mults
+            assert frenkel_kac_character(n, j, 4) == expected
+
+    def test_coloured_partition_counts(self):
+        assert _coloured_partition_counts(1, 6) == [1, 1, 2, 3, 5, 7, 11]
+        assert _coloured_partition_counts(2, 4) == [1, 2, 5, 10, 20]
+
+
+class TestBrauerKlimyk:
+    @pytest.mark.parametrize("n,i,j,depth", [
+        (1, 0, 1, 5), (2, 0, 1, 5), (3, 0, 1, 3), (2, 0, 0, 6),
+        (1, 0, 0, 8), (2, 1, 2, 4),
+    ])
+    def test_wider_enumeration_same_table(self, n, i, j, depth):
+        lam, lam2 = affine_Lambda(n, i), affine_Lambda(n, j)
+        admitted = list(_admitted_weights(lam, lam2, depth))
+        amax = max(max(abs(x) for x in a) for a, _t0 in admitted)
+        wide = list(_maximal_weights(n, j, amax + 3))
+        assert set(admitted) < set(wide)
+
+        def nonzero(sums):
+            return {key: val for key, val in sums.items() if val}
+
+        assert (nonzero(_brauer_klimyk(lam, lam2, depth, wide))
+                == nonzero(_brauer_klimyk(lam, lam2, depth, admitted)))
+
+    def test_zero_entries_are_kept(self):
+        table = tensor_outer_multiplicities(affine_Lambda(1, 0),
+                                            affine_Lambda(1, 0), 2)
+        assert len(table) == 5
+        assert sorted(table.values()) == [0, 1, 1, 1, 1]
+
+    def test_rank_three_tables_match_formula(self):
+        for i in range(4):
+            table = tensor_outer_multiplicities(affine_Lambda(3, 0),
+                                                affine_Lambda(3, i), 4)
+            assert table
+            for xi, m in table.items():
+                assert outer_multiplicity_formula(3, i, xi) == m
+
+    @pytest.mark.parametrize("lam,lam2,depth", [
+        (affine_Lambda(2, 0) + affine_Lambda(2, 1), affine_Lambda(2, 0), 2),
+        (affine_Lambda(2, 0), AffineWeight(FiniteWeight(2, (2, 0)), 1, Fraction(0)), 2),
+        (affine_Lambda(2, 0), affine_Lambda(1, 0), 2),
+        (affine_Lambda(2, 0), affine_Lambda(2, 1), -1),
+    ])
+    def test_rejects_bad_input(self, lam, lam2, depth):
+        with pytest.raises(ValueError):
+            tensor_outer_multiplicities(lam, lam2, depth)

@@ -99,6 +99,8 @@ class TestValidation:
         (["tau", "--n", "2", "--i", "1", "--eta", "1,0,0"], "--eta"),
         (["socle", "--n", "2", "--level", "2", "--mu", "1"], "--mu"),
         (["flag-mult", "--n", "2", "--lam", "1", "--mu", "0,0"], "--lam"),
+        (["verify", "--n", "1", "--depth", "-3"], "--depth"),
+        (["verify", "--n", "2..1"], "--n"),
     ])
     def test_library_errors_exit_two_without_traceback(self, argv, param):
         src = str(Path(__file__).resolve().parents[1] / "src")
