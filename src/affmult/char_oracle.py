@@ -159,7 +159,7 @@ def _layer_candidates(Lam: AffineWeight, d: int, top_norm, rho_bar):
     ball = top_norm - 2 * (Lam.level + n + 1) * (Lam.degree - d)
     if ball < 0:
         return []
-    amax = isqrt(int((n + 1) * ball))
+    amax = isqrt(int(2 * ball))  # a_i^2 <= 2 f(a), as in _admitted_weights
     rho_eps = list(range(n, 0, -1))  # epsilon-coordinates of rho_bar
     shift_top = Lam.finite + d * theta(n)
     out = []

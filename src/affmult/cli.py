@@ -33,7 +33,6 @@ from .multiplicities import (
     outer_multiplicity_formula,
     outer_multiplicity_limit,
     tau_formula,
-    xi_from_eta,
 )
 from .partitions import rho_multi
 from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce
@@ -88,10 +87,6 @@ def check_rank(n: int) -> None:
 def check_index(i: int, n: int, name: str) -> None:
     if not 0 <= i <= n:
         raise ValidationError(f"parameter {name}: index must lie in [0, n]")
-
-
-def weight_dict(w: AffineWeight) -> dict:
-    return {"cvals": list(w.c_values()), "degree": str(w.degree)}
 
 
 def emit(payload: dict, fmt: str) -> None:

@@ -4,7 +4,10 @@ two level-1 fundamental modules, by three routes:
 * a closed-form sum of bounded-multipartition counts over an orbit set
   indexed by dominant finite weights (``outer_multiplicity_formula``);
 * the same sum re-indexed by level-2 orbit pairs and driven by a tableau
-  content character (``tau_formula``);
+  content character (``tau_formula``, with its per-pair breakdown
+  ``tau_terms``); both read one row generator over the pairs, which are
+  generated directly and pruned by the integer form (n + 1)*f, and every
+  argument is an exact integer quotient;
 * a stabilizing limit of level-1 to level-2 flag multiplicities along a
   cofinal orbit sequence (``outer_multiplicity_limit``).
 
@@ -24,7 +27,6 @@ from .affine_cartan import (
     FiniteWeight,
     affine_Lambda,
     affine_alpha,
-    affine_delta,
     bilinear,
     inverse_cartan,
     inverse_cartan_scaled,
@@ -38,21 +40,12 @@ from .laurent import LaurentPoly
 from .partitions import q_binomial_product, rho_multi, stabilize_threshold
 from .tableaux import jk_from_eta
 from .weyl_orbits import (
-    OrbitPair,
     b_vector,
     enumerate_gamma,
     level_two_family,
     r_of,
+    scaled_f,
 )
-
-
-@dataclass(frozen=True)
-class DemazureLabel:
-    """Label (level, lambda, r) of a Demazure-type module; never built."""
-
-    level: int
-    lam: FiniteWeight
-    r: Fraction = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -210,39 +203,36 @@ def f_eps(n: int, i: int, j: int, k: int, eta0: int, a: Sequence[int]) -> Fracti
             + eta0 - Fraction(quadratic_f(a), 4))
 
 
-def tau_formula(n: int, i: int, eta: Sequence[int]) -> int:
-    """Tableau-counting route: the same multiplicity computed from the
-    content character eta, summing bounded-multipartition counts over
-    the level-2 orbit-pair family of the indices (j, k) read off eta."""
+def _tau_rows(n: int, i: int, eta: Sequence[int]):
+    """The terms of tau_formula, one row (pair, bounds, argument, count)
+    per member of the level-2 family of the indices (j, k) read off eta.
+    With N = n + 1 and the integer K = N*(2f(w_i) - f(w_j + w_k) + 4 eta_0),
+    the family is taken within f <= K/N and each member's argument is
+    (K - N*f(a))/(4N), which equals f_eps."""
     eta = tuple(eta)
     if len(eta) != n + 1:
         raise ValueError("eta must have n + 1 entries")
     j, k = jk_from_eta(eta, i)
-    eta0 = eta[0]
+    N = n + 1
     wi = varpi_eps(n, residue(i, n))
     wjk = tuple(x + y for x, y in zip(varpi_eps(n, j), varpi_eps(n, k)))
-    bound = 2 * quadratic_f(wi) - quadratic_f(wjk) + 4 * eta0
-    total = 0
-    for pair in level_two_family(n, j, k, bound).members:
-        total += rho_multi(f_eps(n, i, j, k, eta0, pair.a_vector()),
-                           b_vector(pair))
-    return total
+    K = 2 * scaled_f(wi) - scaled_f(wjk) + 4 * N * eta[0]
+    for pair in level_two_family(n, j, k, Fraction(K, N)).members:
+        b = b_vector(pair)
+        arg = Fraction(K - scaled_f(pair.a_vector()), 4 * N)
+        yield pair, b, arg, rho_multi(arg, b)
+
+
+def tau_formula(n: int, i: int, eta: Sequence[int]) -> int:
+    """Tableau-counting route: the same multiplicity computed from the
+    content character eta, summing bounded-multipartition counts over
+    the level-2 orbit-pair family of the indices (j, k) read off eta."""
+    return sum(count for *_, count in _tau_rows(n, i, eta))
 
 
 def tau_terms(n: int, i: int, eta: Sequence[int]) -> list:
     """Per-pair breakdown of tau_formula: (pair, bounds, argument, count)."""
-    eta = tuple(eta)
-    j, k = jk_from_eta(eta, i)
-    eta0 = eta[0]
-    wi = varpi_eps(n, residue(i, n))
-    wjk = tuple(x + y for x, y in zip(varpi_eps(n, j), varpi_eps(n, k)))
-    bound = 2 * quadratic_f(wi) - quadratic_f(wjk) + 4 * eta0
-    out = []
-    for pair in level_two_family(n, j, k, bound).members:
-        b = b_vector(pair)
-        arg = f_eps(n, i, j, k, eta0, pair.a_vector())
-        out.append((pair, b, arg, rho_multi(arg, b)))
-    return out
+    return list(_tau_rows(n, i, eta))
 
 
 @dataclass(frozen=True)

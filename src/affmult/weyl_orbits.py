@@ -5,7 +5,9 @@ The key coordinates: for an integral finite weight mu and a level l,
 write the epsilon-coordinates a_i of mu as a_i = p_i * l + m_i with
 0 < m_i <= l.  The pair (m, p) determines the dominant representative
 of l*Lambda_0 + w0(mu) in closed form, and at level 2 parameterizes the
-orbit sets indexing the multiplicity sums.
+orbit sets indexing the multiplicity sums.  ``level_two_family``
+generates those level-2 pairs directly, pruning by the integer form
+(n + 1)*f, and re-checks every member it returns.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_alpha,
-    affine_bilinear,
     affine_cartan_matrix,
     bilinear,
     eps_coords,
     quadratic_f,
-    residue,
     theta,
     weight_from_eps,
 )
@@ -233,11 +233,6 @@ def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
     return out
 
 
-def family_part_sizes(n: int, s: int) -> tuple:
-    """The level-2 multiset m(s) = (2^{s-1}, 1^{n+1-s}) as a tuple."""
-    return (2,) * (s - 1) + (1,) * (n + 1 - s)
-
-
 def family_residues(n: int, j: int, k: int, s: int) -> set:
     """Allowed residues res(p) for the (j, k) family at part-multiset
     index s: (j-1) mod (n+1) when s = j - k, (k-1) mod (n+1) when
@@ -261,23 +256,88 @@ class LevelTwoFamily:
     members: tuple  # OrbitPair values
 
 
+def scaled_f(a: Sequence[int]) -> int:
+    """The integer (n + 1) * f(a) = (n + 1) * sum a_i^2 - (sum a_i)^2
+    for a of length n."""
+    return (len(a) + 1) * sum(x * x for x in a) - sum(a) ** 2
+
+
 def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
-    """All pairs (m, p) in the (j, k) family with f(a(m, p)) <= norm_bound:
-    the recombined a-vector is weakly decreasing non-negative, the sorted
-    part vector matches m(s) for an admissible s, and res(p) is allowed."""
-    m = n + 1
-    j, k = j % m, k % m
+    """All pairs (m, p) in the (j, k) family with f(a(m, p)) <= norm_bound,
+    in decreasing order of a = 2p + m: a is weakly decreasing and
+    non-negative, the parts m are m(s) = (2^{s-1}, 1^{n+1-s}) up to order
+    for an admissible s, and res(p) is allowed for s.
+
+    The members are generated directly by a depth-first search over a,
+    largest entry first, on the integer N*f with N = n + 1.  For the N
+    coordinates x = (a, 0), N*f(a) = N*sum x^2 - (sum x)^2, which is N
+    times the sum of squared deviations of x from its mean.  As N*f is an
+    integer, f(a) <= norm_bound exactly when N*f(a) <= floor(N*norm_bound).
+
+    * Box.  (x_i - x_j)^2 <= 2((x_i - mean)^2 + (x_j - mean)^2) <= 2f, so
+      with x_j = 0, a_i^2 <= 2f(a) and a_1 <= isqrt(floor(2*norm_bound)).
+    * Prune by f.  After a prefix of t entries, let S and Q be the sum and
+      the square sum of the prefix and the trailing 0 (t + 1 entries).
+      The r = n - t remaining entries lie in [0, v], v the last entry of
+      the prefix.  N*f is convex and symmetric in them, so over real
+      completions it is least with all r equal to some y, where it reads
+      N(Q + r y^2) - (S + r y)^2 with derivative 2r((t+1)y - S).  The
+      least N*f is therefore N((t+1)Q - S^2)/(t+1) at y = S/(t+1) when
+      S <= v(t+1), and N(Q + r v^2) - (S + r v)^2 at y = v otherwise.
+      A branch whose least N*f exceeds floor(N*norm_bound) is dropped.
+    * Prune by parity.  m_i = 2 exactly when a_i is even, so the count of
+      even entries is s - 1.  A branch is dropped once no admissible
+      s - 1 lies between the even entries so far and that count plus r.
+    * Each leaf that passes both tests is divided by orbit_division and
+      kept when res(p) is allowed for its s.
+
+    Every member is re-checked against the f bound, the part multiset and
+    the residue; a failure raises AssertionError.
+    """
+    N = n + 1
+    j, k = j % N, k % N
     admissible = {}
-    for s in range(1, m + 1):
-        if (s - (j - k)) % m == 0 or (s + (j - k)) % m == 0:
+    for s in range(1, N + 1):
+        if (s - (j - k)) % N == 0 or (s + (j - k)) % N == 0:
             admissible[s] = family_residues(n, j, k, s)
+    bound = Fraction(norm_bound)
+    if bound < 0:
+        return LevelTwoFamily(j, k, n, ())
+    cap = N * bound.numerator // bound.denominator
+    evens = [s - 1 for s in admissible]
     members = []
-    for a in _dominant_eps_in_ball(n, Fraction(norm_bound)):
-        mvec, pvec = orbit_division(2, a)
-        s = sum(1 for x in mvec if x == 2) + 1
-        if s in admissible and res_p(pvec, n) in admissible[s]:
-            members.append(OrbitPair(mvec, pvec, 2))
-    members.sort(key=lambda pr: pr.a_vector(), reverse=True)
+    prefix = []
+
+    def rec(t, S, Q, e, v):
+        if t == n:
+            mvec, pvec = orbit_division(2, prefix)
+            if res_p(pvec, n) in admissible[e + 1]:
+                members.append(OrbitPair(mvec, pvec, 2))
+            return
+        r = n - t - 1  # entries left after the next one
+        size = t + 2  # the prefix with the next entry and the trailing 0
+        for x in range(v, -1, -1):
+            e1 = e + 1 - x % 2
+            if not any(e1 <= c <= e1 + r for c in evens):
+                continue
+            S1, Q1 = S + x, Q + x * x
+            if S1 <= x * size:
+                if N * (size * Q1 - S1 * S1) > cap * size:
+                    continue
+            elif N * (Q1 + r * x * x) - (S1 + r * x) ** 2 > cap:
+                continue
+            prefix.append(x)
+            rec(t + 1, S1, Q1, e1, x)
+            prefix.pop()
+
+    rec(0, 0, 0, 0, isqrt(2 * bound.numerator // bound.denominator))
+    for pair in members:
+        s = pair.m.count(2) + 1
+        if not (pair.in_dominant_set() and set(pair.m) <= {1, 2}
+                and scaled_f(pair.a_vector()) <= cap
+                and s in admissible and pair.residue() in admissible[s]):
+            raise AssertionError(f"generated pair {pair} is not in the "
+                                 f"({j}, {k}) family within f <= {bound}")
     return LevelTwoFamily(j, k, n, tuple(members))
 
 

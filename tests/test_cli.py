@@ -11,6 +11,16 @@ import pytest
 from affmult.cli import main
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """The environment with the package source first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -103,11 +113,8 @@ class TestValidation:
         (["verify", "--n", "2..1"], "--n"),
     ])
     def test_library_errors_exit_two_without_traceback(self, argv, param):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run([sys.executable, "-m", "affmult.cli", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 2
         assert param in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -160,3 +167,19 @@ class TestOtherCommands:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["result"]["value"] == 4
+
+
+class TestScripts:
+    def test_headline_breakdown(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "headline_breakdown.py")],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        rows = lines[lines.index("per-member breakdown of the orbit-pair formula:") + 2:-1]
+        assert rows == [
+            "((2, 2), (2, 0))           (2, 1)     1         2",
+            "((2, 2), (1, 1))           (0, 2)     3         2",
+            "((2, 2), (0, -1))          (1, 0)     5         1",
+        ]
+        assert lines[-1] == "total: 5"

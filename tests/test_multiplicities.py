@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affmult.affine_cartan import (
@@ -24,6 +24,7 @@ from affmult.multiplicities import (
     a_of_eta,
     direct_split,
     eta_from_xi,
+    f_eps,
     flag_multiplicity_at,
     flag_multiplicity_poly,
     general_fundamental,
@@ -228,6 +229,32 @@ class TestTauFormula:
 
         for e in range(1, 8):
             assert tau_formula(2, 1, (e, e, e - 1)) == closed(e)
+
+    def test_terms_reject_wrong_length_eta(self):
+        # three entries for rank 3: the rows must not be read off a
+        # truncated character
+        with pytest.raises(ValueError, match="n \\+ 1 entries"):
+            tau_terms(3, 1, (6, 6, 5))
+        with pytest.raises(ValueError, match="n \\+ 1 entries"):
+            tau_formula(3, 1, (6, 6, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_formula_is_sum_of_terms(self, n, data):
+        j = data.draw(st.integers(0, n))
+        k = data.draw(st.integers(j, n))
+        eta0 = data.draw(st.integers(0, 8 if n <= 3 else 5))
+        i = (j + k) % (n + 1)
+        xi = (affine_Lambda(n, j) + affine_Lambda(n, k)).shift_delta(-eta0)
+        try:
+            eta = eta_from_xi(n, i, xi)
+        except ValueError:
+            assume(False)
+        terms = tau_terms(n, i, eta)
+        assert tau_formula(n, i, eta) == sum(count for *_, count in terms)
+        for pair, b, arg, count in terms:
+            assert arg == f_eps(n, i, j, k, eta[0], pair.a_vector())
+            assert count == rho_multi(arg, b)
 
     def test_matches_bruteforce_small(self):
         assert tau_formula(2, 1, (1, 1, 1)) == tau_bruteforce((1, 1, 1), 1)

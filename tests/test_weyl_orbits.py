@@ -3,6 +3,8 @@ families and reduced-pair lengths."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +24,12 @@ from affmult.affine_cartan import (
 )
 from affmult.multiplicities import f_ball_bound, mu_split
 from affmult.weyl_orbits import (
+    LevelTwoFamily,
     OrbitPair,
     b_vector,
     cofinal_weight,
     enumerate_gamma,
+    family_residues,
     gamma_contains,
     level_two_family,
     orbit_division,
@@ -34,6 +38,7 @@ from affmult.weyl_orbits import (
     r_of,
     reduced_pair_length,
     res_p,
+    scaled_f,
     simple_reflection,
     socle_formula,
     socle_oracle,
@@ -247,6 +252,65 @@ class TestLevelTwoFamily:
                 mu = pair.weight()
                 assert b_vector(pair) == mu_split(mu).bounds
                 assert quadratic_f(pair.a_vector()) == bilinear(mu, mu)
+
+
+def reference_family(n, j, k, norm_bound):
+    """The unpruned walk-and-filter: every weakly decreasing non-negative
+    a with a_i^2 <= (n+1) * norm_bound, kept when f(a) <= norm_bound, the
+    parts m(s) are admissible and res(p) is allowed, sorted by a
+    descending."""
+    m = n + 1
+    j, k = j % m, k % m
+    admissible = {}
+    for s in range(1, m + 1):
+        if (s - (j - k)) % m == 0 or (s + (j - k)) % m == 0:
+            admissible[s] = family_residues(n, j, k, s)
+    bound = Fraction(norm_bound)
+    members = []
+    if bound >= 0:
+        amax = isqrt(int(m * bound))
+        for combo in combinations_with_replacement(range(amax + 1), n):
+            a = combo[::-1]
+            if quadratic_f(a) > bound:
+                continue
+            mvec, pvec = orbit_division(2, a)
+            s = mvec.count(2) + 1
+            if s in admissible and res_p(pvec, n) in admissible[s]:
+                members.append(OrbitPair(mvec, pvec, 2))
+    members.sort(key=lambda pr: pr.a_vector(), reverse=True)
+    return LevelTwoFamily(j, k, n, tuple(members))
+
+
+@st.composite
+def family_inputs(draw):
+    n = draw(st.integers(1, 7))
+    j = draw(st.integers(0, n))
+    k = draw(st.integers(j, n))
+    top = 33 if n <= 5 else 14
+    bound = draw(st.one_of(
+        st.integers(-3, top),
+        st.fractions(min_value=-3, max_value=top, max_denominator=12)))
+    return n, j, k, bound
+
+
+class TestGeneratedFamily:
+    @settings(max_examples=150, deadline=None)
+    @given(family_inputs())
+    def test_matches_reference_walk(self, inputs):
+        assert level_two_family(*inputs) == reference_family(*inputs)
+
+    def test_fixed_bounds_every_pair(self):
+        for n in (1, 2, 3):
+            for j in range(n + 1):
+                for k in range(j, n + 1):
+                    for bound in (-1, Fraction(-1, 3), 0, 1, Fraction(5, 3),
+                                  Fraction(40, 7), 12):
+                        assert (level_two_family(n, j, k, bound)
+                                == reference_family(n, j, k, bound))
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=8))
+    def test_scaled_f(self, a):
+        assert scaled_f(a) == (len(a) + 1) * quadratic_f(a)
 
 
 class TestBVector:
