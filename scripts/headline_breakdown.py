@@ -57,10 +57,11 @@ def main() -> None:
 
     print("per-member breakdown of the orbit-pair formula:")
     print(f"{'(m, p)':<26} {'bounds':<10} {'argument':<9} count")
+    total = 0
     for pair, b, arg, count in tau_terms(n, i, eta):
         label = f"({pair.m}, {pair.p})"
         print(f"{label:<26} {str(b):<10} {str(arg):<9} {count}")
-    total = sum(c for _, _, _, c in tau_terms(n, i, eta))
+        total += count
     print(f"total: {total}")
     assert v1 == len(shapes) == v3 == table[xi] == total
 

@@ -15,26 +15,21 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .affine_cartan import AffineWeight, FiniteWeight, affine_Lambda
 from .char_oracle import tensor_outer_multiplicities
 from .multiplicities import (
     eta_from_xi,
-    f_ball_bound,
-    f_weight,
     flag_multiplicity_at,
     flag_multiplicity_poly,
     general_fundamental,
-    mu_split,
+    orbit_terms,
     outer_multiplicity_formula,
     outer_multiplicity_limit,
     tau_formula,
 )
-from .partitions import rho_multi
 from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce
 from .weyl_orbits import (
     b_vector,
@@ -245,13 +240,9 @@ def cmd_multiplicity(args) -> int:
     xi = parse_affine(args.n, args.cvals, args.degree)
     if xi.level != 2 or not xi.is_dominant():
         raise ValidationError("parameter --cvals: weight must be dominant of level 2")
-    value = outer_multiplicity_formula(args.n, args.i, xi)
-    rows = []
-    for mu, pair in enumerate_gamma(xi, f_ball_bound(args.n, args.i, xi)):
-        f = f_weight(args.n, args.i, xi, mu)
-        b = mu_split(mu).bounds
-        rows.append([list(mu.coords), list(b), str(f), rho_multi(f, b)])
-    result = {"value": value, "rows": rows,
+    rows = [[list(mu.coords), list(b), str(f), count]
+            for mu, b, f, count in orbit_terms(args.n, args.i, xi)]
+    result = {"value": sum(row[-1] for row in rows), "rows": rows,
               "header": ["mu", "bounds", "f", "count"]}
     emit(_payload("multiplicity", {"n": args.n, "i": args.i,
                                    "cvals": list(xi.c_values()),
@@ -359,9 +350,7 @@ def cmd_verify(args) -> int:
                 continue  # oracle rows cover ranks <= 2; the tests check rank 3
             for i in range(n + 1):
                 tasks.append(("oracle", (n, i, args.depth)))
-    workers = int(os.environ.get("AFFMULT_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_verify_instance, tasks))
+    outcomes = [_verify_instance(t) for t in tasks]
     rows = []
     failures = []
     for ok, key, detail in outcomes:

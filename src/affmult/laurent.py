@@ -2,12 +2,12 @@
 
 Coefficients are integers; exponents may be integers or exact rationals
 (generating polynomials of graded multiplicities carry a global rational
-degree shift).  Stored as a dict from exponent to non-zero coefficient.
+degree shift).  Stored as a dict from exponent to non-zero coefficient;
+an integer exponent and the equal ``Fraction`` compare and hash alike, so
+plain dict lookup and equality already match them.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class LaurentPoly:
@@ -35,11 +35,7 @@ class LaurentPoly:
         return LaurentPoly({e: c})
 
     def coeff(self, e) -> int:
-        c = self.coeffs.get(e, 0)
-        if c == 0 and not isinstance(e, Fraction):
-            # an integer exponent may be stored as a Fraction-valued key
-            c = self.coeffs.get(Fraction(e), 0)
-        return c
+        return self.coeffs.get(e, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -84,12 +80,10 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        norm = lambda d: {(Fraction(e) if not isinstance(e, Fraction) else e): c
-                          for e, c in d.items()}
-        return norm(self.coeffs) == norm(other.coeffs)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset((Fraction(e), c) for e, c in self.coeffs.items()))
+        return hash(frozenset(self.coeffs.items()))
 
     def is_palindromic(self) -> bool:
         """Whether coefficients are symmetric about the middle degree."""

@@ -2,7 +2,9 @@
 two level-1 fundamental modules, by three routes:
 
 * a closed-form sum of bounded-multipartition counts over an orbit set
-  indexed by dominant finite weights (``outer_multiplicity_formula``);
+  indexed by dominant finite weights (``outer_multiplicity_formula``, with
+  its per-member breakdown ``orbit_terms``, which the sum and the CLI
+  ``multiplicity`` rows both read);
 * the same sum re-indexed by level-2 orbit pairs and driven by a tableau
   content character (``tau_formula``, with its per-pair breakdown
   ``tau_terms``); both read one row generator over the pairs, which are
@@ -60,15 +62,6 @@ class MuSplit:
         return self.mu0.coords
 
 
-def mu_split(mu: FiniteWeight) -> MuSplit:
-    if not mu.is_dominant():
-        raise ValueError("mu must be dominant")
-    v = mu.minus_w0().coords
-    mu0 = FiniteWeight(mu.n, tuple(c // 2 for c in v))
-    mu1 = FiniteWeight(mu.n, tuple(c % 2 for c in v))
-    return MuSplit(mu0, mu1)
-
-
 def direct_split(mu: FiniteWeight):
     """Parity split of mu itself: mu = 2*mu0 + mu1, mu1 coords in {0,1}.
     This is the convention of the flag-multiplicity formula; it differs
@@ -77,6 +70,13 @@ def direct_split(mu: FiniteWeight):
     mu0 = FiniteWeight(mu.n, tuple(c // 2 for c in mu.coords))
     mu1 = FiniteWeight(mu.n, tuple(c % 2 for c in mu.coords))
     return mu0, mu1
+
+
+def mu_split(mu: FiniteWeight) -> MuSplit:
+    """The direct split of -w0(mu), for dominant mu."""
+    if not mu.is_dominant():
+        raise ValueError("mu must be dominant")
+    return MuSplit(*direct_split(mu.minus_w0()))
 
 
 def a_of_eta(eta: FiniteWeight) -> tuple:
@@ -147,21 +147,41 @@ def xi_from_eta(n: int, i: int, eta: Sequence[int]) -> AffineWeight:
     return xi
 
 
+def _q_plus_coeffs(top: AffineWeight, xi: AffineWeight):
+    """Coefficients (c_0, a_1, ..., a_n) of top - xi on the simple affine
+    roots alpha_0 = delta - theta, alpha_1, ..., alpha_n, or None unless
+    they are all non-negative integers."""
+    diff = top - xi
+    if diff.level != 0:
+        return None
+    c0 = diff.degree
+    if c0.denominator != 1 or c0 < 0:
+        return None
+    c0 = int(c0)
+    try:
+        rest = a_of_eta(diff.finite + c0 * theta(top.n))
+    except ValueError:
+        return None
+    if any(x < 0 for x in rest):
+        return None
+    return (c0,) + rest
+
+
+def _below(top: AffineWeight, xi: AffineWeight) -> bool:
+    """Whether top - xi is a non-negative integer combination of the
+    simple affine roots."""
+    return _q_plus_coeffs(top, xi) is not None
+
+
 def eta_from_xi(n: int, i: int, xi: AffineWeight) -> tuple:
     """Inverse of xi_from_eta; errors unless Lambda_0 + Lambda_i - xi is
     a non-negative integer combination of the simple affine roots."""
     if xi.level != 2:
         raise ValueError("xi must have level 2")
-    diff = (affine_Lambda(n, 0) + affine_Lambda(n, i)) - xi
-    eta0 = diff.degree
-    if eta0.denominator != 1 or eta0 < 0:
+    eta = _q_plus_coeffs(affine_Lambda(n, 0) + affine_Lambda(n, i), xi)
+    if eta is None:
         raise ValueError("xi is not below Lambda_0 + Lambda_i")
-    eta0 = int(eta0)
-    fin = diff.finite + eta0 * theta(n)
-    rest = a_of_eta(fin)
-    if any(x < 0 for x in rest):
-        raise ValueError("xi is not below Lambda_0 + Lambda_i")
-    return (eta0,) + tuple(rest)
+    return eta
 
 
 def f_ball_bound(n: int, i: int, xi: AffineWeight) -> Fraction:
@@ -176,20 +196,30 @@ def f_weight(n: int, i: int, xi: AffineWeight, mu: FiniteWeight) -> Fraction:
     return Fraction(f_ball_bound(n, i, xi) - bilinear(mu, mu), 4)
 
 
-def outer_multiplicity_formula(n: int, i: int, xi: AffineWeight) -> int:
-    """Multiplicity of the simple module with highest weight xi in the
-    tensor product of the 0-th and i-th level-1 fundamental modules:
-    sum over the orbit set of xi of bounded-multipartition counts at
-    argument f_{i,xi}(mu)."""
+def orbit_terms(n: int, i: int, xi: AffineWeight) -> list:
+    """Per-member breakdown of outer_multiplicity_formula: one row
+    (mu, bounds, f, count) per member of the orbit set of xi, in the order
+    of enumerate_gamma, with bounds = mu_split(mu).bounds, f = f_{i,xi}(mu)
+    and count = rho_multi(f, bounds)."""
     if xi.level != 2:
         raise ValueError("xi must have level 2")
     if not xi.is_dominant():
         raise ValueError("xi must be dominant")
     bound = f_ball_bound(n, i, xi)
-    total = 0
+    rows = []
     for mu, _pair in enumerate_gamma(xi, bound):
-        total += rho_multi(f_weight(n, i, xi, mu), mu_split(mu).bounds)
-    return total
+        b = mu_split(mu).bounds
+        f = Fraction(bound - bilinear(mu, mu), 4)
+        rows.append((mu, b, f, rho_multi(f, b)))
+    return rows
+
+
+def outer_multiplicity_formula(n: int, i: int, xi: AffineWeight) -> int:
+    """Multiplicity of the simple module with highest weight xi in the
+    tensor product of the 0-th and i-th level-1 fundamental modules:
+    sum over the orbit set of xi of bounded-multipartition counts at
+    argument f_{i,xi}(mu)."""
+    return sum(count for *_, count in orbit_terms(n, i, xi))
 
 
 def f_eps(n: int, i: int, j: int, k: int, eta0: int, a: Sequence[int]) -> Fraction:
@@ -334,23 +364,6 @@ def rotate(c: int, lam: AffineWeight) -> AffineWeight:
             raise ArithmeticError("rotation produced non-integral coordinates")
         coords.append(int(x))
     return AffineWeight(FiniteWeight(n, tuple(coords)), lev, deg)
-
-
-def _below(top: AffineWeight, xi: AffineWeight) -> bool:
-    """Whether top - xi is a non-negative integer combination of the
-    simple affine roots."""
-    diff = top - xi
-    if diff.level != 0:
-        return False
-    c0 = diff.degree
-    if c0.denominator != 1 or c0 < 0:
-        return False
-    fin = diff.finite + int(c0) * theta(top.n)
-    try:
-        rest = a_of_eta(fin)
-    except ValueError:
-        return False
-    return all(x >= 0 for x in rest)
 
 
 def general_fundamental(n: int, i: int, j: int, xi: AffineWeight) -> int:

@@ -24,11 +24,14 @@ from affmult.multiplicities import (
     a_of_eta,
     direct_split,
     eta_from_xi,
+    f_ball_bound,
     f_eps,
+    f_weight,
     flag_multiplicity_at,
     flag_multiplicity_poly,
     general_fundamental,
     mu_split,
+    orbit_terms,
     outer_multiplicity_formula,
     outer_multiplicity_limit,
     rotate,
@@ -38,6 +41,7 @@ from affmult.multiplicities import (
 )
 from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
+from affmult.weyl_orbits import enumerate_gamma
 
 
 class TestMuSplit:
@@ -180,12 +184,16 @@ class TestCharacterWeightCorrespondence:
             assert eta_from_xi(2, 1, xi) == eta
 
     def test_inverse_rejects_unreachable(self):
-        try:
-            eta_from_xi(2, 1, affine_Lambda(2, 0) + affine_Lambda(2, 2))
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected an error for an unreachable weight")
+        with pytest.raises(ValueError, match="level 2"):
+            eta_from_xi(2, 1, affine_Lambda(2, 0))
+        top = affine_Lambda(2, 0) + affine_Lambda(2, 1)
+        # a negative alpha_0 coefficient, a non-integer delta coefficient,
+        # off the root lattice, a negative alpha_1 coefficient
+        for xi in (xi_from_eta(2, 1, (-1, 0, 0)), top.shift_delta(Fraction(-1, 2)),
+                   affine_Lambda(2, 0) + affine_Lambda(2, 2),
+                   xi_from_eta(2, 1, (0, -1, 0))):
+            with pytest.raises(ValueError, match="not below Lambda_0 \\+ Lambda_i"):
+                eta_from_xi(2, 1, xi)
 
 
 class TestOrbitSumFormula:
@@ -198,6 +206,29 @@ class TestOrbitSumFormula:
     def test_headline(self):
         xi = AffineWeight(2 * omega(2, 2), 2, Fraction(-6))
         assert outer_multiplicity_formula(2, 1, xi) == 5
+
+    def test_terms_reject_bad_weight(self):
+        with pytest.raises(ValueError, match="level 2"):
+            orbit_terms(2, 1, affine_Lambda(2, 0))
+        with pytest.raises(ValueError, match="dominant"):
+            orbit_terms(2, 1, AffineWeight(FiniteWeight(2, (-1, 2)), 2, Fraction(0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_formula_is_sum_of_terms(self, n, data):
+        i = data.draw(st.integers(0, n))
+        j = data.draw(st.integers(0, n))
+        k = data.draw(st.integers(j, n))
+        eta0 = data.draw(st.integers(0, 7))
+        xi = (affine_Lambda(n, j) + affine_Lambda(n, k)).shift_delta(-eta0)
+        terms = orbit_terms(n, i, xi)
+        assert outer_multiplicity_formula(n, i, xi) == sum(count for *_, count in terms)
+        members = [mu for mu, _pair in enumerate_gamma(xi, f_ball_bound(n, i, xi))]
+        assert [mu for mu, *_ in terms] == members
+        for mu, b, f, count in terms:
+            assert b == mu_split(mu).bounds
+            assert f == f_weight(n, i, xi, mu)
+            assert count == rho_multi(f, b)
 
 
 class TestTauFormula:
