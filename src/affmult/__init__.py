@@ -53,6 +53,7 @@ from .tableaux import (
     is_regular,
     jk_from_eta,
     tau_bruteforce,
+    tau_count,
 )
 from .weyl_orbits import (
     OrbitPair,

@@ -51,6 +51,7 @@ from .affine_cartan import (
 )
 from .multiplicities import _below, a_of_eta
 from .partitions import compositions
+from .weyl_orbits import scaled_f
 
 
 @dataclass(frozen=True)
@@ -200,13 +201,6 @@ def tensor_character(c1: TruncatedCharacter, c2: TruncatedCharacter,
     return out
 
 
-def _scaled_norm(a) -> int:
-    """(n + 1) * f(a): the norm of the weight with epsilon vector a,
-    scaled to an integer."""
-    s = sum(a)
-    return (len(a) + 1) * sum(x * x for x in a) - s * s
-
-
 def _coloured_partition_counts(n: int, kmax: int) -> list:
     """Number of n-coloured partitions of k for k = 0..kmax: the
     coefficients of prod_{r >= 1} (1 - q^r)^(-n)."""
@@ -227,12 +221,12 @@ def _maximal_weights(n: int, j: int, amax: int):
     of k."""
     m = n + 1
     w = eps_coords(omega(n, j))
-    norm_w = _scaled_norm(w)
+    norm_w = scaled_f(w)
     cls = sum(w) % m
     for a in product(range(-amax, amax + 1), repeat=n):
         if sum(a) % m != cls:
             continue
-        t0, rem = divmod(_scaled_norm(a) - norm_w, 2 * m)
+        t0, rem = divmod(scaled_f(a) - norm_w, 2 * m)
         if rem:
             raise ArithmeticError("non-integral depth of a maximal weight")
         yield a, t0
@@ -244,7 +238,7 @@ def _shift_data(Lam: AffineWeight, Lam2: AffineWeight):
     n = Lam.n
     rho_bar = rho_hat(n).finite
     return (Lam.level + Lam2.level + n + 1, eps_coords(Lam.finite + rho_bar),
-            _scaled_norm(eps_coords(rho_bar)))
+            scaled_f(eps_coords(rho_bar)))
 
 
 def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
@@ -269,8 +263,8 @@ def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
     lev, c, norm_rho = _shift_data(Lam, Lam2)
     if lev <= 1:
         raise AssertionError("the depth bound needs level > 1")
-    norm_c = _scaled_norm(c)
-    norm_w = _scaled_norm(eps_coords(omega(n, j)))
+    norm_c = scaled_f(c)
+    norm_w = scaled_f(eps_coords(omega(n, j)))
     # every norm below is scaled by m = n + 1
     big_r = (2 * lev * depth * m + lev * norm_w - norm_rho
              + Fraction(lev * norm_c, lev - 1))
@@ -278,12 +272,12 @@ def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
     amax = isqrt(int(2 * radius_sq / m))
     for a, t0 in _maximal_weights(n, j, amax):
         nu = [x + y for x, y in zip(a, c)]
-        if 2 * lev * m * (t0 - depth) > _scaled_norm(nu) - norm_rho:
+        if 2 * lev * m * (t0 - depth) > scaled_f(nu) - norm_rho:
             continue
         # (L-1)|mu_bar - c/(L-1)|^2 = |(L-1) mu_bar - c|^2 / (L-1)
         off_centre = [(lev - 1) * x - y for x, y in zip(a, c)]
-        if (_scaled_norm(off_centre) > (lev - 1) * big_r
-                or _scaled_norm(a) > radius_sq):
+        if (scaled_f(off_centre) > (lev - 1) * big_r
+                or scaled_f(a) > radius_sq):
             raise AssertionError("admitted weight outside the derived ball")
         yield a, t0
 
@@ -321,8 +315,8 @@ def _brauer_klimyk(Lam: AffineWeight, Lam2: AffineWeight, depth: int,
             continue
         # the norm identity and the dominance inequality behind
         # _admitted_weights, checked on every descent
-        norm_xi = _scaled_norm(eps_coords(FiniteWeight(n, tuple(v[1:]))))
-        if (_scaled_norm(nu_eps) - norm_xi != -2 * lev * m * shift
+        norm_xi = scaled_f(eps_coords(FiniteWeight(n, tuple(v[1:]))))
+        if (scaled_f(nu_eps) - norm_xi != -2 * lev * m * shift
                 or norm_xi < norm_rho):
             raise AssertionError("descent breaks the norm identity")
         if t0 + shift <= depth:

@@ -4,15 +4,20 @@ A box (r, c) of an i-charged tableau is forced to carry the residue
 c - r + i mod (n + 1).  A shape is admissible for charge i when it is
 n-regular (no part repeats more than n times) and its distinct part
 sizes satisfy a system of congruences; counting admissible shapes with
-a prescribed content character gives the brute-force route to the outer
+a prescribed content character gives the tableau route to the outer
 multiplicities.
 
-That count (``tau_bruteforce``) is still an exhaustive enumeration: it
-walks the tree of regular shapes of the right size and cuts a branch
-only when no shape below it can qualify, because a residue count
-already exceeds the content character or a block of equal rows breaks
-the congruences.  Every shape it returns is re-checked with ``is_mw``
-and ``shape_character``.
+That count (``tau_count``, behind ``tau_bruteforce``) walks the tree of
+shapes built block by block, largest part first, and cuts a branch only
+when no shape below it can qualify, because a residue count already
+exceeds the content character or a block of equal rows breaks the
+congruences.  It memoizes the count below each node on a small state,
+so its cost follows the number of states rather than the answer, and it
+uses no orbit and no multipartition, so it stays an independent check
+of the formula.
+``mw_shapes_with_character`` lists the same tree shape by shape and
+re-checks every shape with ``is_mw`` and ``shape_character``; it gives
+the rows of the CLI ``tau`` command and the tests' reference.
 """
 
 from __future__ import annotations
@@ -154,10 +159,73 @@ def mw_shapes_with_character(eta, i: int) -> list:
     return out
 
 
+def tau_count(eta, i: int) -> int:
+    """Number of admissible i-charged shapes with content character eta,
+    that is len(mw_shapes_with_character(eta, i)), without listing them.
+
+    The count walks the tree of mw_shapes_with_character: blocks of
+    equal rows, largest part first, each block size fixed modulo n + 1
+    by the is_mw congruence, and a branch dropped once a residue count
+    exceeds eta.  Below a node the count depends only on the residue
+    counts still to fill, the largest part still allowed and the number
+    of rows placed so far modulo n + 1, because row r's residues start
+    at (1 - r + i) mod (n + 1) and the congruence reads the rows so far
+    only through 2 * prefix mod (n + 1).  Counts are memoized on that
+    state in a dict local to the call."""
+    eta = tuple(eta)
+    m = len(eta)
+    if any(e < 0 for e in eta):
+        return 0
+    size = sum(eta)
+    if size == 0:
+        return 1
+    # blocks[p][c], for parts = c mod m placed below p rows (mod m): the
+    # block size, the residues its rows hold beyond their full cycles,
+    # and the row count after the block (mod m)
+    blocks = []
+    for p in range(m):
+        row = []
+        for c in range(m):
+            reps = (c + i - 2 * p) % m
+            extra = [0] * m
+            for r in range(p + 1, p + reps + 1):
+                for col in range(c):
+                    extra[(1 - r + i + col) % m] += 1
+            row.append((reps, extra, (p + reps) % m))
+        blocks.append(row)
+    memo = {}
+
+    def count(rest: tuple, remaining: int, largest: int, prefix: int) -> int:
+        total = 0
+        for part in range(largest, 0, -1):
+            full, c = divmod(part, m)
+            reps, extra, after = blocks[prefix][c]
+            if reps == 0 or part * reps > remaining:
+                continue
+            left = [x - full * reps - y for x, y in zip(rest, extra)]
+            low = min(left)
+            if low < 0:
+                continue
+            below = remaining - part * reps
+            if below == 0:
+                total += 1
+                continue
+            # a row of m * (low + 1) boxes or more holds too many boxes of
+            # some residue, so larger bounds name the same subtree
+            key = (tuple(left), min(part - 1, below, m * low + m - 1), after)
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = count(key[0], below, key[1], after)
+            total += sub
+        return total
+
+    return count(eta, size, min(size, m * min(eta) + m - 1), 0)
+
+
 def tau_bruteforce(eta, i: int) -> int:
-    """Count admissible i-charged tableaux with content character eta
-    by exhaustive enumeration of the admissible shapes."""
-    return len(mw_shapes_with_character(eta, i))
+    """Count admissible i-charged tableaux with content character eta,
+    independently of the orbit-sum formula: see tau_count."""
+    return tau_count(eta, i)
 
 
 def eta_prime(eta, i: int) -> tuple:

@@ -24,6 +24,7 @@ from .affine_cartan import (
     affine_cartan_matrix,
     bilinear,
     eps_coords,
+    in_root_lattice,
     quadratic_f,
     theta,
     weight_from_eps,
@@ -38,16 +39,10 @@ def simple_reflection(i: int, lam: AffineWeight) -> AffineWeight:
     return lam - v * affine_alpha(lam.n, i)
 
 
-def in_finite_root_lattice(mu: FiniteWeight) -> bool:
-    """Membership of a finite weight in the root lattice Q."""
-    a = eps_coords(mu)
-    return sum(a) % (mu.n + 1) == 0
-
-
 def translation(alpha_fin: FiniteWeight, lam: AffineWeight) -> AffineWeight:
     """t_alpha(lam) = lam + lam(c) alpha
     - ((lam, alpha) + (alpha, alpha) lam(c) / 2) delta, for alpha in Q."""
-    if not in_finite_root_lattice(alpha_fin):
+    if not in_root_lattice(eps_coords(alpha_fin)):
         raise ValueError("translation vector must lie in the root lattice")
     pairing = bilinear(lam.finite, alpha_fin)
     norm = bilinear(alpha_fin, alpha_fin)
@@ -288,8 +283,11 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     * Prune by parity.  m_i = 2 exactly when a_i is even, so the count of
       even entries is s - 1.  A branch is dropped once no admissible
       s - 1 lies between the even entries so far and that count plus r.
-    * Each leaf that passes both tests is divided by orbit_division and
-      kept when res(p) is allowed for its s.
+    * Residue of the last entry.  With P the sum of p_i = (a_i - 1) // 2
+      over the first n - 1 entries, the last entry x fixes
+      res(p) = -(P + (x - 1) // 2) mod N, so a last entry whose residue
+      is not allowed for its s is skipped before the f test.  Each leaf
+      is then a member, and only members are divided by orbit_division.
 
     Every member is re-checked against the f bound, the part multiset and
     the residue; a failure raises AssertionError.
@@ -308,17 +306,17 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     members = []
     prefix = []
 
-    def rec(t, S, Q, e, v):
+    def rec(t, S, Q, e, v, P):
         if t == n:
-            mvec, pvec = orbit_division(2, prefix)
-            if res_p(pvec, n) in admissible[e + 1]:
-                members.append(OrbitPair(mvec, pvec, 2))
+            members.append(OrbitPair(*orbit_division(2, prefix), 2))
             return
         r = n - t - 1  # entries left after the next one
         size = t + 2  # the prefix with the next entry and the trailing 0
         for x in range(v, -1, -1):
             e1 = e + 1 - x % 2
             if not any(e1 <= c <= e1 + r for c in evens):
+                continue
+            if r == 0 and (-P - (x - 1) // 2) % N not in admissible[e1 + 1]:
                 continue
             S1, Q1 = S + x, Q + x * x
             if S1 <= x * size:
@@ -327,10 +325,10 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
             elif N * (Q1 + r * x * x) - (S1 + r * x) ** 2 > cap:
                 continue
             prefix.append(x)
-            rec(t + 1, S1, Q1, e1, x)
+            rec(t + 1, S1, Q1, e1, x, P + (x - 1) // 2)
             prefix.pop()
 
-    rec(0, 0, 0, 0, isqrt(2 * bound.numerator // bound.denominator))
+    rec(0, 0, 0, 0, isqrt(2 * bound.numerator // bound.denominator), 0)
     for pair in members:
         s = pair.m.count(2) + 1
         if not (pair.in_dominant_set() and set(pair.m) <= {1, 2}

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from affmult.cli import main
+from affmult.tableaux import mw_shapes_with_character
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,6 +140,22 @@ class TestVerify:
                             "--format", "json")
         assert code == 0
         assert out1 == out2
+
+    def test_brute_counts_match_listing(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "1..2", "--eta0-max", "6",
+                           "--depth", "1", "--format", "json")
+        assert code == 0
+        checked = 0
+        for key, status, detail in json.loads(out)["result"]["rows"]:
+            case = re.fullmatch(r"tau n=\d+ i=(\d+) eta=\(([\d, ]+)\)", key)
+            if case is None:
+                continue
+            eta = tuple(int(x) for x in case.group(2).split(","))
+            brute = int(detail.split("brute=")[1])
+            assert status == "pass"
+            assert brute == len(mw_shapes_with_character(eta, int(case.group(1))))
+            checked += 1
+        assert checked > 0
 
 
 class TestOtherCommands:

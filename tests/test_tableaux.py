@@ -1,5 +1,7 @@
 """Charged tableaux, content characters, shape admissibility and the
-brute-force multiplicity count."""
+tableau multiplicity count."""
+
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from affmult.tableaux import (
     mw_shapes_with_character,
     shape_character,
     tau_bruteforce,
+    tau_count,
 )
 
 shapes = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(
@@ -52,9 +55,9 @@ def reference_shapes(eta, i):
 
 @st.composite
 def characters(draw):
-    """(eta, i) at rank 1-3 with |eta| <= 24: an arbitrary vector, or the
+    """(eta, i) at rank 1-4 with |eta| <= 24: an arbitrary vector, or the
     character of a random shape, so that non-empty results are common."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     i = draw(st.integers(0, n))
     if draw(st.booleans()):
         eta = draw(st.lists(st.integers(0, 6), min_size=n + 1, max_size=n + 1))
@@ -155,6 +158,38 @@ class TestBruteForce:
             for i in range(n + 1):
                 for eta in [(4,) * (n + 1), (6,) * n + (5,), (0,) * (n + 1)]:
                     assert mw_shapes_with_character(eta, i) == reference_shapes(eta, i)
+
+
+class TestTauCount:
+    @given(characters())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_listing(self, case):
+        eta, i = case
+        assert tau_count(eta, i) == len(mw_shapes_with_character(eta, i))
+
+    def test_pinned_values(self):
+        assert tau_count((6, 6, 5), 1) == 5
+        assert tau_count((40, 40, 39), 1) == 10584
+
+    def test_deep_character_is_fast(self):
+        # the listing does not finish this one in 20 s
+        start = time.process_time()
+        assert tau_count((60, 60, 59), 1) == 206878
+        assert time.process_time() - start < 5
+
+    def test_zero_character(self):
+        for n in (1, 2, 3, 4):
+            for i in range(n + 1):
+                assert tau_count((0,) * (n + 1), i) == 1
+
+    def test_negative_entry(self):
+        assert tau_count((3, -1, 3), 1) == 0
+        assert tau_count((-1, 0), 0) == 0
+        assert tau_count((1, -1), 0) == 0
+        assert mw_shapes_with_character((3, -1, 3), 1) == []
+
+    def test_bruteforce_is_the_count(self):
+        assert tau_bruteforce((40, 40, 39), 1) == 10584
 
 
 class TestEtaPrime:
