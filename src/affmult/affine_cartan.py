@@ -9,10 +9,11 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
+
+from .records import Record
 
 
 def residue(a: int, n: int) -> int:
@@ -66,16 +67,24 @@ def affine_cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True)
-class FiniteWeight:
+class FiniteWeight(Record):
     """Integral weight of sl_{n+1} in fundamental-weight coordinates."""
 
-    n: int
-    coords: tuple[int, ...]
+    __slots__ = ("n", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.n:
+    def __init__(self, n: int, coords: tuple[int, ...]):
+        if len(coords) != n:
             raise ValueError("coordinate vector has wrong length")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.coords))
 
     @staticmethod
     def zero(n: int) -> "FiniteWeight":
@@ -197,13 +206,24 @@ def varpi_eps(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j < i else 0 for j in range(n))
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(Record):
     """Affine weight lambda = finite + level * Lambda_0 + degree * delta."""
 
-    finite: FiniteWeight
-    level: int
-    degree: Fraction
+    __slots__ = ("finite", "level", "degree")
+
+    def __init__(self, finite: FiniteWeight, level: int, degree: Fraction):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "degree", degree)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.finite == other.finite and self.level == other.level
+                    and self.degree == other.degree)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.finite, self.level, self.degree))
 
     @property
     def n(self) -> int:

@@ -29,7 +29,6 @@ Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -51,16 +50,15 @@ from .affine_cartan import (
 )
 from .multiplicities import _below, a_of_eta
 from .partitions import compositions
+from .records import Record
 from .weyl_orbits import scaled_f
 
 
-@dataclass(frozen=True)
-class TruncatedCharacter:
-    """Weight multiplicities of V(highest) down to delta-depth <= depth."""
+class TruncatedCharacter(Record):
+    """Weight multiplicities of V(highest) down to delta-depth <= depth;
+    ``mults`` maps AffineWeight to multiplicity."""
 
-    highest: AffineWeight
-    depth: int
-    mults: dict
+    __slots__ = ("highest", "depth", "mults")
 
     def mult(self, w: AffineWeight) -> int:
         return self.mults.get(w, 0)

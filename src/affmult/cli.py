@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -30,7 +29,7 @@ from .multiplicities import (
     outer_multiplicity_limit,
     tau_formula,
 )
-from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce
+from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce, tau_count
 from .weyl_orbits import (
     b_vector,
     enumerate_gamma,
@@ -38,6 +37,14 @@ from .weyl_orbits import (
     socle_formula,
     socle_oracle,
 )
+
+# Input caps (times on a 2-core VM, CPython 3.11).  `tau` builds every
+# admissible shape and prints one row each: 17,180 rows take 2.3 s, and
+# `tau_count` gives the number before any shape is built.  The reflection
+# descent of `socle` takes a number of steps linear in |mu|: entries up
+# to 1,000 take 0.01 s at n = 2 and 0.3 s at n = 8.
+TAU_MAX_ROWS = 20_000
+SOCLE_MAX_ENTRY = 1_000
 
 
 class ValidationError(Exception):
@@ -90,6 +97,8 @@ def emit(payload: dict, fmt: str) -> None:
         return
     result = payload["result"]
     if fmt == "csv":
+        import csv  # only here, so JSON and table queries do not load _csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         rows = result.get("rows")
@@ -135,6 +144,10 @@ def cmd_tau(args) -> int:
         jk_from_eta(eta, args.i)
     except ValueError as exc:
         raise ValidationError(f"parameter --eta: {exc}")
+    count = tau_count(eta, args.i)
+    if count > TAU_MAX_ROWS:
+        raise ValidationError(f"parameter --eta: {count} admissible shapes, more than the "
+                              f"{TAU_MAX_ROWS} rows tau lists")
     value = tau_formula(args.n, args.i, eta)
     shapes = mw_shapes_with_character(eta, args.i)
     result = {
@@ -157,6 +170,9 @@ def cmd_socle(args) -> int:
     if args.level < 1:
         raise ValidationError("parameter --level: must be >= 1")
     mu = parse_weight(args.n, args.mu, "--mu")
+    if any(abs(c) > SOCLE_MAX_ENTRY for c in mu.coords):
+        raise ValidationError(f"parameter --mu: entries must lie in "
+                              f"[-{SOCLE_MAX_ENTRY}, {SOCLE_MAX_ENTRY}]")
     formula = socle_formula(args.level, mu).weight
     probe = AffineWeight(mu.w0_image(), args.level, Fraction(0))
     oracle = socle_oracle(probe).weight

@@ -20,7 +20,6 @@ and the rotation reduction expressing a general fundamental pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,6 +39,7 @@ from .affine_cartan import (
 )
 from .laurent import LaurentPoly
 from .partitions import q_binomial_product, rho_multi, stabilize_threshold
+from .records import Record
 from .tableaux import jk_from_eta
 from .weyl_orbits import (
     b_vector,
@@ -50,12 +50,10 @@ from .weyl_orbits import (
 )
 
 
-@dataclass(frozen=True)
-class MuSplit:
+class MuSplit(Record):
     """Parity split -w0(mu) = 2*mu0 + mu1 with mu1 coordinates in {0,1}."""
 
-    mu0: FiniteWeight
-    mu1: FiniteWeight
+    __slots__ = ("mu0", "mu1")
 
     @property
     def bounds(self) -> tuple:
@@ -265,13 +263,12 @@ def tau_terms(n: int, i: int, eta: Sequence[int]) -> list:
     return list(_tau_rows(n, i, eta))
 
 
-@dataclass(frozen=True)
-class LimitResult:
-    """Outcome of the flag-multiplicity limit route."""
+class LimitResult(Record):
+    """Outcome of the flag-multiplicity limit route: the ``value``, the k
+    it was ``stabilized_at`` (an int, or the string "not stabilized"),
+    and the ``sequences``, per-mu tuples (mu, threshold, values by k)."""
 
-    value: int
-    stabilized_at: object  # int, or the string "not stabilized"
-    sequences: tuple  # per-mu tuples (mu, threshold, values by k)
+    __slots__ = ("value", "stabilized_at", "sequences")
 
 
 def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,

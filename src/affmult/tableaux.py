@@ -22,19 +22,20 @@ the rows of the CLI ``tau`` command and the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .partitions import canonical, part_multiplicities
+from .records import Record
 
 
-@dataclass(frozen=True)
-class ExtendedTableau:
+class ExtendedTableau(Record):
     """Filling of a Young diagram by residues in [0, n]."""
 
-    n: int
-    shape: tuple
-    charge: Optional[int] = None  # set when contents follow the charge rule
+    __slots__ = ("n", "shape", "charge")
+
+    def __init__(self, n: int, shape: tuple, charge: Optional[int] = None):
+        # charge is set when contents follow the charge rule
+        super().__init__(n, shape, charge)
 
     def content(self, r: int, c: int) -> int:
         """Entry at row r, column c (1-based)."""

@@ -12,7 +12,6 @@ generates those level-2 pairs directly, pruning by the integer form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -29,6 +28,7 @@ from .affine_cartan import (
     theta,
     weight_from_eps,
 )
+from .records import Record
 
 
 def simple_reflection(i: int, lam: AffineWeight) -> AffineWeight:
@@ -51,11 +51,10 @@ def translation(alpha_fin: FiniteWeight, lam: AffineWeight) -> AffineWeight:
     return AffineWeight(new_fin, lam.level, new_deg)
 
 
-@dataclass(frozen=True)
-class SocleResult:
+class SocleResult(Record):
     """Dominant representative of an affine Weyl orbit, degree included."""
 
-    weight: AffineWeight
+    __slots__ = ("weight",)
 
 
 def socle_oracle(xi: AffineWeight) -> SocleResult:
@@ -111,13 +110,23 @@ def res_p(p: Sequence[int], n: int) -> int:
     return (-sum(p)) % (n + 1)
 
 
-@dataclass(frozen=True)
-class OrbitPair:
+class OrbitPair(Record):
     """Pair (m, p) with a_i = p_i * level + m_i, 0 < m_i <= level."""
 
-    m: tuple
-    p: tuple
-    level: int
+    __slots__ = ("m", "p", "level")
+
+    def __init__(self, m: tuple, p: tuple, level: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "level", level)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.p == other.p and self.level == other.level
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.p, self.level))
 
     @property
     def n(self) -> int:
@@ -241,14 +250,11 @@ def family_residues(n: int, j: int, k: int, s: int) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class LevelTwoFamily:
-    """Materialized orbit-pair family for a level-2 weight Lambda_j + Lambda_k."""
+class LevelTwoFamily(Record):
+    """Materialized orbit-pair family for a level-2 weight Lambda_j + Lambda_k;
+    ``members`` is a tuple of OrbitPair values."""
 
-    j: int
-    k: int
-    n: int
-    members: tuple  # OrbitPair values
+    __slots__ = ("j", "k", "n", "members")
 
 
 def scaled_f(a: Sequence[int]) -> int:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,13 @@ class TestTau:
         assert payload["result"]["value"] == 5
         assert "rule" in payload["provenance"]
 
+    def test_row_cap_exits_two_before_listing(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "tau", "--n", "2", "--i", "1", "--eta", "60,60,59")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "--eta" in err and "206878" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "tau", "--n", "2", "--i", "1",
                          "--eta", "3,3,3", "--format", "json")
@@ -69,6 +77,14 @@ class TestSocle:
                            "--mu", "2,0", "--format", "csv")
         assert code == 0
         assert "cvals,\"[0, 2, 0]\"" in out
+
+    def test_largest_entries_allowed(self, capsys):
+        code, out, _ = run(capsys, "socle", "--n", "2", "--level", "1",
+                           "--mu=-1000,1000", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["cvals"] == result["oracle_cvals"] == [0, 1, 0]
+        assert result["degree"] == result["oracle_degree"] == "333333"
 
 
 class TestMultiplicity:
@@ -102,6 +118,8 @@ class TestValidation:
           "--degree", "0"], "--cvals"),
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0",
           "--degree", "x"], "--degree"),
+        (["socle", "--n", "2", "--level", "2", "--mu", "99999999999999999999,0"], "--mu"),
+        (["socle", "--n", "2", "--level", "1", "--mu=-1001,0"], "--mu"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         code, _, err = run(capsys, *argv)
@@ -202,3 +220,17 @@ class TestScripts:
             "((2, 2), (0, -1))          (1, 0)     5         1",
         ]
         assert lines[-1] == "total: 5"
+
+    def test_stabilization_demo(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "stabilization_demo.py")],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[2:] == [
+            "(2, 4)         4          [0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2]",
+            "(4, 0)         5          [0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2]",
+            "(0, 2)         6          [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]",
+            "",
+            "stabilized at k = 6; limit sum = 5",
+            "closed-formula value = 5",
+        ]
