@@ -6,7 +6,7 @@ weights are passed as the n + 1 values on the simple coroots plus a
 rational degree (``--cvals h0,...,hn --degree p/q``).
 
 Exit codes: 0 success, 1 cross-check mismatch, 2 parameter validation
-failure.
+failure, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .multiplicities import (
 from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce, tau_count
 from .weyl_orbits import (
     b_vector,
+    descent_length,
     enumerate_gamma,
     orbit_pair,
     socle_formula,
@@ -40,11 +41,14 @@ from .weyl_orbits import (
 
 # Input caps (times on a 2-core VM, CPython 3.11).  `tau` builds every
 # admissible shape and prints one row each: 17,180 rows take 2.3 s, and
-# `tau_count` gives the number before any shape is built.  The reflection
-# descent of `socle` takes a number of steps linear in |mu|: entries up
-# to 1,000 take 0.01 s at n = 2 and 0.3 s at n = 8.
+# `tau_count`, stopped once it passes the cap, refuses in well under a
+# second.  The reflection descent of `socle` makes `descent_length` steps,
+# which grow with both |mu| and n, and each step updates the n + 1 coroot
+# values: entries of -1000 at n = 8 take 119,964 steps (1.08 M updates) in
+# 0.3 s, and at n = 40 they would take 11,479,180 steps (58 s).
 TAU_MAX_ROWS = 20_000
 SOCLE_MAX_ENTRY = 1_000
+SOCLE_MAX_UPDATES = 2_000_000
 
 
 class ValidationError(Exception):
@@ -144,10 +148,9 @@ def cmd_tau(args) -> int:
         jk_from_eta(eta, args.i)
     except ValueError as exc:
         raise ValidationError(f"parameter --eta: {exc}")
-    count = tau_count(eta, args.i)
-    if count > TAU_MAX_ROWS:
-        raise ValidationError(f"parameter --eta: {count} admissible shapes, more than the "
-                              f"{TAU_MAX_ROWS} rows tau lists")
+    if tau_count(eta, args.i, TAU_MAX_ROWS) > TAU_MAX_ROWS:
+        raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
+                              f"shapes, the most rows tau lists")
     value = tau_formula(args.n, args.i, eta)
     shapes = mw_shapes_with_character(eta, args.i)
     result = {
@@ -173,8 +176,13 @@ def cmd_socle(args) -> int:
     if any(abs(c) > SOCLE_MAX_ENTRY for c in mu.coords):
         raise ValidationError(f"parameter --mu: entries must lie in "
                               f"[-{SOCLE_MAX_ENTRY}, {SOCLE_MAX_ENTRY}]")
-    formula = socle_formula(args.level, mu).weight
     probe = AffineWeight(mu.w0_image(), args.level, Fraction(0))
+    steps = descent_length(probe)
+    if steps * (args.n + 1) > SOCLE_MAX_UPDATES:
+        raise ValidationError(f"parameter --mu: the reflection descent makes {steps} steps "
+                              f"of {args.n + 1} coroot values each, more than "
+                              f"{SOCLE_MAX_UPDATES} updates")
+    formula = socle_formula(args.level, mu).weight
     oracle = socle_oracle(probe).weight
     result = {
         "cvals": list(formula.c_values()),
@@ -475,10 +483,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # written here, not at exit, so that a closed reader is caught below
+        sys.stdout.flush()
+        return code
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): point stdout at
+        # devnull so that the interpreter's last flush cannot fail, and
+        # exit with 128 + SIGPIPE, the status of a process the signal ends
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ partitions of m with parts at most b, with the convention that rho is 0
 off the non-negative integers — callers feed it exact rationals coming
 from quadratic-form evaluations, and non-integral arguments must count
 as zero rather than raise.
+
+The convention is checked once per call of the public ``rho`` and
+``rho_multi``.  The cached recursions behind them, ``_count`` and
+``_rho_multi_sorted``, take non-negative ints only, and
+``_rho_multi_sorted`` calls ``_count`` on the same keys as ``rho``:
+(m, b, cap) with the part-count cap lowered to at most m.
 """
 
 from __future__ import annotations
@@ -110,10 +116,11 @@ def _rho_multi_sorted(m: int, comps: tuple) -> int:
     if not comps:
         return 1 if m == 0 else 0
     bj, cj = comps[0]
-    cap = None if cj == -1 else cj
     rest = comps[1:]
+    # the keys of rho: a partition of s has at most s parts
     return sum(
-        rho(s, bj, cap) * _rho_multi_sorted(m - s, rest) for s in range(m + 1)
+        _count(s, bj, s if cj == -1 else min(cj, s)) * _rho_multi_sorted(m - s, rest)
+        for s in range(m + 1)
     )
 
 

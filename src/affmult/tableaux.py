@@ -160,7 +160,7 @@ def mw_shapes_with_character(eta, i: int) -> list:
     return out
 
 
-def tau_count(eta, i: int) -> int:
+def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
     """Number of admissible i-charged shapes with content character eta,
     that is len(mw_shapes_with_character(eta, i)), without listing them.
 
@@ -172,7 +172,12 @@ def tau_count(eta, i: int) -> int:
     of rows placed so far modulo n + 1, because row r's residues start
     at (1 - r + i) mod (n + 1) and the congruence reads the rows so far
     only through 2 * prefix mod (n + 1).  Counts are memoized on that
-    state in a dict local to the call."""
+    state in a dict local to the call.
+
+    With a stop, every node returns as soon as its running total passes
+    stop, and the result is then some number above stop.  A memoized
+    value above stop only ever feeds a total above stop, so a count at or
+    below stop is exact."""
     eta = tuple(eta)
     m = len(eta)
     if any(e < 0 for e in eta):
@@ -210,14 +215,16 @@ def tau_count(eta, i: int) -> int:
             below = remaining - part * reps
             if below == 0:
                 total += 1
-                continue
-            # a row of m * (low + 1) boxes or more holds too many boxes of
-            # some residue, so larger bounds name the same subtree
-            key = (tuple(left), min(part - 1, below, m * low + m - 1), after)
-            sub = memo.get(key)
-            if sub is None:
-                sub = memo[key] = count(key[0], below, key[1], after)
-            total += sub
+            else:
+                # a row of m * (low + 1) boxes or more holds too many boxes
+                # of some residue, so larger bounds name the same subtree
+                key = (tuple(left), min(part - 1, below, m * low + m - 1), after)
+                sub = memo.get(key)
+                if sub is None:
+                    sub = memo[key] = count(key[0], below, key[1], after)
+                total += sub
+            if stop is not None and total > stop:
+                return total
         return total
 
     return count(eta, size, min(size, m * min(eta) + m - 1), 0)

@@ -85,6 +85,34 @@ def socle_oracle(xi: AffineWeight) -> SocleResult:
     return SocleResult(AffineWeight.from_c_values(n, v, deg))
 
 
+def descent_length(xi: AffineWeight) -> int:
+    """The number of reflections socle_oracle makes on xi, found without
+    descending: the length of the shortest affine Weyl element taking xi
+    to the dominant chamber, that is the number of positive real roots
+    beta with xi(beta^vee) < 0.  Each step reflects at a simple root where
+    xi is negative and lowers that number by one.
+
+    For the positive finite root alpha = alpha_a + ... + alpha_b, let s be
+    the sum of the coroot values of xi at a..b and l the level.  The
+    roots alpha + k*delta (k >= 0) with s + k*l < 0 number ceil(-s/l)
+    when s < 0, and the roots -alpha + k*delta (k >= 1) with
+    -s + k*l < 0 number ceil(s/l) - 1 when s > 0."""
+    if xi.level <= 0:
+        raise ValueError("descent requires positive level")
+    ell = xi.level
+    c = xi.finite.coords
+    total = 0
+    for a in range(len(c)):
+        s = 0
+        for cb in c[a:]:
+            s += cb
+            if s < 0:
+                total -= s // ell
+            elif s > 0:
+                total += (s - 1) // ell
+    return total
+
+
 def _sorted_nonneg_eps(mu: FiniteWeight) -> tuple:
     """Epsilon-coordinates of the dominant finite Weyl conjugate of mu:
     append the implicit 0, sort decreasingly, renormalize so the last
@@ -201,17 +229,21 @@ def gamma_contains(xi: AffineWeight, mu: FiniteWeight) -> bool:
     return by_formula
 
 
-def _dominant_eps_in_ball(n: int, norm_bound: Fraction):
+def _dominant_eps_in_ball(n: int, norm_bound):
     """Weakly decreasing non-negative integer vectors a of length n with
-    f(a) <= norm_bound.  Uses the coordinatewise bound
-    a_i^2 <= (n+1) * norm_bound."""
-    if norm_bound < 0:
+    f(a) <= norm_bound, in depth-first order, largest entries first.
+
+    The walk covers the box a_i^2 <= cap, with cap = floor((n+1)*norm_bound)
+    from scaled_cap, and tests each leaf in integers: (n+1)*f(a) is the
+    integer scaled_f(a), so f(a) <= norm_bound exactly when
+    scaled_f(a) <= cap."""
+    cap = scaled_cap(n, norm_bound)
+    if cap < 0:
         return
-    amax = isqrt(int((n + 1) * norm_bound))
 
     def rec(prefix, largest):
         if len(prefix) == n:
-            if quadratic_f(prefix) <= norm_bound:
+            if scaled_f(prefix) <= cap:
                 yield tuple(prefix)
             return
         for v in range(largest, -1, -1):
@@ -219,7 +251,7 @@ def _dominant_eps_in_ball(n: int, norm_bound: Fraction):
             yield from rec(prefix, v)
             prefix.pop()
 
-    yield from rec([], amax)
+    yield from rec([], isqrt(cap))
 
 
 def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
@@ -229,7 +261,7 @@ def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
         raise ValueError("xi must be dominant of positive level")
     n = xi.n
     out = []
-    for a in _dominant_eps_in_ball(n, Fraction(norm_bound)):
+    for a in _dominant_eps_in_ball(n, norm_bound):
         mu = weight_from_eps(n, a)
         if socle_formula(xi.level, mu).weight.equiv_mod_delta(xi):
             out.append((mu, orbit_pair(xi.level, mu)))
@@ -261,6 +293,15 @@ def scaled_f(a: Sequence[int]) -> int:
     """The integer (n + 1) * f(a) = (n + 1) * sum a_i^2 - (sum a_i)^2
     for a of length n."""
     return (len(a) + 1) * sum(x * x for x in a) - sum(a) ** 2
+
+
+def scaled_cap(n: int, norm_bound) -> int:
+    """floor((n + 1) * norm_bound) for a rational bound.  As (n + 1)*f(a)
+    is the integer scaled_f(a), f(a) <= norm_bound exactly when
+    scaled_f(a) <= scaled_cap(n, norm_bound); the cap is negative exactly
+    when the bound is."""
+    bound = Fraction(norm_bound)
+    return (n + 1) * bound.numerator // bound.denominator
 
 
 def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
@@ -305,9 +346,9 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
         if (s - (j - k)) % N == 0 or (s + (j - k)) % N == 0:
             admissible[s] = family_residues(n, j, k, s)
     bound = Fraction(norm_bound)
-    if bound < 0:
+    cap = scaled_cap(n, bound)
+    if cap < 0:
         return LevelTwoFamily(j, k, n, ())
-    cap = N * bound.numerator // bound.denominator
     evens = [s - 1 for s in admissible]
     members = []
     prefix = []

@@ -54,7 +54,16 @@ class TestTau:
         code, out, err = run(capsys, "tau", "--n", "2", "--i", "1", "--eta", "60,60,59")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "--eta" in err and "206878" in err
+        assert "--eta" in err and "more than 20000 admissible shapes" in err
+
+    @pytest.mark.parametrize("eta", ["200,200,199", "300,300,299"])
+    def test_row_cap_stops_the_count(self, capsys, eta):
+        # (300, 300, 299) took 8.3 s to refuse when the whole count came first
+        start = time.process_time()
+        code, out, err = run(capsys, "tau", "--n", "2", "--i", "1", "--eta", eta)
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert "--eta" in err and "more than 20000 admissible shapes" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "tau", "--n", "2", "--i", "1",
@@ -85,6 +94,24 @@ class TestSocle:
         result = json.loads(out)["result"]
         assert result["cvals"] == result["oracle_cvals"] == [0, 1, 0]
         assert result["degree"] == result["oracle_degree"] == "333333"
+
+
+    def test_descent_budget_exits_two(self, capsys):
+        # 11,479,180 reflections of 41 values: 58 s when it was descended
+        start = time.process_time()
+        code, out, err = run(capsys, "socle", "--n", "40", "--level", "1",
+                             "--mu=" + ",".join(["-1000"] * 40))
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert "--mu" in err and "11479180 steps" in err
+
+    def test_descent_within_budget(self, capsys):
+        # 119,964 reflections of 9 values, about half the budget
+        code, out, _ = run(capsys, "socle", "--n", "8", "--level", "1",
+                           "--mu=" + ",".join(["-1000"] * 8), "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["cvals"] == result["oracle_cvals"]
 
 
 class TestMultiplicity:
@@ -140,6 +167,26 @@ class TestValidation:
         assert proc.returncode == 2
         assert param in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--n", "2", "--level", "2", "--mu", "6,5"],
+        ["verify", "--n", "1..3", "--eta0-max", "11", "--depth", "0",
+         "--format", "table"],
+    ])
+    def test_exits_as_sigpipe_without_traceback(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "affmult.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=src_env())
+        proc.stdout.close()  # before the interpreter has started up
+        try:
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.stderr.close()
+        assert code == 141
+        assert err == ""
 
 
 class TestVerify:

@@ -356,3 +356,35 @@ class TestGeneralFundamental:
                 for j in range(n + 1):
                     top = affine_Lambda(n, i) + affine_Lambda(n, j)
                     assert general_fundamental(n, i, j, top) == 1
+
+
+class TestLimitRegression:
+    """outer_multiplicity_limit pinned on three small instances: the value,
+    where it stabilized and every sequence, with each mu by its coroot
+    values."""
+
+    CASES = [
+        ((2, 1, (0, 0, 2), -6, 8), 5, 6, [
+            ((2, 4), 4, (0, 0, 0, 1, 2, 2, 2, 2, 2)),
+            ((4, 0), 5, (0, 0, 0, 0, 1, 2, 2, 2, 2)),
+            ((0, 2), 6, (0, 0, 0, 0, 0, 0, 1, 1, 1)),
+        ]),
+        ((3, 2, (0, 2, 0, 0), -4, 6), 3, 4, [
+            ((0, 2, 2), 3, (0, 0, 0, 2, 2, 2, 2)),
+            ((2, 0, 0), 4, (0, 0, 0, 0, 1, 1, 1)),
+        ]),
+        ((4, 1, (1, 1, 0, 0, 0), -3, 4), 4, 3, [
+            ((3, 0, 0, 2), 2, (0, 0, 1, 1, 1)),
+            ((0, 2, 1, 1), 3, (0, 0, 0, 1, 1)),
+            ((1, 1, 0, 2), 3, (0, 0, 0, 1, 1)),
+            ((2, 0, 0, 1), 3, (0, 0, 0, 1, 1)),
+            ((1, 0, 0, 0), 3, (0, 0, 0, 0, 0)),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pinned(self, case):
+        (n, i, cvals, degree, kmax), value, stabilized_at, sequences = case
+        res = outer_multiplicity_limit(n, i, AffineWeight.from_c_values(n, cvals, degree), kmax)
+        assert (res.value, res.stabilized_at) == (value, stabilized_at)
+        assert [(mu.coords, thr, vals) for mu, thr, vals in res.sequences] == sequences

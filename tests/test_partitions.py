@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from affmult.laurent import LaurentPoly
 from affmult.partitions import (
+    _count,
+    _rho_multi_sorted,
     box_complement,
     canonical,
     enumerate_bounded,
@@ -93,6 +95,33 @@ class TestRhoMulti:
 
     def test_zero_bounds_are_inert(self):
         assert rho_multi(4, (2, 0, 2)) == rho_multi(4, (2, 2))
+
+
+class TestCountKeys:
+    """The multipartition recursion feeds _count the keys of the public
+    rho, (m, b, cap) with the cap lowered to at most m, so that every cap
+    at or above m shares one cache entry."""
+
+    @staticmethod
+    def _by_rho(m, comps):
+        if not comps:
+            return 1 if m == 0 else 0
+        (b, c), rest = comps[0], comps[1:]
+        cap = None if c == -1 else c
+        return sum(rho(s, b, cap) * TestCountKeys._by_rho(m - s, rest)
+                   for s in range(m + 1))
+
+    def test_same_keys_as_rho(self):
+        cases = [(9, ((1, -1), (2, 3), (3, -1))), (12, ((2, 1), (2, 20), (4, -1))),
+                 (7, ((3, 2), (5, -1))), (10, ((1, 4), (1, 6), (2, 2), (6, -1)))]
+        for m, comps in cases:
+            _count.cache_clear()
+            _rho_multi_sorted.cache_clear()
+            value = _rho_multi_sorted(m, comps)
+            entries = _count.cache_info().currsize
+            _count.cache_clear()
+            assert value == self._by_rho(m, comps)
+            assert _count.cache_info().currsize == entries
 
 
 class TestQBinomial:

@@ -188,6 +188,25 @@ class TestTauCount:
         assert tau_count((1, -1), 0) == 0
         assert mw_shapes_with_character((3, -1, 3), 1) == []
 
+    @given(characters(), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_stop_keeps_counts_up_to_it(self, case, stop):
+        eta, i = case
+        full = tau_count(eta, i)
+        stopped = tau_count(eta, i, stop)
+        if full <= stop:
+            assert stopped == full
+        else:
+            assert stopped > stop
+
+    def test_stop_cuts_a_deep_count_short(self):
+        assert tau_count((40, 40, 39), 1, 20000) == 10584
+        assert tau_count((40, 40, 39), 1, 10584) == 10584
+        assert tau_count((40, 40, 39), 1, 10583) > 10583
+        start = time.process_time()
+        assert tau_count((300, 300, 299), 1, 20000) > 20000
+        assert time.process_time() - start < 1
+
     def test_bruteforce_is_the_count(self):
         assert tau_bruteforce((40, 40, 39), 1) == 10584
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_bilinear,
+    affine_cartan_matrix,
     affine_delta,
     affine_Lambda,
     bilinear,
@@ -28,6 +30,7 @@ from affmult.weyl_orbits import (
     OrbitPair,
     b_vector,
     cofinal_weight,
+    descent_length,
     enumerate_gamma,
     family_residues,
     gamma_contains,
@@ -38,6 +41,7 @@ from affmult.weyl_orbits import (
     r_of,
     reduced_pair_length,
     res_p,
+    scaled_cap,
     scaled_f,
     simple_reflection,
     socle_formula,
@@ -164,6 +168,49 @@ class TestSocle:
                     assert soc.value(idx) == min((level,) + m) > 0
 
 
+def counted_descent(xi):
+    """The reflection descent of socle_oracle, counting its reflections:
+    (dominant coroot values, number of reflections)."""
+    n = xi.n
+    A = affine_cartan_matrix(n)
+    v = list(xi.c_values())
+    steps = 0
+    while True:
+        negative = [i for i in range(n + 1) if v[i] < 0]
+        if not negative:
+            return tuple(v), steps
+        i = negative[0]
+        vi = v[i]
+        for j in range(n + 1):
+            v[j] -= vi * A[j][i]
+        steps += 1
+
+
+class TestDescentLength:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.integers(1, 3), st.lists(st.integers(-12, 12), min_size=n, max_size=n))))
+    def test_counts_the_reflections(self, case):
+        level, coords = case
+        xi = AffineWeight(FiniteWeight(len(coords), tuple(coords)), level, Fraction(0))
+        cvals, steps = counted_descent(xi)
+        assert cvals == socle_oracle(xi).weight.c_values()
+        assert descent_length(xi) == steps
+
+    def test_dominant_weight_takes_none(self):
+        assert descent_length(2 * affine_Lambda(3, 1)) == 0
+
+    def test_rank_forty(self):
+        # mu = (-1000,) * 40 at level 1, too long to descend in a test
+        mu = FiniteWeight(40, (-1000,) * 40)
+        probe = AffineWeight(mu.w0_image(), 1, Fraction(0))
+        assert descent_length(probe) == 11479180
+
+    def test_rejects_level_zero(self):
+        with pytest.raises(ValueError):
+            descent_length(affine_delta(2))
+
+
 class TestDegreeOrbitRelation:
     def test_random_reflections(self):
         rng = random.Random(23)
@@ -219,6 +266,77 @@ class TestEnumerateGamma:
         xi = AffineWeight(FiniteWeight.zero(1), 2, Fraction(0))
         for mu, _pair in enumerate_gamma(xi, 8):
             assert gamma_contains(xi, mu)
+
+
+def reference_ball(n, norm_bound):
+    """The f-ball walk with a rational leaf test, kept as the reference
+    of the integer walk: the box a_i^2 <= (n+1) * norm_bound, depth
+    first, each leaf kept when f(a) <= norm_bound as a Fraction."""
+    if norm_bound < 0:
+        return
+    amax = isqrt(int((n + 1) * norm_bound))
+
+    def rec(prefix, largest):
+        if len(prefix) == n:
+            if quadratic_f(prefix) <= norm_bound:
+                yield tuple(prefix)
+            return
+        for v in range(largest, -1, -1):
+            prefix.append(v)
+            yield from rec(prefix, v)
+            prefix.pop()
+
+    yield from rec([], amax)
+
+
+def reference_gamma(xi, norm_bound):
+    """enumerate_gamma over reference_ball."""
+    n = xi.n
+    out = []
+    for a in reference_ball(n, Fraction(norm_bound)):
+        mu = weight_from_eps(n, a)
+        if socle_formula(xi.level, mu).weight.equiv_mod_delta(xi):
+            out.append((mu, orbit_pair(xi.level, mu)))
+    out.sort(key=lambda pair: pair[1].a_vector(), reverse=True)
+    return out
+
+
+def gamma_bounds(n, f_values):
+    """Bounds around attained values f = F/N of f, N = n + 1: f itself,
+    (F - 1)/N (a denominator dividing N), f - 1/(2N) (one that does not,
+    just below an attained value), 0 and negative bounds."""
+    N = n + 1
+    out = [0, -1, Fraction(-1, N), Fraction(-1, 2 * N)]
+    for f in f_values:
+        out += [f, f - Fraction(1, N), f - Fraction(1, 2 * N)]
+    return out
+
+
+class TestIntegerWalk:
+    def test_scaled_cap(self):
+        for n in range(1, 8):
+            for bound in (0, 3, Fraction(5, 3), Fraction(-1, 7), Fraction(37, 8), -2):
+                cap = scaled_cap(n, bound)
+                assert cap <= (n + 1) * bound < cap + 1
+
+    def test_matches_rational_walk(self):
+        """Same list in the same order for ranks 1-7 and levels 1-3, at
+        attained values of f, next to them, at 0 and below."""
+        top = {1: 12, 2: 12, 3: 10, 4: 8, 5: 6, 6: 5, 7: 4}
+        checked = 0
+        for n in range(1, 8):
+            for level in (1, 2, 3):
+                for cv in ((level,) + (0,) * n, (0,) * n + (level,),
+                           (level - 1,) + (0,) * (n // 2) + (1,) + (0,) * (n - n // 2 - 1)):
+                    xi = AffineWeight.from_c_values(n, cv)
+                    full = reference_gamma(xi, top[n])
+                    assert enumerate_gamma(xi, top[n]) == full
+                    attained = sorted({quadratic_f(pair.a_vector()) for _, pair in full})
+                    for bound in gamma_bounds(n, attained[:4]):
+                        expect = reference_gamma(xi, bound)
+                        assert enumerate_gamma(xi, bound) == expect
+                        checked += len(expect)
+        assert checked > 0
 
 
 class TestLevelTwoFamily:
