@@ -38,7 +38,6 @@ from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_bilinear,
-    affine_cartan_matrix,
     alpha,
     bilinear,
     eps_coords,
@@ -51,7 +50,7 @@ from .affine_cartan import (
 from .multiplicities import _below, a_of_eta
 from .partitions import compositions
 from .records import Record
-from .weyl_orbits import scaled_f
+from .weyl_orbits import _descend, scaled_f
 
 
 class TruncatedCharacter(Record):
@@ -289,26 +288,13 @@ def _brauer_klimyk(Lam: AffineWeight, Lam2: AffineWeight, depth: int,
     below Lam + Lam2), for depths <= depth."""
     n = Lam.n
     m = n + 1
-    A = affine_cartan_matrix(n)
     lev, c, norm_rho = _shift_data(Lam, Lam2)
     strings = []
     for a, t0 in weights:
         nu_eps = [x + y for x, y in zip(a, c)]
         nu = weight_from_eps(n, nu_eps)
-        v = [lev - nu.height_sum()] + list(nu.coords)
-        sign = 1
-        shift = 0  # change of delta-depth, from reflections at index 0
-        while True:
-            i = next((k for k in range(m) if v[k] < 0), None)
-            if i is None:
-                break
-            vi = v[i]
-            for k in range(m):
-                if A[k][i]:
-                    v[k] -= vi * A[k][i]
-            if i == 0:
-                shift += vi
-            sign = -sign
+        # shift: change of delta-depth, from reflections at index 0
+        v, sign, shift = _descend((lev - nu.height_sum(),) + nu.coords)
         if 0 in v:
             continue
         # the norm identity and the dominance inequality behind

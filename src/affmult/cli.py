@@ -43,9 +43,9 @@ from .weyl_orbits import (
 # admissible shape and prints one row each: 17,180 rows take 2.3 s, and
 # `tau_count`, stopped once it passes the cap, refuses in well under a
 # second.  The reflection descent of `socle` makes `descent_length` steps,
-# which grow with both |mu| and n, and each step updates the n + 1 coroot
-# values: entries of -1000 at n = 8 take 119,964 steps (1.08 M updates) in
-# 0.3 s, and at n = 40 they would take 11,479,180 steps (58 s).
+# which grow with both |mu| and n, and each step scans up to n + 1 coroot
+# values for the first negative one and changes at most three: entries of
+# -1000 take 119,964 steps at n = 8 (0.08 s) and 11,479,180 at n = 40.
 TAU_MAX_ROWS = 20_000
 SOCLE_MAX_ENTRY = 1_000
 SOCLE_MAX_UPDATES = 2_000_000

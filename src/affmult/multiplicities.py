@@ -29,7 +29,6 @@ from .affine_cartan import (
     affine_Lambda,
     affine_alpha,
     bilinear,
-    inverse_cartan,
     inverse_cartan_scaled,
     omega,
     quadratic_f,
@@ -322,45 +321,19 @@ def rotate(c: int, lam: AffineWeight) -> AffineWeight:
     """Diagram rotation by c steps: delta is fixed, alpha_k maps to
     alpha_{k+c}, and Lambda_0 maps to Lambda_c - ((omega_c, omega_c)/2) delta.
     An isometry of the affine weight lattice that permutes the coroot
-    values cyclically."""
-    n = lam.n
-    m = n + 1
-    c = c % m
-    inv = inverse_cartan(n)
-    wc = omega(n, c)
-    half_norm = Fraction(bilinear(wc, wc), 2)
-    # accumulate exact rational coordinates; integrality holds in total
-    fin = [Fraction(0)] * n
-    lev = 0
-    deg = lam.degree
-    for k in range(m):
-        v = lam.value(k)
-        if not v:
-            continue
-        # rho_c(Lambda_k) = Lambda_c - half_norm * delta
-        #                   + sum_l (C^-1)_{kl} rho_c(alpha_l)
-        lev += v
-        for idx, x in enumerate(wc.coords):
-            fin[idx] += v * x
-        deg -= v * half_norm
-        if k == 0:
-            continue
-        for l in range(1, m):
-            coef = inv[k - 1][l - 1]
-            if not coef:
-                continue
-            rooti = (l + c) % m
-            root = affine_alpha(n, rooti)
-            for idx, x in enumerate(root.finite.coords):
-                if x:
-                    fin[idx] += v * coef * x
-            deg += v * coef * root.degree
-    coords = []
-    for x in fin:
-        if x.denominator != 1:
-            raise ArithmeticError("rotation produced non-integral coordinates")
-        coords.append(int(x))
-    return AffineWeight(FiniteWeight(n, tuple(coords)), lev, deg)
+    values cyclically.
+
+    It sends Lambda_k to Lambda_{k'} + d_k delta with k' = (k + c) mod m,
+    m = n + 1, and as (Lambda_k, Lambda_k) = k(m - k)/m, keeping the norm
+    fixes d_k = (k(m - k) - k'(m - k'))/(2m)."""
+    m = lam.n + 1
+    cv = lam.c_values()
+    scaled_shift = 0  # 2m * sum_k v_k d_k
+    for k, v in enumerate(cv):
+        kr = (k + c) % m
+        scaled_shift += v * (k * (m - k) - kr * (m - kr))
+    return AffineWeight.from_c_values(lam.n, [cv[(k - c) % m] for k in range(m)],
+                                      lam.degree + Fraction(scaled_shift, 2 * m))
 
 
 def general_fundamental(n: int, i: int, j: int, xi: AffineWeight) -> int:

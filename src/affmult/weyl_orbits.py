@@ -20,11 +20,9 @@ from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_alpha,
-    affine_cartan_matrix,
     bilinear,
     eps_coords,
     in_root_lattice,
-    quadratic_f,
     theta,
     weight_from_eps,
 )
@@ -57,32 +55,40 @@ class SocleResult(Record):
     __slots__ = ("weight",)
 
 
-def socle_oracle(xi: AffineWeight) -> SocleResult:
-    """Reflection descent to the dominant orbit representative: repeatedly
-    reflect at the smallest index with a negative coroot value.  Works on
-    the integer vector of coroot values for speed; only reflections at
-    index 0 change the degree."""
-    if xi.level <= 0:
-        raise ValueError("descent requires positive level")
-    n = xi.n
-    m = n + 1
-    A = affine_cartan_matrix(n)
-    v = list(xi.c_values())
-    deg = xi.degree
+def _descend(cvals: Sequence[int]):
+    """Reflection descent of the coroot values (v_0, ..., v_n) of a weight
+    of positive level: repeatedly reflect at the smallest index i with
+    v_i < 0.  On the cycle of A_n^(1) the reflection s_i sets v_i to -v_i
+    and adds v_i to v_{i-1} and v_{(i+1) mod (n+1)}; at n = 1 both
+    neighbours are one entry, which gains 2*v_i.  Returns (values, sign,
+    shift): the dominant values, (-1)^(number of reflections), and the sum
+    of v_i over the reflections at index 0, by which the degree drops."""
+    v = list(cvals)
+    m = len(v)
+    sign = 1
+    shift = 0
     while True:
-        for i in range(m):
-            if v[i] < 0:
+        for i, vi in enumerate(v):
+            if vi < 0:
                 break
         else:
-            break
-        vi = v[i]
-        col = [A[j][i] for j in range(m)]
-        for j in range(m):
-            if col[j]:
-                v[j] -= vi * col[j]
+            return tuple(v), sign, shift
+        v[i] = -vi
+        v[i - 1] += vi
+        v[(i + 1) % m] += vi
         if i == 0:
-            deg -= vi
-    return SocleResult(AffineWeight.from_c_values(n, v, deg))
+            shift += vi
+        sign = -sign
+
+
+def socle_oracle(xi: AffineWeight) -> SocleResult:
+    """Reflection descent to the dominant orbit representative, by
+    _descend on the integer coroot values; only reflections at index 0
+    change the degree."""
+    if xi.level <= 0:
+        raise ValueError("descent requires positive level")
+    values, _sign, shift = _descend(xi.c_values())
+    return SocleResult(AffineWeight.from_c_values(xi.n, values, xi.degree - shift))
 
 
 def descent_length(xi: AffineWeight) -> int:
@@ -200,9 +206,8 @@ def socle_formula(level: int, mu: FiniteWeight) -> SocleResult:
     for j in range(mm):
         cvals[(pr - j) % mm] = mp[j] - mp[j + 1]
     soc_fin = FiniteWeight(n, tuple(cvals[1:]))
-    norm_mu = quadratic_f(a)
-    norm_soc = bilinear(soc_fin, soc_fin)
-    deg = Fraction(norm_mu - norm_soc, 2 * level)
+    # (n + 1) times both norms is an integer: scaled_f of the eps-coordinates
+    deg = Fraction(scaled_f(a) - scaled_f(eps_coords(soc_fin)), 2 * level * mm)
     return SocleResult(AffineWeight(soc_fin, level, deg))
 
 

@@ -1,14 +1,18 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmult.cli import main
 from affmult.tableaux import mw_shapes_with_character
@@ -167,6 +171,71 @@ class TestValidation:
         assert proc.returncode == 2
         assert param in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# One value token: a small integer, or the kind of junk a user types.
+TOKEN = st.one_of(st.integers(-3, 4).map(str),
+                  st.sampled_from(["", "x", "1/2", "-3/2", "0.5", "1e3", " 1", "--n"]))
+
+
+def mostly(good):
+    """A value drawn from good four times in five, else a token or a
+    list of tokens."""
+    anything = st.one_of(TOKEN, st.lists(TOKEN, max_size=5).map(",".join))
+    return st.sampled_from([good] * 4 + [anything]).flatmap(lambda s: s)
+
+
+def ints(lo, hi, size=1):
+    return st.lists(st.integers(lo, hi).map(str), min_size=size,
+                    max_size=size).map(",".join)
+
+
+def level_two_cvals(n, a, b):
+    """Coroot values of Lambda_a + Lambda_b."""
+    return ",".join(str((k == a) + (k == b)) for k in range(n + 1))
+
+
+class TestContractFuzz:
+    """socle and tensor-general on generated argv, every value given as
+    --opt=value: the exit code is 0, or 2 with a message that names an
+    option; any other exception fails."""
+
+    @staticmethod
+    def options(data, command):
+        n = data.draw(st.integers(1, 3))
+        opts = {"--n": mostly(st.just(str(n)))}
+        if command == "socle":
+            opts["--level"] = mostly(ints(-1, 3))
+            opts["--mu"] = mostly(ints(-3, 4, n))
+        else:
+            # Lambda_a + Lambda_b with a + b = i + j mod n + 1, so that the
+            # good values often give a weight below Lambda_i + Lambda_j
+            i, j, a = (data.draw(st.integers(0, n)) for _ in range(3))
+            b = (i + j - a) % (n + 1)
+            opts["--i"] = mostly(st.just(str(i)))
+            opts["--j"] = mostly(st.just(str(j)))
+            opts["--cvals"] = mostly(st.just(level_two_cvals(n, a, b)))
+            opts["--degree"] = mostly(ints(-4, 1))
+        # about one argv in five leaves an option out
+        drop = data.draw(st.sampled_from([None] * 4 * len(opts) + list(opts)))
+        return [f"{k}={data.draw(v)}" for k, v in opts.items() if k != drop]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["socle", "tensor-general"]), st.data())
+    def test_exits_zero_or_two(self, command, data):
+        argv = [command, *self.options(data, command), "--format=json"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 0:
+            assert json.loads(out.getvalue())["command"] == command
+        else:
+            assert re.search(r"(argument|parameters?|required:) --[a-z]",
+                             err.getvalue()), (argv, err.getvalue())
 
 
 class TestClosedStdout:

@@ -13,8 +13,10 @@ from affmult.affine_cartan import (
     FiniteWeight,
     affine_bilinear,
     affine_Lambda,
+    affine_alpha,
     affine_delta,
     alpha,
+    bilinear,
     inverse_cartan,
     omega,
     theta,
@@ -334,6 +336,36 @@ class TestRotation:
         for n in (1, 2, 3):
             for c in range(n + 1):
                 assert rotate(c, affine_delta(n)) == affine_delta(n)
+
+    # The norm of a level-0 weight does not involve its degree, so the
+    # checks below pin the delta-coefficient as well: on the simple roots,
+    # on Lambda_0, under addition and under composition, for every c in
+    # [-(n + 1), 2(n + 1)).
+    def test_simple_roots_and_lambda_zero(self):
+        for n in range(1, 9):
+            m = n + 1
+            for c in range(-m, 2 * m):
+                for k in range(m):
+                    assert rotate(c, affine_alpha(n, k)) == affine_alpha(n, (k + c) % m)
+                wc = omega(n, c % m)
+                expected = affine_Lambda(n, c).shift_delta(-bilinear(wc, wc) / 2)
+                assert rotate(c, affine_Lambda(n, 0)) == expected
+
+    def test_additive_and_composes(self):
+        rng = random.Random(5)
+
+        def weight(n):
+            return AffineWeight(
+                FiniteWeight(n, tuple(rng.randint(-4, 4) for _ in range(n))),
+                rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+        for n in range(1, 9):
+            m = n + 1
+            for c in range(-m, 2 * m):
+                x, y = weight(n), weight(n)
+                d = rng.randint(-m, 2 * m)
+                assert rotate(c, x + y) == rotate(c, x) + rotate(c, y)
+                assert rotate(c, rotate(d, x)) == rotate(c + d, x)
 
 
 class TestGeneralFundamental:

@@ -26,6 +26,7 @@ from affmult.affine_cartan import (
 )
 from affmult.multiplicities import f_ball_bound, mu_split
 from affmult.weyl_orbits import (
+    _descend,
     LevelTwoFamily,
     OrbitPair,
     b_vector,
@@ -169,20 +170,25 @@ class TestSocle:
 
 
 def counted_descent(xi):
-    """The reflection descent of socle_oracle, counting its reflections:
-    (dominant coroot values, number of reflections)."""
+    """The reflection descent of socle_oracle on the dense affine Cartan
+    matrix, counting its reflections: (dominant coroot values, number of
+    reflections, sign (-1)^reflections, sum of v_0 over the reflections
+    at index 0)."""
     n = xi.n
     A = affine_cartan_matrix(n)
     v = list(xi.c_values())
     steps = 0
+    shift = 0
     while True:
         negative = [i for i in range(n + 1) if v[i] < 0]
         if not negative:
-            return tuple(v), steps
+            return tuple(v), steps, (-1) ** steps, shift
         i = negative[0]
         vi = v[i]
         for j in range(n + 1):
             v[j] -= vi * A[j][i]
+        if i == 0:
+            shift += vi
         steps += 1
 
 
@@ -193,9 +199,19 @@ class TestDescentLength:
     def test_counts_the_reflections(self, case):
         level, coords = case
         xi = AffineWeight(FiniteWeight(len(coords), tuple(coords)), level, Fraction(0))
-        cvals, steps = counted_descent(xi)
+        cvals, steps, sign, shift = counted_descent(xi)
         assert cvals == socle_oracle(xi).weight.c_values()
         assert descent_length(xi) == steps
+        assert _descend(xi.c_values()) == (cvals, sign, shift)
+        assert sign == (-1) ** descent_length(xi)
+
+    def test_rank_one_reflects_at_both_indices(self):
+        # (3, -2): s_1 gives (-1, 2), then s_0 gives (1, 0); at n = 1 the
+        # one neighbour of the reflected index gains twice its value
+        xi = AffineWeight.from_c_values(1, (3, -2))
+        assert counted_descent(xi) == ((1, 0), 2, 1, -1)
+        assert _descend(xi.c_values()) == ((1, 0), 1, -1)
+        assert descent_length(xi) == 2
 
     def test_dominant_weight_takes_none(self):
         assert descent_length(2 * affine_Lambda(3, 1)) == 0
