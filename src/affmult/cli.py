@@ -48,7 +48,7 @@ from .weyl_orbits import (
 # -1000 take 119,964 steps at n = 8 (0.08 s) and 11,479,180 at n = 40.
 TAU_MAX_ROWS = 20_000
 SOCLE_MAX_ENTRY = 1_000
-SOCLE_MAX_UPDATES = 2_000_000
+SOCLE_MAX_SCANNED = 2_000_000
 
 
 class ValidationError(Exception):
@@ -178,10 +178,10 @@ def cmd_socle(args) -> int:
                               f"[-{SOCLE_MAX_ENTRY}, {SOCLE_MAX_ENTRY}]")
     probe = AffineWeight(mu.w0_image(), args.level, Fraction(0))
     steps = descent_length(probe)
-    if steps * (args.n + 1) > SOCLE_MAX_UPDATES:
+    if steps * (args.n + 1) > SOCLE_MAX_SCANNED:
         raise ValidationError(f"parameter --mu: the reflection descent makes {steps} steps "
-                              f"of {args.n + 1} coroot values each, more than "
-                              f"{SOCLE_MAX_UPDATES} updates")
+                              f"and scans up to {args.n + 1} coroot values in each, "
+                              f"more than {SOCLE_MAX_SCANNED} values scanned")
     formula = socle_formula(args.level, mu).weight
     oracle = socle_oracle(probe).weight
     result = {
@@ -224,6 +224,8 @@ def cmd_gamma(args) -> int:
     xi = parse_affine(args.n, args.cvals, args.degree)
     if not xi.is_dominant():
         raise ValidationError("parameter --cvals: weight must be dominant")
+    if xi.level < 1:
+        raise ValidationError("parameter --cvals: level must be >= 1")
     bound = parse_rat(args.norm_bound, "--norm-bound")
     rows = []
     for mu, pair in enumerate_gamma(xi, bound):

@@ -261,16 +261,17 @@ def _dominant_eps_in_ball(n: int, norm_bound):
 
 def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
     """All dominant finite mu in the orbit set of xi with
-    (mu, mu) <= norm_bound, each with its (m, p) pair."""
+    (mu, mu) <= norm_bound, each with its (m, p) pair, in decreasing
+    lexicographic order of the epsilon vector a = eps_coords(mu)."""
     if not xi.is_dominant() or xi.level < 1:
         raise ValueError("xi must be dominant of positive level")
     n = xi.n
+    level = xi.level
     out = []
     for a in _dominant_eps_in_ball(n, norm_bound):
         mu = weight_from_eps(n, a)
-        if socle_formula(xi.level, mu).weight.equiv_mod_delta(xi):
-            out.append((mu, orbit_pair(xi.level, mu)))
-    out.sort(key=lambda pair: pair[1].a_vector(), reverse=True)
+        if socle_formula(level, mu).weight.equiv_mod_delta(xi):
+            out.append((mu, OrbitPair(*orbit_division(level, a), level)))
     return out
 
 

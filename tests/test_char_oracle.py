@@ -3,7 +3,6 @@ level-1 weights, and the Brauer-Klimyk tensor decomposition with its
 derived depth bound."""
 
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
 import pytest
@@ -12,25 +11,20 @@ from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_Lambda,
-    affine_bilinear,
     bilinear,
     omega,
-    quadratic_f,
-    rho_hat,
-    theta,
     weight_from_eps,
 )
 from affmult.char_oracle import (
     _admitted_weights,
     _brauer_klimyk,
     _coloured_partition_counts,
-    _layer_candidates,
     _maximal_weights,
     freudenthal_character,
     reconstruction_check,
     tensor_outer_multiplicities,
 )
-from affmult.multiplicities import a_of_eta, outer_multiplicity_formula
+from affmult.multiplicities import outer_multiplicity_formula
 from affmult.weyl_orbits import simple_reflection, socle_oracle
 
 
@@ -103,6 +97,7 @@ class TestTensorPeeling:
         assert reconstruction_check(affine_Lambda(1, 0), affine_Lambda(1, 1), 4)
         assert reconstruction_check(affine_Lambda(2, 0), affine_Lambda(2, 2), 3)
         assert reconstruction_check(affine_Lambda(3, 0), affine_Lambda(3, 1), 2)
+        assert reconstruction_check(affine_Lambda(3, 0), affine_Lambda(3, 1), 4)
 
 
 def frenkel_kac_character(n, j, depth):
@@ -131,41 +126,6 @@ class TestFrenkelKac:
     def test_coloured_partition_counts(self):
         assert _coloured_partition_counts(1, 6) == [1, 1, 2, 3, 5, 7, 11]
         assert _coloured_partition_counts(2, 4) == [1, 2, 5, 10, 20]
-
-
-def wide_layer_candidates(Lam, d, top_norm, rho_bar):
-    """The Freudenthal layer search in the box a_i^2 <= (n+1) * ball, in
-    the same order as the oracle's own search."""
-    n = Lam.n
-    ball = top_norm - 2 * (Lam.level + n + 1) * (Lam.degree - d)
-    if ball < 0:
-        return []
-    amax = isqrt(int((n + 1) * ball))
-    rho_eps = range(n, 0, -1)
-    out = []
-    for a in product(range(-amax, amax + 1), repeat=n):
-        if quadratic_f(a) > ball:
-            continue
-        nu = weight_from_eps(n, [x - r for x, r in zip(a, rho_eps)])
-        try:
-            coeffs = a_of_eta(Lam.finite + d * theta(n) - nu)
-        except ValueError:
-            continue
-        if all(x >= 0 for x in coeffs):
-            out.append((nu, sum(coeffs), (d,) + coeffs))
-    return out
-
-
-class TestLayerCandidates:
-    @pytest.mark.parametrize("n,dmax", [(1, 3), (2, 3), (3, 2)])
-    def test_box_from_twice_the_ball(self, n, dmax):
-        rh = rho_hat(n)
-        for j in range(n + 1):
-            lam = affine_Lambda(n, j)
-            top_norm = affine_bilinear(lam + rh, lam + rh)
-            for d in range(dmax + 1):
-                assert (_layer_candidates(lam, d, top_norm, rh.finite)
-                        == wide_layer_candidates(lam, d, top_norm, rh.finite))
 
 
 class TestBrauerKlimyk:

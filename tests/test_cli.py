@@ -164,6 +164,7 @@ class TestValidation:
         (["flag-mult", "--n", "2", "--lam", "1", "--mu", "0,0"], "--lam"),
         (["verify", "--n", "1", "--depth", "-3"], "--depth"),
         (["verify", "--n", "2..1"], "--n"),
+        (["gamma", "--n", "2", "--cvals", "0,0,0", "--norm-bound", "4"], "--cvals"),
     ])
     def test_library_errors_exit_two_without_traceback(self, argv, param):
         proc = subprocess.run([sys.executable, "-m", "affmult.cli", *argv],
@@ -196,32 +197,54 @@ def level_two_cvals(n, a, b):
 
 
 class TestContractFuzz:
-    """socle and tensor-general on generated argv, every value given as
+    """Every query subcommand on generated argv, every value given as
     --opt=value: the exit code is 0, or 2 with a message that names an
-    option; any other exception fails."""
+    option; any other exception fails.  Draws stay small (rank <= 3,
+    entries in [-3, 4], --norm-bound <= 12, --kmax <= 4)."""
+
+    COMMANDS = ["tau", "socle", "orbit", "gamma", "flag-mult", "multiplicity",
+                "limit", "tensor-general"]
 
     @staticmethod
     def options(data, command):
         n = data.draw(st.integers(1, 3))
         opts = {"--n": mostly(st.just(str(n)))}
-        if command == "socle":
+        if command in ("socle", "orbit"):
             opts["--level"] = mostly(ints(-1, 3))
             opts["--mu"] = mostly(ints(-3, 4, n))
+        elif command == "tau":
+            opts["--i"] = mostly(ints(0, n))
+            opts["--eta"] = mostly(ints(0, 4, n + 1))
+        elif command == "gamma":
+            # small entries, so that the level-0 weight comes up often
+            opts["--cvals"] = mostly(ints(0, 1, n + 1))
+            opts["--degree"] = mostly(ints(-3, 4))
+            opts["--norm-bound"] = mostly(ints(-3, 12))
+        elif command == "flag-mult":
+            opts["--lam"] = mostly(ints(0, 4, n))
+            opts["--mu"] = mostly(ints(0, 4, n))
+            opts["--r"] = mostly(ints(-3, 4))
         else:
             # Lambda_a + Lambda_b with a + b = i + j mod n + 1, so that the
             # good values often give a weight below Lambda_i + Lambda_j
+            # (j = 0 for multiplicity and limit)
             i, j, a = (data.draw(st.integers(0, n)) for _ in range(3))
+            if command != "tensor-general":
+                j = 0
             b = (i + j - a) % (n + 1)
             opts["--i"] = mostly(st.just(str(i)))
-            opts["--j"] = mostly(st.just(str(j)))
+            if command == "tensor-general":
+                opts["--j"] = mostly(st.just(str(j)))
             opts["--cvals"] = mostly(st.just(level_two_cvals(n, a, b)))
-            opts["--degree"] = mostly(ints(-4, 1))
+            opts["--degree"] = mostly(ints(-3, 4))
+            if command == "limit":
+                opts["--kmax"] = mostly(ints(-1, 4))
         # about one argv in five leaves an option out
         drop = data.draw(st.sampled_from([None] * 4 * len(opts) + list(opts)))
         return [f"{k}={data.draw(v)}" for k, v in opts.items() if k != drop]
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["socle", "tensor-general"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COMMANDS), st.data())
     def test_exits_zero_or_two(self, command, data):
         argv = [command, *self.options(data, command), "--format=json"]
         out, err = io.StringIO(), io.StringIO()
