@@ -183,13 +183,24 @@ def weight_from_eps(n: int, a: Sequence[int]) -> FiniteWeight:
     return FiniteWeight(n, tuple(ext[n - r] - ext[n - r + 1] for r in range(1, n + 1)))
 
 
+def scaled_f(a: Sequence[int]) -> int:
+    """The integer (n + 1) * f(a) = (n + 1) * sum a_i^2 - (sum a_i)^2
+    for a of length n."""
+    return (len(a) + 1) * sum(x * x for x in a) - sum(a) ** 2
+
+
+def scaled_cap(n: int, norm_bound) -> int:
+    """floor((n + 1) * norm_bound) for a rational bound.  As (n + 1)*f(a)
+    is the integer scaled_f(a), f(a) <= norm_bound exactly when
+    scaled_f(a) <= scaled_cap(n, norm_bound); the cap is negative exactly
+    when the bound is."""
+    bound = Fraction(norm_bound)
+    return (n + 1) * bound.numerator // bound.denominator
+
+
 def quadratic_f(a: Sequence) -> Fraction:
     """Positive definite form f(a) = (n*sum a_i^2 - 2*sum_{i<j} a_i a_j)/(n+1)."""
-    n = len(a)
-    sq = sum(x * x for x in a)
-    s = sum(a)
-    # 2*sum_{i<j} a_i a_j = s^2 - sq
-    return Fraction((n + 1) * sq - s * s, n + 1)
+    return Fraction(scaled_f(a), len(a) + 1)
 
 
 def in_root_lattice(b: Sequence[int]) -> bool:
@@ -292,3 +303,47 @@ def affine_bilinear(lam: AffineWeight, mu: AffineWeight) -> Fraction:
 def rho_hat(n: int) -> AffineWeight:
     """Sum of all affine fundamental weights."""
     return AffineWeight(FiniteWeight(n, (1,) * n), n + 1, Fraction(0))
+
+
+def a_of_eta(eta: FiniteWeight) -> tuple:
+    """Coefficients a with eta = sum a_i alpha_i; a_i = (eta, omega_i).
+    Errors when eta is not in the root lattice."""
+    m = eta.n + 1
+    out = []
+    for row in inverse_cartan_scaled(eta.n):
+        a, rem = divmod(sum(x * c for x, c in zip(row, eta.coords)), m)
+        if rem:
+            raise ValueError("weight is not in the root lattice")
+        out.append(a)
+    return tuple(out)
+
+
+def nonneg_root_coeffs(eta: FiniteWeight):
+    """a_of_eta(eta) when eta is a non-negative integer combination of
+    the simple roots, else None."""
+    try:
+        a = a_of_eta(eta)
+    except ValueError:
+        return None
+    return None if any(x < 0 for x in a) else a
+
+
+def _q_plus_coeffs(top: AffineWeight, xi: AffineWeight):
+    """Coefficients (c_0, a_1, ..., a_n) of top - xi on the simple affine
+    roots alpha_0 = delta - theta, alpha_1, ..., alpha_n, or None unless
+    they are all non-negative integers."""
+    diff = top - xi
+    if diff.level != 0:
+        return None
+    c0 = diff.degree
+    if c0.denominator != 1 or c0 < 0:
+        return None
+    c0 = int(c0)
+    rest = nonneg_root_coeffs(diff.finite + c0 * theta(top.n))
+    return None if rest is None else (c0,) + rest
+
+
+def _below(top: AffineWeight, xi: AffineWeight) -> bool:
+    """Whether top - xi is a non-negative integer combination of the
+    simple affine roots."""
+    return _q_plus_coeffs(top, xi) is not None

@@ -30,10 +30,6 @@ class LaurentPoly:
     def one() -> "LaurentPoly":
         return LaurentPoly({0: 1})
 
-    @staticmethod
-    def monomial(e, c: int = 1) -> "LaurentPoly":
-        return LaurentPoly({e: c})
-
     def coeff(self, e) -> int:
         return self.coeffs.get(e, 0)
 

@@ -2,16 +2,16 @@
 two level-1 fundamental modules, by three routes:
 
 * a closed-form sum of bounded-multipartition counts over an orbit set
-  indexed by dominant finite weights (``outer_multiplicity_formula``, with
-  its per-member breakdown ``orbit_terms``, which the sum and the CLI
-  ``multiplicity`` rows both read);
+  indexed by dominant finite weights (``outer_multiplicity_formula``,
+  with its per-member breakdown ``orbit_terms``);
 * the same sum re-indexed by level-2 orbit pairs and driven by a tableau
   content character (``tau_formula``, with its per-pair breakdown
-  ``tau_terms``); both read one row generator over the pairs, which are
-  generated directly and pruned by the integer form (n + 1)*f, and every
-  argument is an exact integer quotient;
+  ``tau_terms``);
 * a stabilizing limit of level-1 to level-2 flag multiplicities along a
-  cofinal orbit sequence (``outer_multiplicity_limit``).
+  cofinal orbit sequence (``outer_multiplicity_limit``), one sequence
+  per row of ``orbit_terms``.
+
+Both breakdowns read their rows off one function, ``_level_two_rows``.
 
 Also: the level-1 to level-2 flag multiplicity generating polynomials,
 and the rotation reduction expressing a general fundamental pair
@@ -26,27 +26,24 @@ from typing import Sequence
 from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
+    _below,
+    _q_plus_coeffs,
+    a_of_eta,
     affine_Lambda,
-    affine_alpha,
     bilinear,
-    inverse_cartan_scaled,
+    nonneg_root_coeffs,
     omega,
     quadratic_f,
     residue,
+    scaled_f,
     theta,
     varpi_eps,
 )
 from .laurent import LaurentPoly
 from .partitions import q_binomial_product, rho_multi, stabilize_threshold
 from .records import Record
-from .tableaux import jk_from_eta
-from .weyl_orbits import (
-    b_vector,
-    enumerate_gamma,
-    level_two_family,
-    r_of,
-    scaled_f,
-)
+from .tableaux import eta_prime, jk_from_eta
+from .weyl_orbits import b_vector, enumerate_gamma, level_two_family, r_of
 
 
 class MuSplit(Record):
@@ -76,29 +73,15 @@ def mu_split(mu: FiniteWeight) -> MuSplit:
     return MuSplit(*direct_split(mu.minus_w0()))
 
 
-def a_of_eta(eta: FiniteWeight) -> tuple:
-    """Coefficients a with eta = sum a_i alpha_i; a_i = (eta, omega_i).
-    Errors when eta is not in the root lattice."""
-    m = eta.n + 1
-    out = []
-    for row in inverse_cartan_scaled(eta.n):
-        a, rem = divmod(sum(x * c for x, c in zip(row, eta.coords)), m)
-        if rem:
-            raise ValueError("weight is not in the root lattice")
-        out.append(a)
-    return tuple(out)
-
-
 def _flag_data(lam: FiniteWeight, mu: FiniteWeight):
     """Shared setup: root coefficients a of lam - mu (None if lam - mu
     is not a non-negative root sum), bounds from the split of mu, and
     the rational prefactor exponent (lam + mu1, lam - mu)/2."""
+    if not lam.is_dominant() or not mu.is_dominant():
+        raise ValueError("weights must be dominant")
     diff = lam - mu
-    try:
-        a = a_of_eta(diff)
-    except ValueError:
-        return None
-    if any(x < 0 for x in a):
+    a = nonneg_root_coeffs(diff)
+    if a is None:
         return None
     mu0, mu1 = direct_split(mu)
     shift = Fraction(bilinear(lam + mu1, diff), 2)
@@ -110,8 +93,6 @@ def flag_multiplicity_poly(lam: FiniteWeight, mu: FiniteWeight) -> LaurentPoly:
     q^{(lam+mu1, lam-mu)/2} * prod_j [a_j + b_j choose a_j]_q, where a is
     the root-coefficient vector of lam - mu and b the bound vector of mu.
     Zero when lam - mu is not a non-negative sum of simple roots."""
-    if not lam.is_dominant() or not mu.is_dominant():
-        raise ValueError("weights must be dominant")
     data = _flag_data(lam, mu)
     if data is None:
         return LaurentPoly.zero()
@@ -124,8 +105,6 @@ def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
     """Coefficient extraction without building the polynomial: the number
     of multipartitions of r - (lam+mu1, lam-mu)/2 with bounds from mu and
     length caps from lam - mu; zero off the admissible range."""
-    if not lam.is_dominant() or not mu.is_dominant():
-        raise ValueError("weights must be dominant")
     data = _flag_data(lam, mu)
     if data is None:
         return 0
@@ -134,40 +113,12 @@ def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
 
 
 def xi_from_eta(n: int, i: int, eta: Sequence[int]) -> AffineWeight:
-    """xi = Lambda_0 + Lambda_i - sum_l eta_l alpha_l (level 2)."""
+    """xi = Lambda_0 + Lambda_i - sum_l eta_l alpha_l (level 2): its
+    coroot values are eta_prime(eta, i), and its degree is -eta_0, as
+    alpha_0 = delta - theta is the only simple root with a degree."""
     if len(eta) != n + 1:
         raise ValueError("eta must have n + 1 entries")
-    xi = affine_Lambda(n, 0) + affine_Lambda(n, i)
-    for l, e in enumerate(eta):
-        if e:
-            xi = xi - e * affine_alpha(n, l)
-    return xi
-
-
-def _q_plus_coeffs(top: AffineWeight, xi: AffineWeight):
-    """Coefficients (c_0, a_1, ..., a_n) of top - xi on the simple affine
-    roots alpha_0 = delta - theta, alpha_1, ..., alpha_n, or None unless
-    they are all non-negative integers."""
-    diff = top - xi
-    if diff.level != 0:
-        return None
-    c0 = diff.degree
-    if c0.denominator != 1 or c0 < 0:
-        return None
-    c0 = int(c0)
-    try:
-        rest = a_of_eta(diff.finite + c0 * theta(top.n))
-    except ValueError:
-        return None
-    if any(x < 0 for x in rest):
-        return None
-    return (c0,) + rest
-
-
-def _below(top: AffineWeight, xi: AffineWeight) -> bool:
-    """Whether top - xi is a non-negative integer combination of the
-    simple affine roots."""
-    return _q_plus_coeffs(top, xi) is not None
+    return AffineWeight.from_c_values(n, eta_prime(eta, i), -eta[0])
 
 
 def eta_from_xi(n: int, i: int, xi: AffineWeight) -> tuple:
@@ -193,6 +144,19 @@ def f_weight(n: int, i: int, xi: AffineWeight, mu: FiniteWeight) -> Fraction:
     return Fraction(f_ball_bound(n, i, xi) - bilinear(mu, mu), 4)
 
 
+def _level_two_rows(n: int, pairs, K):
+    """The terms of both orbit sums, one row (bounds, argument, count) per
+    level-2 pair: b_vector(pair), (K - scaled_f(a))/(4(n + 1)) with
+    a = pair.a_vector() and K = (n + 1) * f_ball_bound, and rho_multi of
+    the two.  For the pair of a member mu these are mu_split(mu).bounds
+    and f_{i,xi}(mu), as scaled_f(a) = (n + 1)(mu, mu)."""
+    scale = 4 * (n + 1)
+    for pair in pairs:
+        b = b_vector(pair)
+        arg = Fraction(K - scaled_f(pair.a_vector()), scale)
+        yield b, arg, rho_multi(arg, b)
+
+
 def orbit_terms(n: int, i: int, xi: AffineWeight) -> list:
     """Per-member breakdown of outer_multiplicity_formula: one row
     (mu, bounds, f, count) per member of the orbit set of xi, in the order
@@ -203,12 +167,9 @@ def orbit_terms(n: int, i: int, xi: AffineWeight) -> list:
     if not xi.is_dominant():
         raise ValueError("xi must be dominant")
     bound = f_ball_bound(n, i, xi)
-    rows = []
-    for mu, _pair in enumerate_gamma(xi, bound):
-        b = mu_split(mu).bounds
-        f = Fraction(bound - bilinear(mu, mu), 4)
-        rows.append((mu, b, f, rho_multi(f, b)))
-    return rows
+    members = enumerate_gamma(xi, bound)
+    rows = _level_two_rows(n, [pair for _mu, pair in members], (n + 1) * bound)
+    return [(mu, *row) for (mu, _pair), row in zip(members, rows)]
 
 
 def outer_multiplicity_formula(n: int, i: int, xi: AffineWeight) -> int:
@@ -230,12 +191,12 @@ def f_eps(n: int, i: int, j: int, k: int, eta0: int, a: Sequence[int]) -> Fracti
             + eta0 - Fraction(quadratic_f(a), 4))
 
 
-def _tau_rows(n: int, i: int, eta: Sequence[int]):
-    """The terms of tau_formula, one row (pair, bounds, argument, count)
-    per member of the level-2 family of the indices (j, k) read off eta.
-    With N = n + 1 and the integer K = N*(2f(w_i) - f(w_j + w_k) + 4 eta_0),
-    the family is taken within f <= K/N and each member's argument is
-    (K - N*f(a))/(4N), which equals f_eps."""
+def tau_terms(n: int, i: int, eta: Sequence[int]) -> list:
+    """Per-pair breakdown of tau_formula: one row (pair, bounds, argument,
+    count) per member of the level-2 family of the indices (j, k) read
+    off eta.  K = (n + 1) * f_ball_bound(n, i, xi_from_eta(n, i, eta)) is
+    found in integers, as N*(2f(w_i) - f(w_j + w_k) + 4 eta_0) with
+    N = n + 1; each argument equals f_eps."""
     eta = tuple(eta)
     if len(eta) != n + 1:
         raise ValueError("eta must have n + 1 entries")
@@ -244,22 +205,15 @@ def _tau_rows(n: int, i: int, eta: Sequence[int]):
     wi = varpi_eps(n, residue(i, n))
     wjk = tuple(x + y for x, y in zip(varpi_eps(n, j), varpi_eps(n, k)))
     K = 2 * scaled_f(wi) - scaled_f(wjk) + 4 * N * eta[0]
-    for pair in level_two_family(n, j, k, Fraction(K, N)).members:
-        b = b_vector(pair)
-        arg = Fraction(K - scaled_f(pair.a_vector()), 4 * N)
-        yield pair, b, arg, rho_multi(arg, b)
+    members = level_two_family(n, j, k, Fraction(K, N)).members
+    return [(pair, *row) for pair, row in zip(members, _level_two_rows(n, members, K))]
 
 
 def tau_formula(n: int, i: int, eta: Sequence[int]) -> int:
     """Tableau-counting route: the same multiplicity computed from the
     content character eta, summing bounded-multipartition counts over
     the level-2 orbit-pair family of the indices (j, k) read off eta."""
-    return sum(count for *_, count in _tau_rows(n, i, eta))
-
-
-def tau_terms(n: int, i: int, eta: Sequence[int]) -> list:
-    """Per-pair breakdown of tau_formula: (pair, bounds, argument, count)."""
-    return list(_tau_rows(n, i, eta))
+    return sum(count for *_, count in tau_terms(n, i, eta))
 
 
 class LimitResult(Record):
@@ -272,28 +226,22 @@ class LimitResult(Record):
 
 def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
                              k_max: int) -> LimitResult:
-    """Limit route: for each mu in the orbit set of xi evaluate the flag
-    multiplicity [D(1, omega_i + k*theta) : D(2, mu, r(mu,xi) + k(|omega_i|+k))]
+    """Limit route: for each row (mu, bounds, f, count) of orbit_terms
+    evaluate the flag multiplicity
+    [D(1, omega_i + k*theta) : D(2, mu, r(mu,xi) + k(|omega_i|+k))]
     for k = 0..k_max.  Each sequence is non-decreasing and constant from
-    the explicit stabilization threshold on; the stabilized sum is the
-    outer multiplicity."""
-    if xi.level != 2:
-        raise ValueError("xi must have level 2")
-    if not xi.is_dominant():
-        raise ValueError("xi must be dominant")
+    the explicit stabilization threshold on (whose bounds, the direct
+    split of mu, are the row's reversed); the stabilized sum is the outer
+    multiplicity."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     i = residue(i, n)
     wi = omega(n, i)
     size = wi.height_sum()
     th = theta(n)
-    bound = f_ball_bound(n, i, xi)
     sequences = []
-    global_threshold = 0
-    total = 0
-    stabilized = True
-    for mu, _pair in enumerate_gamma(xi, bound):
+    for mu, bounds, f, _count in orbit_terms(n, i, xi):
         r0 = r_of(mu, xi)
-        b = direct_split(mu)[0].coords
-        f = f_weight(n, i, xi, mu)
         values = tuple(
             flag_multiplicity_at(wi + k * th, mu, r0 + k * (size + k))
             for k in range(k_max + 1)
@@ -306,15 +254,11 @@ def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
             except ValueError:  # mu - omega_i off the root lattice
                 threshold = 0
             else:
-                threshold = max(0, stabilize_threshold(int(f), a_cap, b))
+                threshold = max(0, stabilize_threshold(int(f), a_cap, bounds[::-1]))
         sequences.append((mu, threshold, values))
-        if threshold > k_max:
-            stabilized = False
-        else:
-            global_threshold = max(global_threshold, threshold)
-        total += values[-1]
-    status = global_threshold if stabilized else "not stabilized"
-    return LimitResult(total, status, tuple(sequences))
+    last = max((threshold for _mu, threshold, _values in sequences), default=0)
+    return LimitResult(sum(values[-1] for *_, values in sequences),
+                       last if last <= k_max else "not stabilized", tuple(sequences))
 
 
 def rotate(c: int, lam: AffineWeight) -> AffineWeight:

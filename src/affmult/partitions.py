@@ -53,6 +53,8 @@ def enumerate_bounded(m: int, b: int, max_parts: Optional[int] = None) -> list:
             rec(remaining - part, part, count + 1, prefix)
             prefix.pop()
 
+    if max_parts is not None and max_parts < 0:
+        return []
     if m == 0:
         return [()]
     if m < 0 or b == 0:
@@ -80,8 +82,9 @@ def _is_bad_number(m) -> bool:
 
 
 def rho(m, b: int, max_parts: Optional[int] = None) -> int:
-    """|P_b(m)| (with optional part-count cap); 0 off Z_{>=0}."""
-    if _is_bad_number(m):
+    """|P_b(m)| (with optional part-count cap); 0 off Z_{>=0}, and 0
+    under a negative cap, as in rho_multi."""
+    if _is_bad_number(m) or (max_parts is not None and max_parts < 0):
         return 0
     m = int(m)
     cap = m if max_parts is None else min(max_parts, m)

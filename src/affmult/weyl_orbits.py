@@ -23,6 +23,8 @@ from .affine_cartan import (
     bilinear,
     eps_coords,
     in_root_lattice,
+    scaled_cap,
+    scaled_f,
     theta,
     weight_from_eps,
 )
@@ -183,6 +185,8 @@ class OrbitPair(Record):
 
 
 def orbit_pair(level: int, mu: FiniteWeight) -> OrbitPair:
+    if level < 1:
+        raise ValueError("level must be >= 1")
     m, p = orbit_division(level, eps_coords(mu))
     return OrbitPair(m, p, level)
 
@@ -196,6 +200,8 @@ def socle_formula(level: int, mu: FiniteWeight) -> SocleResult:
     representative has coroot value m'_{j+1} - m'_{j+2} at index
     (res(p) - j) mod (n+1); its degree follows from the orbit-degree
     relation 2*level*(deg) = (mu, mu) - (soc, soc)."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
     n = mu.n
     mm = n + 1
     a = _sorted_nonneg_eps(mu)
@@ -293,21 +299,6 @@ class LevelTwoFamily(Record):
     ``members`` is a tuple of OrbitPair values."""
 
     __slots__ = ("j", "k", "n", "members")
-
-
-def scaled_f(a: Sequence[int]) -> int:
-    """The integer (n + 1) * f(a) = (n + 1) * sum a_i^2 - (sum a_i)^2
-    for a of length n."""
-    return (len(a) + 1) * sum(x * x for x in a) - sum(a) ** 2
-
-
-def scaled_cap(n: int, norm_bound) -> int:
-    """floor((n + 1) * norm_bound) for a rational bound.  As (n + 1)*f(a)
-    is the integer scaled_f(a), f(a) <= norm_bound exactly when
-    scaled_f(a) <= scaled_cap(n, norm_bound); the cap is negative exactly
-    when the bound is."""
-    bound = Fraction(norm_bound)
-    return (n + 1) * bound.numerator // bound.denominator
 
 
 def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:

@@ -2,11 +2,14 @@
 level-1 weights, and the Brauer-Klimyk tensor decomposition with its
 derived depth bound."""
 
+import ast
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import affmult.char_oracle
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -26,6 +29,17 @@ from affmult.char_oracle import (
 )
 from affmult.multiplicities import outer_multiplicity_formula
 from affmult.weyl_orbits import simple_reflection, socle_oracle
+
+
+class TestIndependence:
+    def test_no_import_from_the_checked_module(self):
+        # the oracle checks the multiplicity routes, so it must not share
+        # their code: nothing in it is imported from multiplicities
+        tree = ast.parse(Path(affmult.char_oracle.__file__).read_text())
+        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        sources |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        assert not any(name and name.split(".")[-1] == "multiplicities" for name in sources)
 
 
 class TestBasicModuleStrings:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmult.cli import main
+from affmult.cli import ValidationError, check_ball, main
 from affmult.tableaux import mw_shapes_with_character
 
 
@@ -151,11 +151,34 @@ class TestValidation:
           "--degree", "x"], "--degree"),
         (["socle", "--n", "2", "--level", "2", "--mu", "99999999999999999999,0"], "--mu"),
         (["socle", "--n", "2", "--level", "1", "--mu=-1001,0"], "--mu"),
+        # deep queries: the f-ball walk's leaf count and the limit's k_max
+        (["gamma", "--n", "6", "--cvals", "2,0,0,0,0,0,0", "--norm-bound", "200"],
+         "--norm-bound"),
+        (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "11250000000"],
+         "--norm-bound"),
+        (["multiplicity", "--n", "6", "--i", "1", "--cvals", "1,1,0,0,0,0,0",
+          "--degree=-50"], "--degree"),
+        (["limit", "--n", "6", "--i", "1", "--cvals", "1,1,0,0,0,0,0",
+          "--degree=-50", "--kmax", "4"], "--degree"),
+        (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6",
+          "--kmax", "101"], "--kmax"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
-        code, _, err = run(capsys, *argv)
-        assert code == 2
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
         assert param in err
+
+    def test_caps_are_inclusive(self, capsys):
+        # at n = 1 a bound of 11249700000 gives 149,998 leaves and one of
+        # 11250000000 gives 150,001
+        check_ball(1, 11249700000, "--norm-bound")
+        with pytest.raises(ValidationError, match="150001 leaves"):
+            check_ball(1, 11250000000, "--norm-bound")
+        code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
+                           "--degree=-1", "--kmax", "100", "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["stabilized_at"] == 1
 
     @pytest.mark.parametrize("argv,param", [
         # eta' = (-1, 2, 1) is not of the form e_j + e_k

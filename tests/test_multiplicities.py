@@ -314,6 +314,32 @@ class TestLimitRoute:
             assert all(vals[k] <= vals[k + 1] for k in range(len(vals) - 1))
             assert len(set(vals[threshold:])) == 1
 
+    def test_negative_kmax_rejected(self):
+        xi = AffineWeight(2 * omega(2, 2), 2, Fraction(-6))
+        with pytest.raises(ValueError, match="k_max"):
+            outer_multiplicity_limit(2, 1, xi, -1)
+
+    def test_each_member_stabilizes_at_its_count(self):
+        # criterion 5 checks the sum; here every member whose threshold is
+        # reached must end on its own orbit_terms count
+        checked = 0
+        for n in (1, 2, 3):
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    k = (i - j) % (n + 1)
+                    if j > k:
+                        continue
+                    for eta0 in range(14 - 2 * n):
+                        xi = (affine_Lambda(n, j) + affine_Lambda(n, k)).shift_delta(-eta0)
+                        counts = {mu: count for mu, _b, _f, count in orbit_terms(n, i, xi)}
+                        res = outer_multiplicity_limit(n, i, xi, eta0 + 2)
+                        assert [mu for mu, *_ in res.sequences] == list(counts)
+                        for mu, threshold, vals in res.sequences:
+                            if threshold <= eta0 + 2:
+                                assert vals[-1] == counts[mu], (n, i, xi, mu)
+                                checked += 1
+        assert checked > 600
+
 
 class TestRotation:
     def test_permutes_coroot_values(self):

@@ -96,6 +96,11 @@ class TestRhoMulti:
     def test_zero_bounds_are_inert(self):
         assert rho_multi(4, (2, 0, 2)) == rho_multi(4, (2, 2))
 
+    @given(st.integers(0, 10), st.integers(0, 5), st.integers(-3, 6))
+    def test_single_component_matches_rho(self, m, b, c):
+        # a negative part-count cap admits no partition, not even the empty one
+        assert rho(m, b, c) == rho_multi(m, (b,), (c,)) == len(enumerate_bounded(m, b, c))
+
 
 class TestCountKeys:
     """The multipartition recursion feeds _count the keys of the public

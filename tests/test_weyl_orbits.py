@@ -142,6 +142,16 @@ class TestSocle:
         soc = socle_formula(1, omega(1, 1)).weight
         assert soc.equiv_mod_delta(affine_Lambda(1, 1))
 
+    @pytest.mark.parametrize("level", [0, -1, -3])
+    def test_level_below_one_rejected(self, level):
+        # level 0 divided by zero and a negative level gave a weight of
+        # that level; both are errors that name the level
+        mu = omega(2, 1)
+        with pytest.raises(ValueError, match="level"):
+            socle_formula(level, mu)
+        with pytest.raises(ValueError, match="level"):
+            orbit_pair(level, mu)
+
     @given(st.integers(1, 3), st.integers(1, 3),
            st.lists(st.integers(-4, 4), min_size=1, max_size=3))
     @settings(max_examples=120, deadline=None)
