@@ -54,6 +54,7 @@ from .tableaux import (
     jk_from_eta,
     tau_bruteforce,
     tau_count,
+    tau_counts,
 )
 from .weyl_orbits import (
     OrbitPair,

@@ -25,13 +25,13 @@ from .multiplicities import (
     f_ball_bound,
     flag_multiplicity_at,
     flag_multiplicity_poly,
-    general_fundamental,
     orbit_terms,
     outer_multiplicity_formula,
     outer_multiplicity_limit,
+    rotated_to_zero,
     tau_formula,
 )
-from .tableaux import jk_from_eta, mw_shapes_with_character, tau_bruteforce, tau_count
+from .tableaux import jk_from_eta, mw_shapes_with_character, tau_count, tau_counts
 from .weyl_orbits import (
     b_vector,
     descent_length,
@@ -48,17 +48,33 @@ from .weyl_orbits import (
 # which grow with both |mu| and n, and each step scans up to n + 1 coroot
 # values for the first negative one and changes at most three: entries of
 # -1000 take 119,964 steps at n = 8 (0.08 s) and 11,479,180 at n = 40.
-# The f-ball walk of `gamma`, `multiplicity` and `limit` tests
-# C(M + n, n) leaves, M = isqrt(floor((n + 1) * bound)); a leaf costs most
-# at n = 1, where every leaf is a ball point: 150,000 leaves take 3.1 s
-# there (`gamma --n 1`), against 6,096,454 leaves in 10.9 s at n = 6.
+# The f-ball walk of `gamma`, `multiplicity`, `limit` and `tensor-general`
+# (on the rotated weight) tests C(M + n, n) leaves,
+# M = isqrt(floor((n + 1) * bound)); a leaf costs most at n = 1, where
+# every leaf is a ball point: 150,000 leaves take 3.1 s there
+# (`gamma --n 1`), against 6,096,454 leaves in 10.9 s at n = 6.
+# The last three count multipartitions at arguments up to floor(bound / 4), which the walk cap
+# does not bound: `multiplicity --n 1 --i 0 --cvals 2,0` takes 0.14 s at
+# `--degree=-200`, 0.40 s at -300, 0.93 s at -400 (930k `_count`
+# entries) and 18 s at -1000; at -400, n = 2 takes 0.96 s, n = 3 3.9 s and
+# `limit --n 1` with `--kmax 100` 5.8 s.
 # `limit` evaluates k_max + 1 flag multiplicities per member: at k_max = 100
 # `--n 2 --i 1 --cvals 0,0,2 --degree=-6` takes 1.0 s, and 8.6 s at 200.
+# `verify` counts the tableaux of each (rank, charge) through one memo, so
+# its cost grows with --n and --eta0-max about as the formula side does:
+# `--n 1 --eta0-max 100` takes 0.4 s, `--n 3 --eta0-max 100` 12 s and
+# `--n 4 --eta0-max 100` 54 s; the oracle rows (ranks <= 2) take 3.4 s at
+# `--depth 100`.  The worst accepted sweep, `--n 1..4 --eta0-max 100
+# --depth 100`, takes 79 s.
 TAU_MAX_ROWS = 20_000
 SOCLE_MAX_ENTRY = 1_000
 SOCLE_MAX_SCANNED = 2_000_000
 BALL_MAX_LEAVES = 150_000
+RHO_MAX_ARGUMENT = 400
 LIMIT_MAX_KMAX = 100
+VERIFY_MAX_RANK = 4
+VERIFY_MAX_ETA0 = 100
+VERIFY_MAX_DEPTH = 100
 
 
 class ValidationError(Exception):
@@ -113,6 +129,17 @@ def check_ball(n: int, bound, name: str) -> None:
     if leaves > BALL_MAX_LEAVES:
         raise ValidationError(f"parameter {name}: the f-ball walk would test {leaves} "
                               f"leaves, more than {BALL_MAX_LEAVES}")
+
+
+def check_formula_cost(n: int, i: int, xi: AffineWeight) -> None:
+    """Refuse an orbit sum of charge i at xi whose f-ball walk is over
+    BALL_MAX_LEAVES or whose multipartition counts run past argument
+    RHO_MAX_ARGUMENT; both grow with the depth of xi, so name --degree."""
+    bound = f_ball_bound(n, i, xi)
+    check_ball(n, bound, "--degree")
+    if bound // 4 > RHO_MAX_ARGUMENT:
+        raise ValidationError(f"parameter --degree: the multipartition counts would run "
+                              f"to argument {bound // 4}, more than {RHO_MAX_ARGUMENT}")
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -287,7 +314,7 @@ def cmd_multiplicity(args) -> int:
     xi = parse_affine(args.n, args.cvals, args.degree)
     if xi.level != 2 or not xi.is_dominant():
         raise ValidationError("parameter --cvals: weight must be dominant of level 2")
-    check_ball(args.n, f_ball_bound(args.n, args.i, xi), "--degree")
+    check_formula_cost(args.n, args.i, xi)
     rows = [[list(mu.coords), list(b), str(f), count]
             for mu, b, f, count in orbit_terms(args.n, args.i, xi)]
     result = {"value": sum(row[-1] for row in rows), "rows": rows,
@@ -309,7 +336,7 @@ def cmd_limit(args) -> int:
         raise ValidationError("parameter --kmax: must be >= 1")
     if args.kmax > LIMIT_MAX_KMAX:
         raise ValidationError(f"parameter --kmax: must be <= {LIMIT_MAX_KMAX}")
-    check_ball(args.n, f_ball_bound(args.n, args.i, xi), "--degree")
+    check_formula_cost(args.n, args.i, xi)
     res = outer_multiplicity_limit(args.n, args.i, xi, args.kmax)
     rows = [[list(mu.coords), thr, list(vals)] for mu, thr, vals in res.sequences]
     result = {"value": res.value, "stabilized_at": res.stabilized_at,
@@ -329,10 +356,11 @@ def cmd_tensor_general(args) -> int:
     if xi.level != 2 or not xi.is_dominant():
         raise ValidationError("parameter --cvals: weight must be dominant of level 2")
     try:
-        value = general_fundamental(args.n, args.i, args.j, xi)
+        charge, xi_rot = rotated_to_zero(args.n, args.i, args.j, xi)
     except ValueError as exc:
         raise ValidationError(f"parameter --cvals: {exc}")
-    result = {"value": value}
+    check_formula_cost(args.n, charge, xi_rot)
+    result = {"value": outer_multiplicity_formula(args.n, charge, xi_rot)}
     emit(_payload("tensor-general", {"n": args.n, "i": args.i, "j": args.j,
                                      "cvals": list(xi.c_values()),
                                      "degree": str(xi.degree)},
@@ -340,13 +368,10 @@ def cmd_tensor_general(args) -> int:
     return 0
 
 
-def _parse_range(text: str, name: str) -> list:
+def _parse_range(text: str, name: str) -> range:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        lo, hi = text.split("..") if ".." in text else (text, text)
+        values = range(int(lo), int(hi) + 1)
     except ValueError:
         raise ValidationError(f"parameter {name}: expected N or LO..HI")
     if not values:
@@ -355,53 +380,74 @@ def _parse_range(text: str, name: str) -> list:
 
 
 def _verify_instance(task):
-    """One cross-check: formula vs brute force (and vs oracle at small n)."""
+    """The rows of one task: formula against brute force for every
+    character of one (n, i), or one oracle table (at small n)."""
     kind, data = task
     if kind == "tau":
-        n, i, eta = data
-        a = tau_formula(n, i, eta)
-        b = tau_bruteforce(eta, i)
-        ok = a == b
-        return (ok, f"tau n={n} i={i} eta={eta}", f"formula={a} brute={b}")
+        n, i, etas = data
+        brutes = tau_counts(etas, i)  # one memo for the whole task
+        rows = []
+        for eta, b in zip(etas, brutes):
+            a = tau_formula(n, i, eta)
+            rows.append((a == b, f"tau n={n} i={i} eta={eta}", f"formula={a} brute={b}"))
+        return rows
     n, i, depth = data
     table = tensor_outer_multiplicities(affine_Lambda(n, 0), affine_Lambda(n, i), depth)
     for xi, m in sorted(table.items(), key=lambda kv: -kv[0].degree):
         f = outer_multiplicity_formula(n, i, xi)
         if f != m:
-            return (False, f"oracle n={n} i={i} depth={depth}",
-                    f"xi={xi.c_values()} deg={xi.degree}: oracle={m} formula={f}")
-    return (True, f"oracle n={n} i={i} depth={depth}", f"{len(table)} entries")
+            return [(False, f"oracle n={n} i={i} depth={depth}",
+                     f"xi={xi.c_values()} deg={xi.degree}: oracle={m} formula={f}")]
+    return [(True, f"oracle n={n} i={i} depth={depth}", f"{len(table)} entries")]
+
+
+def _delta_string(n: int, i: int, j: int, k: int, eta0_max: int) -> list:
+    """Characters of Lambda_j + Lambda_k - eta0 * delta for eta0 <= eta0_max
+    that lie below Lambda_0 + Lambda_i.  Lowering by delta = sum_l alpha_l
+    adds 1 to every entry, so once one eta0 lies below, every deeper one
+    does, and its character is the first one plus the difference of the
+    eta0 in every entry."""
+    top = affine_Lambda(n, j) + affine_Lambda(n, k)
+    for eta0 in range(eta0_max + 1):
+        try:
+            first = eta_from_xi(n, i, top.shift_delta(-eta0))
+        except ValueError:
+            continue
+        return [tuple(e + d for e in first) for d in range(eta0_max + 1 - eta0)]
+    return []
 
 
 def cmd_verify(args) -> int:
     ranks = _parse_range(args.n, "--n")
-    if any(n < 1 for n in ranks):
+    if ranks[0] < 1:
         raise ValidationError("parameter --n: ranks must be >= 1")
+    if ranks[-1] > VERIFY_MAX_RANK:
+        raise ValidationError(f"parameter --n: ranks must be <= {VERIFY_MAX_RANK}")
     if args.eta0_max < 0:
         raise ValidationError("parameter --eta0-max: must be >= 0")
+    if args.eta0_max > VERIFY_MAX_ETA0:
+        raise ValidationError(f"parameter --eta0-max: must be <= {VERIFY_MAX_ETA0}")
     if args.depth < 0:
         raise ValidationError("parameter --depth: must be >= 0")
+    if args.depth > VERIFY_MAX_DEPTH:
+        raise ValidationError(f"parameter --depth: must be <= {VERIFY_MAX_DEPTH}")
     tasks = []
     for n in ranks:
         for i in range(n + 1):
+            etas = []
             for j in range(n + 1):
                 k = (i - j) % (n + 1)
-                if j > k:
-                    continue
-                for eta0 in range(args.eta0_max + 1):
-                    xi = (affine_Lambda(n, j) + affine_Lambda(n, k)).shift_delta(-eta0)
-                    try:
-                        eta = eta_from_xi(n, i, xi)
-                    except ValueError:
-                        continue
-                    tasks.append(("tau", (n, i, eta)))
+                if j <= k:
+                    etas += _delta_string(n, i, j, k, args.eta0_max)
+            if etas:
+                tasks.append(("tau", (n, i, etas)))
     if args.depth > 0:
         for n in ranks:
             if n > 2:
                 continue  # oracle rows cover ranks <= 2; the tests check rank 3
             for i in range(n + 1):
                 tasks.append(("oracle", (n, i, args.depth)))
-    outcomes = [_verify_instance(t) for t in tasks]
+    outcomes = [row for t in tasks for row in _verify_instance(t)]
     rows = []
     failures = []
     for ok, key, detail in outcomes:

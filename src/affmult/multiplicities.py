@@ -280,10 +280,11 @@ def rotate(c: int, lam: AffineWeight) -> AffineWeight:
                                       lam.degree + Fraction(scaled_shift, 2 * m))
 
 
-def general_fundamental(n: int, i: int, j: int, xi: AffineWeight) -> int:
-    """Multiplicity of V(xi) in V(Lambda_i) (x) V(Lambda_j), reduced to
-    the (0, j - i) case by the diagram rotation taking Lambda_i to
-    Lambda_0 up to a delta shift."""
+def rotated_to_zero(n: int, i: int, j: int, xi: AffineWeight) -> tuple:
+    """The (0, j - i) instance equal to the multiplicity of V(xi) in
+    V(Lambda_i) (x) V(Lambda_j): the charge (j - i) mod (n + 1) and xi
+    under the diagram rotation taking Lambda_i to Lambda_0, shifted by
+    the delta that the rotation adds to Lambda_i + Lambda_j."""
     m = n + 1
     i, j = i % m, j % m
     if xi.level != 2:
@@ -295,5 +296,11 @@ def general_fundamental(n: int, i: int, j: int, xi: AffineWeight) -> int:
     li = rotate(c, affine_Lambda(n, i))  # Lambda_0 + e1 * delta
     lj = rotate(c, affine_Lambda(n, j))  # Lambda_{j-i} + e2 * delta
     shift = li.degree + lj.degree
-    xi_rot = rotate(c, xi).shift_delta(-shift)
-    return outer_multiplicity_formula(n, (j - i) % m, xi_rot)
+    return (j - i) % m, rotate(c, xi).shift_delta(-shift)
+
+
+def general_fundamental(n: int, i: int, j: int, xi: AffineWeight) -> int:
+    """Multiplicity of V(xi) in V(Lambda_i) (x) V(Lambda_j), reduced to
+    the (0, j - i) case by the diagram rotation taking Lambda_i to
+    Lambda_0 up to a delta shift (rotated_to_zero)."""
+    return outer_multiplicity_formula(n, *rotated_to_zero(n, i, j, xi))

@@ -14,7 +14,10 @@ exceeds the content character or a block of equal rows breaks the
 congruences.  It memoizes the count below each node on a small state,
 so its cost follows the number of states rather than the answer, and it
 uses no orbit and no multipartition, so it stays an independent check
-of the formula.
+of the formula.  The state does not name the character it started from,
+so ``tau_counts`` counts many characters of one length and charge
+through one memo: the characters of a delta-string xi - eta_0 delta
+(each the last plus 1 in every entry) reach largely the same subtrees.
 ``mw_shapes_with_character`` lists the same tree shape by shape and
 re-checks every shape with ``is_mw`` and ``shape_character``; it gives
 the rows of the CLI ``tau`` command and the tests' reference.
@@ -160,31 +163,15 @@ def mw_shapes_with_character(eta, i: int) -> list:
     return out
 
 
-def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
-    """Number of admissible i-charged shapes with content character eta,
-    that is len(mw_shapes_with_character(eta, i)), without listing them.
+def _shape_counter(m: int, i: int, stop: Optional[int] = None):
+    """The tableau count at charge i for characters of length m, as a
+    function count(eta) of a tuple eta over one memo; see tau_count.
 
-    The count walks the tree of mw_shapes_with_character: blocks of
-    equal rows, largest part first, each block size fixed modulo n + 1
-    by the is_mw congruence, and a branch dropped once a residue count
-    exceeds eta.  Below a node the count depends only on the residue
-    counts still to fill, the largest part still allowed and the number
-    of rows placed so far modulo n + 1, because row r's residues start
-    at (1 - r + i) mod (n + 1) and the congruence reads the rows so far
-    only through 2 * prefix mod (n + 1).  Counts are memoized on that
-    state in a dict local to the call.
-
-    With a stop, every node returns as soon as its running total passes
-    stop, and the result is then some number above stop.  A memoized
-    value above stop only ever feeds a total above stop, so a count at or
-    below stop is exact."""
-    eta = tuple(eta)
-    m = len(eta)
-    if any(e < 0 for e in eta):
-        return 0
-    size = sum(eta)
-    if size == 0:
-        return 1
+    The memo is keyed on (residue counts left, largest part allowed, rows
+    placed mod m), which names the same subtree whatever character it was
+    reached from, so one counter serves any number of characters.  With a
+    stop, a memoized value may be only some number above stop, so a
+    stopped counter answers one character and is then dropped."""
     # blocks[p][c], for parts = c mod m placed below p rows (mod m): the
     # block size, the residues its rows hold beyond their full cycles,
     # and the row count after the block (mod m)
@@ -201,7 +188,7 @@ def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
         blocks.append(row)
     memo = {}
 
-    def count(rest: tuple, remaining: int, largest: int, prefix: int) -> int:
+    def below(rest: tuple, remaining: int, largest: int, prefix: int) -> int:
         total = 0
         for part in range(largest, 0, -1):
             full, c = divmod(part, m)
@@ -212,22 +199,73 @@ def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
             low = min(left)
             if low < 0:
                 continue
-            below = remaining - part * reps
-            if below == 0:
+            under = remaining - part * reps
+            if under == 0:
                 total += 1
             else:
                 # a row of m * (low + 1) boxes or more holds too many boxes
                 # of some residue, so larger bounds name the same subtree
-                key = (tuple(left), min(part - 1, below, m * low + m - 1), after)
+                key = (tuple(left), min(part - 1, under, m * low + m - 1), after)
                 sub = memo.get(key)
                 if sub is None:
-                    sub = memo[key] = count(key[0], below, key[1], after)
+                    sub = memo[key] = below(key[0], under, key[1], after)
                 total += sub
             if stop is not None and total > stop:
                 return total
         return total
 
-    return count(eta, size, min(size, m * min(eta) + m - 1), 0)
+    def count(eta) -> int:
+        if any(e < 0 for e in eta):
+            return 0
+        size = sum(eta)
+        if size == 0:
+            return 1
+        key = (eta, min(size, m * min(eta) + m - 1), 0)
+        total = memo.get(key)
+        if total is None:
+            total = memo[key] = below(eta, size, key[1], 0)
+        return total
+
+    return count
+
+
+def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
+    """Number of admissible i-charged shapes with content character eta,
+    that is len(mw_shapes_with_character(eta, i)), without listing them.
+
+    The count walks the tree of mw_shapes_with_character: blocks of
+    equal rows, largest part first, each block size fixed modulo n + 1
+    by the is_mw congruence, and a branch dropped once a residue count
+    exceeds eta.  Below a node the count depends only on the residue
+    counts still to fill, the largest part still allowed and the number
+    of rows placed so far modulo n + 1, because row r's residues start
+    at (1 - r + i) mod (n + 1) and the congruence reads the rows so far
+    only through 2 * prefix mod (n + 1).  Counts are memoized on that
+    state, in a memo made for this call (tau_counts shares one memo
+    across many characters).
+
+    With a stop, every node returns as soon as its running total passes
+    stop, and the result is then some number above stop.  A memoized
+    value above stop only ever feeds a total above stop, so a count at or
+    below stop is exact."""
+    eta = tuple(eta)
+    return _shape_counter(len(eta), i, stop)(eta)
+
+
+def tau_counts(etas, i: int) -> list:
+    """[tau_count(eta, i) for eta in etas], through one counter: the
+    characters share one memo, so subtrees that several of them reach
+    (as the characters of one delta-string do) are counted once.  The
+    characters must all have one length; no stop is taken, because a
+    stopped memo holds values that are only bounds."""
+    etas = [tuple(eta) for eta in etas]
+    lengths = {len(eta) for eta in etas}
+    if len(lengths) > 1:
+        raise ValueError(f"characters of mixed lengths {sorted(lengths)}")
+    if not etas:
+        return []
+    count = _shape_counter(lengths.pop(), i)
+    return [count(eta) for eta in etas]
 
 
 def tau_bruteforce(eta, i: int) -> int:

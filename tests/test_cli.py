@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmult.cli import ValidationError, check_ball, main
+from affmult.affine_cartan import AffineWeight, affine_Lambda
+from affmult.cli import ValidationError, _delta_string, check_ball, check_formula_cost, main
+from affmult.multiplicities import eta_from_xi
 from affmult.tableaux import mw_shapes_with_character
 
 
@@ -162,6 +164,23 @@ class TestValidation:
           "--degree=-50", "--kmax", "4"], "--degree"),
         (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6",
           "--kmax", "101"], "--kmax"),
+        # deep degrees: the multipartition argument (90 leaves, but 18 s
+        # of rho_multi when it was counted), and the rotated ball of
+        # tensor-general
+        (["multiplicity", "--n", "1", "--i", "0", "--cvals", "2,0",
+          "--degree=-1000"], "--degree"),
+        (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-1000",
+          "--kmax", "4"], "--degree"),
+        (["tensor-general", "--n", "1", "--i", "1", "--j", "1", "--cvals", "2,0",
+          "--degree=-1000"], "--degree"),
+        (["tensor-general", "--n", "6", "--i", "1", "--j", "2",
+          "--cvals", "1,0,0,1,0,0,0", "--degree=-50"], "--degree"),
+        # verify's ranges
+        (["verify", "--n", "1..5"], "--n"),
+        (["verify", "--n", "1..1000000000000"], "--n"),
+        (["verify", "--n=-1000000000000..1"], "--n"),
+        (["verify", "--n", "1", "--eta0-max", "101"], "--eta0-max"),
+        (["verify", "--n", "1", "--depth", "101"], "--depth"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         start = time.process_time()
@@ -179,6 +198,20 @@ class TestValidation:
         code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
                            "--degree=-1", "--kmax", "100", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["stabilized_at"] == 1
+        # 2 Lambda_0 - d delta at n = 1 has f_ball_bound 4d
+        check_formula_cost(1, 0, AffineWeight.from_c_values(1, (2, 0), -400))
+        with pytest.raises(ValidationError, match="argument 401, more than 400"):
+            check_formula_cost(1, 0, AffineWeight.from_c_values(1, (2, 0), -401))
+
+    def test_deepest_rank_one_sweep_is_accepted(self, capsys):
+        # 6.4 s when every character had a memo of its own
+        start = time.process_time()
+        code, out, _ = run(capsys, "verify", "--n", "1", "--eta0-max", "100",
+                           "--format", "json")
+        assert time.process_time() - start < 3.0
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["instances"] == 302 and result["failures"] == 0
 
     @pytest.mark.parametrize("argv,param", [
         # eta' = (-1, 2, 1) is not of the form e_j + e_k
@@ -226,13 +259,19 @@ class TestContractFuzz:
     entries in [-3, 4], --norm-bound <= 12, --kmax <= 4)."""
 
     COMMANDS = ["tau", "socle", "orbit", "gamma", "flag-mult", "multiplicity",
-                "limit", "tensor-general"]
+                "limit", "tensor-general", "verify"]
 
     @staticmethod
     def options(data, command):
         n = data.draw(st.integers(1, 3))
         opts = {"--n": mostly(st.just(str(n)))}
-        if command in ("socle", "orbit"):
+        if command == "verify":
+            # ranks N or LO..HI in 0..3, both ways round
+            bound = st.integers(0, 3).map(str)
+            opts["--n"] = mostly(st.one_of(bound, st.tuples(bound, bound).map("..".join)))
+            opts["--eta0-max"] = mostly(ints(-2, 8))
+            opts["--depth"] = mostly(ints(-1, 2))
+        elif command in ("socle", "orbit"):
             opts["--level"] = mostly(ints(-1, 3))
             opts["--mu"] = mostly(ints(-3, 4, n))
         elif command == "tau":
@@ -336,6 +375,26 @@ class TestVerify:
             assert brute == len(mw_shapes_with_character(eta, int(case.group(1))))
             checked += 1
         assert checked > 0
+
+
+    def test_delta_strings_follow_eta_from_xi(self):
+        # lowering by delta = sum_l alpha_l adds 1 to every entry of eta
+        for n in range(1, 5):
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    k = (i - j) % (n + 1)
+                    top = affine_Lambda(n, j) + affine_Lambda(n, k)
+                    found = []
+                    for eta0 in range(16):
+                        try:
+                            found.append(eta_from_xi(n, i, top.shift_delta(-eta0)))
+                        except ValueError:
+                            assert not found  # the string has no gap
+                    assert found
+                    assert _delta_string(n, i, j, k, 15) == found
+                    first, d0 = found[0], 16 - len(found)
+                    for eta0, eta in enumerate(found, start=d0):
+                        assert eta == tuple(e + eta0 - d0 for e in first)
 
 
 class TestOtherCommands:

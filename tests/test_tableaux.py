@@ -3,9 +3,12 @@ tableau multiplicity count."""
 
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affmult.affine_cartan import affine_Lambda
+from affmult.multiplicities import eta_from_xi, tau_formula
 from affmult.tableaux import (
     charged_tableau,
     content_character,
@@ -17,6 +20,7 @@ from affmult.tableaux import (
     shape_character,
     tau_bruteforce,
     tau_count,
+    tau_counts,
 )
 
 shapes = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(
@@ -67,6 +71,36 @@ def characters(draw):
             parts.pop(0)
         eta = shape_character(parts, i, n)
     return tuple(eta), i
+
+
+@st.composite
+def charge_mixes(draw):
+    """(etas, i): a shuffled mix of characters of one (n, i), n <= 3, drawn
+    from the delta-strings of every (j, k) down to eta0 = 8, with repeats
+    and the zero character."""
+    n = draw(st.integers(1, 3))
+    i = draw(st.integers(0, n))
+    pool = []
+    for j in range(n + 1):
+        k = (i - j) % (n + 1)
+        top = affine_Lambda(n, j) + affine_Lambda(n, k)
+        for eta0 in range(9):
+            try:
+                pool.append(eta_from_xi(n, i, top.shift_delta(-eta0)))
+            except ValueError:
+                pass
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(chosen), max_size=4))
+    return draw(st.permutations(chosen + repeats + [(0,) * (n + 1)])), i
+
+
+def distinct_part_counts(size: int, parts) -> list:
+    """Coefficients up to q^size of prod_{p in parts} (1 + q^p)."""
+    out = [1] + [0] * size
+    for p in parts:
+        for s in range(size, p - 1, -1):
+            out[s] += out[s - p]
+    return out
 
 
 class TestChargedTableau:
@@ -209,6 +243,41 @@ class TestTauCount:
 
     def test_bruteforce_is_the_count(self):
         assert tau_bruteforce((40, 40, 39), 1) == 10584
+
+
+class TestTauCounts:
+    @given(charge_mixes())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_memo_matches_fresh_counts(self, case):
+        etas, i = case
+        assert tau_counts(etas, i) == [tau_count(eta, i) for eta in etas]
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="mixed lengths"):
+            tau_counts([(1, 1), (1, 1, 1)], 0)
+
+    def test_no_characters(self):
+        assert tau_counts([], 1) == []
+
+    def test_ising_strings_at_rank_one(self):
+        # At n = 1 the delta-strings are the Ising (c = 1/2) characters:
+        # 2 Lambda_0 - d delta has eta = (d, d) and 2 Lambda_1 - (d + 1) delta
+        # has eta = (d + 1, d), both at charge 0, and they are the even and
+        # odd parts of prod_{r >= 1} (1 + q^(r - 1/2)); Lambda_0 + Lambda_1
+        # - d delta has eta = (d, d) at charge 1 and gives prod_{r >= 1}
+        # (1 + q^r).  In x = q^(1/2) the first product counts partitions
+        # into distinct odd parts.
+        D = 20
+        odd = distinct_part_counts(2 * D + 1, range(1, 2 * D + 2, 2))
+        cases = [
+            (0, [(d, d) for d in range(D + 1)], odd[0::2]),
+            (0, [(d + 1, d) for d in range(D + 1)], odd[1::2]),
+            (1, [(d, d) for d in range(D + 1)],
+             distinct_part_counts(D, range(1, D + 1))),
+        ]
+        for i, etas, series in cases:
+            assert tau_counts(etas, i) == series
+            assert [tau_formula(1, i, eta) for eta in etas] == series
 
 
 class TestEtaPrime:
