@@ -7,6 +7,11 @@ rational degree (``--cvals h0,...,hn --degree p/q``).
 
 Exit codes: 0 success, 1 cross-check mismatch, 2 parameter validation
 failure, 141 (128 + SIGPIPE) when the reader closes stdout early.
+
+The subcommands are one table, ``COMMANDS``: each entry names its help
+text, provenance rule, rank bound, options and handler.  ``main`` checks
+the options in the order of the entry, runs the handler on the checked
+values and prints the one payload.
 """
 
 from __future__ import annotations
@@ -18,12 +23,18 @@ import sys
 from fractions import Fraction
 from math import comb, isqrt
 
-from .affine_cartan import AffineWeight, FiniteWeight, affine_Lambda, scaled_cap
+from .affine_cartan import (
+    AffineWeight,
+    FiniteWeight,
+    affine_Lambda,
+    nonneg_root_coeffs,
+    scaled_cap,
+)
 from .char_oracle import tensor_outer_multiplicities
 from .multiplicities import (
+    direct_split,
     eta_from_xi,
     f_ball_bound,
-    flag_multiplicity_at,
     flag_multiplicity_poly,
     orbit_terms,
     outer_multiplicity_formula,
@@ -31,6 +42,7 @@ from .multiplicities import (
     rotated_to_zero,
     tau_formula,
 )
+from .records import Record
 from .tableaux import jk_from_eta, mw_shapes_with_character, tau_count, tau_counts
 from .weyl_orbits import (
     b_vector,
@@ -41,40 +53,23 @@ from .weyl_orbits import (
     socle_oracle,
 )
 
-# Input caps (times on a 2-core VM, CPython 3.11).  `tau` builds every
-# admissible shape and prints one row each: 17,180 rows take 2.3 s, and
-# `tau_count`, stopped once it passes the cap, refuses in well under a
-# second.  The reflection descent of `socle` makes `descent_length` steps,
-# which grow with both |mu| and n, and each step scans up to n + 1 coroot
-# values for the first negative one and changes at most three: entries of
-# -1000 take 119,964 steps at n = 8 (0.08 s) and 11,479,180 at n = 40.
-# The f-ball walk of `gamma`, `multiplicity`, `limit` and `tensor-general`
-# (on the rotated weight) tests C(M + n, n) leaves,
-# M = isqrt(floor((n + 1) * bound)); a leaf costs most at n = 1, where
-# every leaf is a ball point: 150,000 leaves take 3.1 s there
-# (`gamma --n 1`), against 6,096,454 leaves in 10.9 s at n = 6.
-# The last three count multipartitions at arguments up to floor(bound / 4), which the walk cap
-# does not bound: `multiplicity --n 1 --i 0 --cvals 2,0` takes 0.14 s at
-# `--degree=-200`, 0.40 s at -300, 0.93 s at -400 (930k `_count`
-# entries) and 18 s at -1000; at -400, n = 2 takes 0.96 s, n = 3 3.9 s and
-# `limit --n 1` with `--kmax 100` 5.8 s.
-# `limit` evaluates k_max + 1 flag multiplicities per member: at k_max = 100
-# `--n 2 --i 1 --cvals 0,0,2 --degree=-6` takes 1.0 s, and 8.6 s at 200.
-# `verify` counts the tableaux of each (rank, charge) through one memo, so
-# its cost grows with --n and --eta0-max about as the formula side does:
-# `--n 1 --eta0-max 100` takes 0.4 s, `--n 3 --eta0-max 100` 12 s and
-# `--n 4 --eta0-max 100` 54 s; the oracle rows (ranks <= 2) take 3.4 s at
-# `--depth 100`.  The worst accepted sweep, `--n 1..4 --eta0-max 100
-# --depth 100`, takes 79 s.
-TAU_MAX_ROWS = 20_000
-SOCLE_MAX_ENTRY = 1_000
-SOCLE_MAX_SCANNED = 2_000_000
-BALL_MAX_LEAVES = 150_000
-RHO_MAX_ARGUMENT = 400
-LIMIT_MAX_KMAX = 100
-VERIFY_MAX_RANK = 4
-VERIFY_MAX_ETA0 = 100
-VERIFY_MAX_DEPTH = 100
+# Input caps, one derivation line each; README's "CLI" table gives the worst
+# query each one accepts and its time.
+TAU_MAX_ROWS = 20_000  # `tau` prints one row per admissible shape
+TAU_MAX_RANK = 30  # the tableau count's block table takes (n + 1)^4 / 4 steps, 231k at 30
+SOCLE_MAX_ENTRY = 1_000  # bounds |mu|, and with it the descent's steps at each rank
+SOCLE_MAX_SCANNED = 2_000_000  # descent steps times the n + 1 coroot values each scans
+SOCLE_MAX_RANK = 1_999  # descent_length's n(n + 1)/2 partial sums stay <= SOCLE_MAX_SCANNED
+BALL_MAX_LEAVES = 150_000  # f-ball walk leaves, C(M + n, n) with M = isqrt(cap)
+WALK_MAX_RANK = 64  # a leaf resumes n nested generators; to 64 costs <= a ball point at n = 1
+RHO_MAX_ARGUMENT = 400  # counts run to floor(bound/4), and in `limit` to k_max * floor(M/2)
+LIMIT_MAX_KMAX = 100  # `limit` evaluates k_max + 1 flag multiplicities per member
+FLAG_MAX_RANK = 300  # the flag data reads the n x n inverse Cartan matrix three times
+FLAG_MAX_DEPTH = 400  # q_binomial recurses a_j + b_j deep, two of Python's 1000 frames a level
+FLAG_MAX_DEGREE = 1_000  # Pascal table and product take about (sum a_j b_j)^2 steps
+VERIFY_MAX_RANK = 4  # the tableau counts and walks of rank 4 take 54 s at --eta0-max 100
+VERIFY_MAX_ETA0 = 100  # each (rank, charge) counts eta0_max + 1 characters per delta-string
+VERIFY_MAX_DEPTH = 100  # the oracle tables of ranks <= 2 grow with the depth
 
 
 class ValidationError(Exception):
@@ -104,21 +99,11 @@ def parse_weight(n: int, text: str, name: str) -> FiniteWeight:
     return FiniteWeight(n, coords)
 
 
-def parse_affine(n: int, cvals: str, degree: str) -> AffineWeight:
-    cv = parse_vec(cvals, "--cvals")
-    if len(cv) != n + 1:
-        raise ValidationError("parameter --cvals: need n + 1 values")
-    return AffineWeight.from_c_values(n, cv, parse_rat(degree, "--degree"))
-
-
-def check_rank(n: int) -> None:
-    if n < 1:
-        raise ValidationError("parameter --n: rank must be >= 1")
-
-
-def check_index(i: int, n: int, name: str) -> None:
-    if not 0 <= i <= n:
-        raise ValidationError(f"parameter {name}: index must lie in [0, n]")
+def check_rank(lo: int, hi: int, bound: int, noun: str = "rank") -> None:
+    if lo < 1:
+        raise ValidationError(f"parameter --n: {noun} must be >= 1")
+    if hi > bound:
+        raise ValidationError(f"parameter --n: {noun} must be <= {bound}")
 
 
 def check_ball(n: int, bound, name: str) -> None:
@@ -131,15 +116,22 @@ def check_ball(n: int, bound, name: str) -> None:
                               f"leaves, more than {BALL_MAX_LEAVES}")
 
 
-def check_formula_cost(n: int, i: int, xi: AffineWeight) -> None:
+def check_formula_cost(n: int, i: int, xi: AffineWeight, kmax: int = 0) -> None:
     """Refuse an orbit sum of charge i at xi whose f-ball walk is over
     BALL_MAX_LEAVES or whose multipartition counts run past argument
-    RHO_MAX_ARGUMENT; both grow with the depth of xi, so name --degree."""
+    RHO_MAX_ARGUMENT; both grow with the depth of xi, so name --degree.
+    With kmax, refuse also a limit route whose k_max-th flag multiplicities
+    count past RHO_MAX_ARGUMENT: a member's k-th one counts at about k|b|,
+    and |b| <= floor(M/2) for the walk's largest entry M."""
     bound = f_ball_bound(n, i, xi)
     check_ball(n, bound, "--degree")
     if bound // 4 > RHO_MAX_ARGUMENT:
         raise ValidationError(f"parameter --degree: the multipartition counts would run "
                               f"to argument {bound // 4}, more than {RHO_MAX_ARGUMENT}")
+    reach = kmax * (isqrt(max(scaled_cap(n, bound), 0)) // 2)
+    if reach > RHO_MAX_ARGUMENT:
+        raise ValidationError(f"parameters --kmax/--degree: the flag multiplicities would "
+                              f"count to argument {reach}, more than {RHO_MAX_ARGUMENT}")
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -174,62 +166,172 @@ def emit(payload: dict, fmt: str) -> None:
         print(f"{key}: {result[key]}")
 
 
-def _payload(command: str, params: dict, result: dict, rule: str) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "result": result,
-        "provenance": {"rule": rule},
-    }
+class Query:
+    """The checked values of one command line, as attributes, and
+    ``params``, the values its payload echoes."""
+
+    def __init__(self, command):
+        self.command = command
+        self.params = {}
+
+    def set(self, **values):
+        """Keep checked values that the payload echoes as given."""
+        self.__dict__.update(values)
+        self.params.update(values)
 
 
-def cmd_tau(args) -> int:
-    check_rank(args.n)
-    check_index(args.i, args.n, "--i")
+class Option(Record):
+    """Options declared and checked together: ``flags`` are (flag,
+    add_argument keywords) pairs, and ``check(args, q)`` validates their
+    values into the Query q, after the options before it in the entry."""
+
+    __slots__ = ("flags", "check")
+
+
+def _check_n(args, q):
+    check_rank(args.n, args.n, q.command.max_rank)
+    q.set(n=args.n)
+
+
+def _index(name: str) -> Option:
+    def check(args, q):
+        value = getattr(args, name)
+        if not 0 <= value <= q.n:
+            raise ValidationError(f"parameter --{name}: index must lie in [0, n]")
+        q.set(**{name: value})
+    return Option(((f"--{name}", dict(type=int, required=True)),), check)
+
+
+def _bounded(flag: str, lo: int, hi: int, **kwargs) -> Option:
+    """An integer option that must lie in [lo, hi]."""
+    dest = flag[2:].replace("-", "_")
+
+    def check(args, q):
+        value = getattr(args, dest)
+        if value < lo:
+            raise ValidationError(f"parameter {flag}: must be >= {lo}")
+        if value > hi:
+            raise ValidationError(f"parameter {flag}: must be <= {hi}")
+        q.set(**{dest: value})
+    return Option(((flag, dict(type=int, **kwargs)),), check)
+
+
+def _check_eta(args, q):
     eta = parse_vec(args.eta, "--eta")
-    if len(eta) != args.n + 1:
+    if len(eta) != q.n + 1:
         raise ValidationError("parameter --eta: need n + 1 entries")
     if any(x < 0 for x in eta):
         raise ValidationError("parameter --eta: entries must be non-negative")
     try:
-        jk_from_eta(eta, args.i)
+        jk_from_eta(eta, q.i)
     except ValueError as exc:
         raise ValidationError(f"parameter --eta: {exc}")
-    if tau_count(eta, args.i, TAU_MAX_ROWS) > TAU_MAX_ROWS:
+    q.eta = eta
+    q.params["eta"] = list(eta)
+
+
+def _check_level_mu(args, q):
+    if args.level < 1:
+        raise ValidationError("parameter --level: must be >= 1")
+    q.mu = parse_weight(q.n, args.mu, "--mu")
+    q.set(level=args.level)
+    q.params["mu"] = list(q.mu.coords)
+
+
+def _affine(level_two: bool):
+    """The check of --cvals/--degree: a dominant weight of level 2, or
+    (level_two False) of any positive level."""
+    def check(args, q):
+        cv = parse_vec(args.cvals, "--cvals")
+        if len(cv) != q.n + 1:
+            raise ValidationError("parameter --cvals: need n + 1 values")
+        xi = AffineWeight.from_c_values(q.n, cv, parse_rat(args.degree, "--degree"))
+        if level_two and (xi.level != 2 or not xi.is_dominant()):
+            raise ValidationError("parameter --cvals: weight must be dominant of level 2")
+        if not xi.is_dominant():
+            raise ValidationError("parameter --cvals: weight must be dominant")
+        if xi.level < 1:
+            raise ValidationError("parameter --cvals: level must be >= 1")
+        q.xi = xi
+        q.params.update(cvals=list(xi.c_values()), degree=str(xi.degree))
+    return check
+
+
+def _check_norm_bound(args, q):
+    q.bound = parse_rat(args.norm_bound, "--norm-bound")
+    q.params["norm_bound"] = str(q.bound)
+
+
+def _check_lam_mu(args, q):
+    q.lam = parse_weight(q.n, args.lam, "--lam")
+    q.mu = parse_weight(q.n, args.mu, "--mu")
+    if not q.lam.is_dominant() or not q.mu.is_dominant():
+        raise ValidationError("parameters --lam/--mu: weights must be dominant")
+    q.params.update(lam=list(q.lam.coords), mu=list(q.mu.coords))
+
+
+def _check_r(args, q):
+    q.r = None if args.r is None else parse_rat(args.r, "--r")
+    q.params["r"] = args.r
+
+
+def _check_ranks(args, q):
+    try:
+        lo, hi = args.n.split("..") if ".." in args.n else (args.n, args.n)
+        q.ranks = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ValidationError("parameter --n: expected N or LO..HI")
+    if not q.ranks:
+        raise ValidationError(f"parameter --n: empty range {args.n}")
+    check_rank(q.ranks[0], q.ranks[-1], q.command.max_rank, "ranks")
+    q.params["n"] = args.n
+
+
+RANK = Option((("--n", dict(type=int, required=True)),), _check_n)
+INDEX_I, INDEX_J = _index("i"), _index("j")
+ETA = Option((("--eta", dict(required=True)),), _check_eta)
+LEVEL_MU = Option((("--level", dict(type=int, required=True)), ("--mu", dict(required=True))),
+                  _check_level_mu)
+CVALS_DEGREE = (("--cvals", dict(required=True)), ("--degree", dict(default="0")))
+WEIGHT = Option(CVALS_DEGREE, _affine(level_two=False))
+LEVEL_TWO = Option(CVALS_DEGREE, _affine(level_two=True))
+NORM_BOUND = Option((("--norm-bound", dict(required=True)),), _check_norm_bound)
+LAM_MU = Option((("--lam", dict(required=True)), ("--mu", dict(required=True))), _check_lam_mu)
+R = Option((("--r", dict(default=None)),), _check_r)
+KMAX = _bounded("--kmax", 1, LIMIT_MAX_KMAX, default=20)
+RANKS = Option((("--n", dict(default="1..2")),), _check_ranks)
+ETA0_MAX = _bounded("--eta0-max", 0, VERIFY_MAX_ETA0, default=3)
+DEPTH = _bounded("--depth", 0, VERIFY_MAX_DEPTH, default=0,
+                 help="also run the character-oracle sweep to this depth")
+
+
+def cmd_tau(q):
+    if tau_count(q.eta, q.i, TAU_MAX_ROWS) > TAU_MAX_ROWS:
         raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
                               f"shapes, the most rows tau lists")
-    value = tau_formula(args.n, args.i, eta)
-    shapes = mw_shapes_with_character(eta, args.i)
+    value = tau_formula(q.n, q.i, q.eta)
+    shapes = mw_shapes_with_character(q.eta, q.i)
     result = {
         "value": value,
         "brute_force": len(shapes),
         "rows": [[str(s)] for s in shapes],
         "header": ["shape"],
     }
-    emit(_payload("tau", {"n": args.n, "i": args.i, "eta": list(eta)},
-                  result, "orbit-pair multipartition count"), args.format)
-    if value != len(shapes):
-        print(f"mismatch: formula {value} != brute force {len(shapes)}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return result, (value != len(shapes)
+                    and f"mismatch: formula {value} != brute force {len(shapes)}")
 
 
-def cmd_socle(args) -> int:
-    check_rank(args.n)
-    if args.level < 1:
-        raise ValidationError("parameter --level: must be >= 1")
-    mu = parse_weight(args.n, args.mu, "--mu")
-    if any(abs(c) > SOCLE_MAX_ENTRY for c in mu.coords):
+def cmd_socle(q):
+    if any(abs(c) > SOCLE_MAX_ENTRY for c in q.mu.coords):
         raise ValidationError(f"parameter --mu: entries must lie in "
                               f"[-{SOCLE_MAX_ENTRY}, {SOCLE_MAX_ENTRY}]")
-    probe = AffineWeight(mu.w0_image(), args.level, Fraction(0))
+    probe = AffineWeight(q.mu.w0_image(), q.level, Fraction(0))
     steps = descent_length(probe)
-    if steps * (args.n + 1) > SOCLE_MAX_SCANNED:
+    if steps * (q.n + 1) > SOCLE_MAX_SCANNED:
         raise ValidationError(f"parameter --mu: the reflection descent makes {steps} steps "
-                              f"and scans up to {args.n + 1} coroot values in each, "
+                              f"and scans up to {q.n + 1} coroot values in each, "
                               f"more than {SOCLE_MAX_SCANNED} values scanned")
-    formula = socle_formula(args.level, mu).weight
+    formula = socle_formula(q.level, q.mu).weight
     oracle = socle_oracle(probe).weight
     result = {
         "cvals": list(formula.c_values()),
@@ -237,21 +339,12 @@ def cmd_socle(args) -> int:
         "oracle_cvals": list(oracle.c_values()),
         "oracle_degree": str(oracle.degree),
     }
-    emit(_payload("socle", {"n": args.n, "level": args.level, "mu": list(mu.coords)},
-                  result, "closed-form dominant representative"), args.format)
-    if formula != oracle:
-        print("mismatch: closed form disagrees with reflection descent",
-              file=sys.stderr)
-        return 1
-    return 0
+    return result, (formula != oracle
+                    and "mismatch: closed form disagrees with reflection descent")
 
 
-def cmd_orbit(args) -> int:
-    check_rank(args.n)
-    if args.level < 1:
-        raise ValidationError("parameter --level: must be >= 1")
-    mu = parse_weight(args.n, args.mu, "--mu")
-    pair = orbit_pair(args.level, mu)
+def cmd_orbit(q):
+    pair = orbit_pair(q.level, q.mu)
     result = {
         "m": list(pair.m),
         "p": list(pair.p),
@@ -259,124 +352,68 @@ def cmd_orbit(args) -> int:
         "residue": pair.residue(),
         "dominant": pair.in_dominant_set(),
     }
-    if args.level == 2 and pair.in_dominant_set():
+    if q.level == 2 and pair.in_dominant_set():
         result["b_vector"] = list(b_vector(pair))
-    emit(_payload("orbit", {"n": args.n, "level": args.level, "mu": list(mu.coords)},
-                  result, "orbit-pair division"), args.format)
-    return 0
+    return result, None
 
 
-def cmd_gamma(args) -> int:
-    check_rank(args.n)
-    xi = parse_affine(args.n, args.cvals, args.degree)
-    if not xi.is_dominant():
-        raise ValidationError("parameter --cvals: weight must be dominant")
-    if xi.level < 1:
-        raise ValidationError("parameter --cvals: level must be >= 1")
-    bound = parse_rat(args.norm_bound, "--norm-bound")
-    check_ball(args.n, bound, "--norm-bound")
-    rows = []
-    for mu, pair in enumerate_gamma(xi, bound):
-        rows.append([list(mu.coords), list(pair.m), list(pair.p)])
-    result = {"count": len(rows), "rows": rows, "header": ["mu", "m", "p"]}
-    emit(_payload("gamma", {"n": args.n, "cvals": list(xi.c_values()),
-                            "degree": str(xi.degree),
-                            "norm_bound": str(bound)},
-                  result, "orbit-set enumeration"), args.format)
-    return 0
+def cmd_gamma(q):
+    check_ball(q.n, q.bound, "--norm-bound")
+    rows = [[list(mu.coords), list(pair.m), list(pair.p)]
+            for mu, pair in enumerate_gamma(q.xi, q.bound)]
+    return {"count": len(rows), "rows": rows, "header": ["mu", "m", "p"]}, None
 
 
-def cmd_flag_mult(args) -> int:
-    check_rank(args.n)
-    lam = parse_weight(args.n, args.lam, "--lam")
-    mu = parse_weight(args.n, args.mu, "--mu")
-    if not lam.is_dominant() or not mu.is_dominant():
-        raise ValidationError("parameters --lam/--mu: weights must be dominant")
-    if args.r is not None:
-        r = parse_rat(args.r, "--r")
-        result = {"value": flag_multiplicity_at(lam, mu, r)}
-    else:
-        poly = flag_multiplicity_poly(lam, mu)
-        result = {
-            "polynomial": repr(poly),
-            "rows": [[str(e), poly.coeffs[e]] for e in poly.support()],
-            "header": ["exponent", "coefficient"],
-        }
-    emit(_payload("flag-mult", {"n": args.n, "lam": list(lam.coords),
-                                "mu": list(mu.coords), "r": args.r},
-                  result, "flag-multiplicity generating polynomial"), args.format)
-    return 0
+def cmd_flag_mult(q):
+    """Both modes read the generating polynomial, the product of the
+    Gaussian binomials [a_j + b_j choose a_j]_q, with a the root
+    coefficients of lam - mu and b the bounds of mu; --r reads one
+    coefficient."""
+    a = nonneg_root_coeffs(q.lam - q.mu)
+    if a is not None:
+        b = direct_split(q.mu)[0].coords
+        # [a_j + b_j choose a_j]_q is 1 at once when a_j or b_j is 0
+        depth = max((x + y for x, y in zip(a, b) if x and y), default=0)
+        if depth > FLAG_MAX_DEPTH:
+            raise ValidationError(f"parameters --lam/--mu: the Gaussian binomials recurse "
+                                  f"{depth} deep, more than {FLAG_MAX_DEPTH}")
+        degree = sum(x * y for x, y in zip(a, b))
+        if degree > FLAG_MAX_DEGREE:
+            raise ValidationError(f"parameters --lam/--mu: the polynomial has degree "
+                                  f"{degree}, more than {FLAG_MAX_DEGREE}")
+    poly = flag_multiplicity_poly(q.lam, q.mu)
+    if q.r is not None:
+        return {"value": poly.coeff(q.r)}, None
+    return {
+        "polynomial": repr(poly),
+        "rows": [[str(e), poly.coeffs[e]] for e in poly.support()],
+        "header": ["exponent", "coefficient"],
+    }, None
 
 
-def cmd_multiplicity(args) -> int:
-    check_rank(args.n)
-    check_index(args.i, args.n, "--i")
-    xi = parse_affine(args.n, args.cvals, args.degree)
-    if xi.level != 2 or not xi.is_dominant():
-        raise ValidationError("parameter --cvals: weight must be dominant of level 2")
-    check_formula_cost(args.n, args.i, xi)
+def cmd_multiplicity(q):
+    check_formula_cost(q.n, q.i, q.xi)
     rows = [[list(mu.coords), list(b), str(f), count]
-            for mu, b, f, count in orbit_terms(args.n, args.i, xi)]
-    result = {"value": sum(row[-1] for row in rows), "rows": rows,
-              "header": ["mu", "bounds", "f", "count"]}
-    emit(_payload("multiplicity", {"n": args.n, "i": args.i,
-                                   "cvals": list(xi.c_values()),
-                                   "degree": str(xi.degree)},
-                  result, "orbit-sum multiplicity formula"), args.format)
-    return 0
+            for mu, b, f, count in orbit_terms(q.n, q.i, q.xi)]
+    return {"value": sum(row[-1] for row in rows), "rows": rows,
+            "header": ["mu", "bounds", "f", "count"]}, None
 
 
-def cmd_limit(args) -> int:
-    check_rank(args.n)
-    check_index(args.i, args.n, "--i")
-    xi = parse_affine(args.n, args.cvals, args.degree)
-    if xi.level != 2 or not xi.is_dominant():
-        raise ValidationError("parameter --cvals: weight must be dominant of level 2")
-    if args.kmax < 1:
-        raise ValidationError("parameter --kmax: must be >= 1")
-    if args.kmax > LIMIT_MAX_KMAX:
-        raise ValidationError(f"parameter --kmax: must be <= {LIMIT_MAX_KMAX}")
-    check_formula_cost(args.n, args.i, xi)
-    res = outer_multiplicity_limit(args.n, args.i, xi, args.kmax)
+def cmd_limit(q):
+    check_formula_cost(q.n, q.i, q.xi, q.kmax)
+    res = outer_multiplicity_limit(q.n, q.i, q.xi, q.kmax)
     rows = [[list(mu.coords), thr, list(vals)] for mu, thr, vals in res.sequences]
-    result = {"value": res.value, "stabilized_at": res.stabilized_at,
-              "rows": rows, "header": ["mu", "threshold", "sequence"]}
-    emit(_payload("limit", {"n": args.n, "i": args.i,
-                            "cvals": list(xi.c_values()),
-                            "degree": str(xi.degree), "kmax": args.kmax},
-                  result, "stabilizing flag-multiplicity limit"), args.format)
-    return 0
+    return {"value": res.value, "stabilized_at": res.stabilized_at,
+            "rows": rows, "header": ["mu", "threshold", "sequence"]}, None
 
 
-def cmd_tensor_general(args) -> int:
-    check_rank(args.n)
-    check_index(args.i, args.n, "--i")
-    check_index(args.j, args.n, "--j")
-    xi = parse_affine(args.n, args.cvals, args.degree)
-    if xi.level != 2 or not xi.is_dominant():
-        raise ValidationError("parameter --cvals: weight must be dominant of level 2")
+def cmd_tensor_general(q):
     try:
-        charge, xi_rot = rotated_to_zero(args.n, args.i, args.j, xi)
+        charge, xi_rot = rotated_to_zero(q.n, q.i, q.j, q.xi)
     except ValueError as exc:
         raise ValidationError(f"parameter --cvals: {exc}")
-    check_formula_cost(args.n, charge, xi_rot)
-    result = {"value": outer_multiplicity_formula(args.n, charge, xi_rot)}
-    emit(_payload("tensor-general", {"n": args.n, "i": args.i, "j": args.j,
-                                     "cvals": list(xi.c_values()),
-                                     "degree": str(xi.degree)},
-                  result, "rotation reduction to the (0, j - i) case"), args.format)
-    return 0
-
-
-def _parse_range(text: str, name: str) -> range:
-    try:
-        lo, hi = text.split("..") if ".." in text else (text, text)
-        values = range(int(lo), int(hi) + 1)
-    except ValueError:
-        raise ValidationError(f"parameter {name}: expected N or LO..HI")
-    if not values:
-        raise ValidationError(f"parameter {name}: empty range {text}")
-    return values
+    check_formula_cost(q.n, charge, xi_rot)
+    return {"value": outer_multiplicity_formula(q.n, charge, xi_rot)}, None
 
 
 def _verify_instance(task):
@@ -417,53 +454,65 @@ def _delta_string(n: int, i: int, j: int, k: int, eta0_max: int) -> list:
     return []
 
 
-def cmd_verify(args) -> int:
-    ranks = _parse_range(args.n, "--n")
-    if ranks[0] < 1:
-        raise ValidationError("parameter --n: ranks must be >= 1")
-    if ranks[-1] > VERIFY_MAX_RANK:
-        raise ValidationError(f"parameter --n: ranks must be <= {VERIFY_MAX_RANK}")
-    if args.eta0_max < 0:
-        raise ValidationError("parameter --eta0-max: must be >= 0")
-    if args.eta0_max > VERIFY_MAX_ETA0:
-        raise ValidationError(f"parameter --eta0-max: must be <= {VERIFY_MAX_ETA0}")
-    if args.depth < 0:
-        raise ValidationError("parameter --depth: must be >= 0")
-    if args.depth > VERIFY_MAX_DEPTH:
-        raise ValidationError(f"parameter --depth: must be <= {VERIFY_MAX_DEPTH}")
+def cmd_verify(q):
     tasks = []
-    for n in ranks:
+    for n in q.ranks:
         for i in range(n + 1):
             etas = []
             for j in range(n + 1):
                 k = (i - j) % (n + 1)
                 if j <= k:
-                    etas += _delta_string(n, i, j, k, args.eta0_max)
+                    etas += _delta_string(n, i, j, k, q.eta0_max)
             if etas:
                 tasks.append(("tau", (n, i, etas)))
-    if args.depth > 0:
-        for n in ranks:
+    if q.depth > 0:
+        for n in q.ranks:
             if n > 2:
                 continue  # oracle rows cover ranks <= 2; the tests check rank 3
             for i in range(n + 1):
-                tasks.append(("oracle", (n, i, args.depth)))
-    outcomes = [row for t in tasks for row in _verify_instance(t)]
-    rows = []
-    failures = []
-    for ok, key, detail in outcomes:
-        rows.append([key, "pass" if ok else "FAIL", detail])
-        if not ok:
-            failures.append((key, detail))
+                tasks.append(("oracle", (n, i, q.depth)))
+    rows = [[key, "pass" if ok else "FAIL", detail]
+            for t in tasks for ok, key, detail in _verify_instance(t)]
+    failures = [row for row in rows if row[1] == "FAIL"]
     result = {"instances": len(rows), "failures": len(failures),
               "rows": rows, "header": ["instance", "status", "detail"]}
-    emit(_payload("verify", {"n": args.n, "eta0_max": args.eta0_max,
-                             "depth": args.depth},
-                  result, "cross-check suite"), args.format)
-    if failures:
-        key, detail = failures[0]
-        print(f"first failing instance: {key} ({detail})", file=sys.stderr)
-        return 1
-    return 0
+    return result, (failures
+                    and f"first failing instance: {failures[0][0]} ({failures[0][2]})")
+
+
+class Command(Record):
+    """One subcommand: its help text, provenance rule, the largest --n it
+    takes, its options in the order they are checked, and its handler,
+    which returns the result and a mismatch message or a false value."""
+
+    __slots__ = ("help", "rule", "max_rank", "options", "run")
+
+
+COMMANDS = {
+    "tau": Command("tableau-count multiplicity from a content character",
+                   "orbit-pair multipartition count", TAU_MAX_RANK, (RANK, INDEX_I, ETA), cmd_tau),
+    "socle": Command("dominant orbit representative", "closed-form dominant representative",
+                     SOCLE_MAX_RANK, (RANK, LEVEL_MU), cmd_socle),
+    # orbit_pair is linear in n; the bound is that of socle, on the same weight
+    "orbit": Command("orbit-pair division of a finite weight", "orbit-pair division",
+                     SOCLE_MAX_RANK, (RANK, LEVEL_MU), cmd_orbit),
+    "gamma": Command("enumerate the orbit set of a dominant weight", "orbit-set enumeration",
+                     WALK_MAX_RANK, (RANK, WEIGHT, NORM_BOUND), cmd_gamma),
+    "flag-mult": Command("flag multiplicity polynomial or value",
+                         "flag-multiplicity generating polynomial", FLAG_MAX_RANK,
+                         (RANK, LAM_MU, R), cmd_flag_mult),
+    "multiplicity": Command("outer multiplicity via the orbit sum",
+                            "orbit-sum multiplicity formula", WALK_MAX_RANK,
+                            (RANK, INDEX_I, LEVEL_TWO), cmd_multiplicity),
+    "limit": Command("outer multiplicity via the stabilizing limit",
+                     "stabilizing flag-multiplicity limit", WALK_MAX_RANK,
+                     (RANK, INDEX_I, LEVEL_TWO, KMAX), cmd_limit),
+    "tensor-general": Command("multiplicity in a general fundamental tensor product",
+                              "rotation reduction to the (0, j - i) case", WALK_MAX_RANK,
+                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO), cmd_tensor_general),
+    "verify": Command("run the cross-check suites", "cross-check suite", VERIFY_MAX_RANK,
+                      (RANKS, ETA0_MAX, DEPTH), cmd_verify),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,94 +521,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact outer multiplicities for affine type A tensor products",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=["table", "json", "csv"],
-                       default="table")
-
-    p = sub.add_parser("tau", help="tableau-count multiplicity from a content character")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--eta", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("socle", help="dominant orbit representative")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mu", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_socle)
-
-    p = sub.add_parser("orbit", help="orbit-pair division of a finite weight")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mu", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("gamma", help="enumerate the orbit set of a dominant weight")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cvals", required=True)
-    p.add_argument("--degree", default="0")
-    p.add_argument("--norm-bound", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("flag-mult", help="flag multiplicity polynomial or value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--r", default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_flag_mult)
-
-    p = sub.add_parser("multiplicity", help="outer multiplicity via the orbit sum")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--cvals", required=True)
-    p.add_argument("--degree", default="0")
-    add_common(p)
-    p.set_defaults(func=cmd_multiplicity)
-
-    p = sub.add_parser("limit", help="outer multiplicity via the stabilizing limit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--cvals", required=True)
-    p.add_argument("--degree", default="0")
-    p.add_argument("--kmax", type=int, default=20)
-    add_common(p)
-    p.set_defaults(func=cmd_limit)
-
-    p = sub.add_parser("tensor-general",
-                       help="multiplicity in a general fundamental tensor product")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--cvals", required=True)
-    p.add_argument("--degree", default="0")
-    add_common(p)
-    p.set_defaults(func=cmd_tensor_general)
-
-    p = sub.add_parser("verify", help="run the cross-check suites")
-    p.add_argument("--n", default="1..2")
-    p.add_argument("--eta0-max", dest="eta0_max", type=int, default=3)
-    p.add_argument("--depth", type=int, default=0,
-                   help="also run the character-oracle sweep to this depth")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            for flag, kwargs in option.flags:
+                p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    q = Query(command)
     try:
-        code = args.func(args)
+        for option in command.options:
+            option.check(args, q)
+        result, mismatch = command.run(q)
+        emit({"command": args.command, "params": q.params, "result": result,
+              "provenance": {"rule": command.rule}}, args.format)
+        if mismatch:
+            print(mismatch, file=sys.stderr)
         # written here, not at exit, so that a closed reader is caught below
         sys.stdout.flush()
-        return code
+        return 1 if mismatch else 0
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmult.affine_cartan import AffineWeight, affine_Lambda
+from affmult.cli import COMMANDS as TABLE
 from affmult.cli import ValidationError, _delta_string, check_ball, check_formula_cost, main
 from affmult.multiplicities import eta_from_xi
 from affmult.tableaux import mw_shapes_with_character
@@ -181,6 +183,22 @@ class TestValidation:
         (["verify", "--n=-1000000000000..1"], "--n"),
         (["verify", "--n", "1", "--eta0-max", "101"], "--eta0-max"),
         (["verify", "--n", "1", "--depth", "101"], "--depth"),
+        # flag-mult: the Gaussian binomials' recursion depth (a RecursionError
+        # after 4.9 s and 24 s when the count ran) and the polynomial's degree
+        (["flag-mult", "--n", "1", "--lam", "1000", "--mu", "500", "--r", "125500"], "--lam"),
+        (["flag-mult", "--n", "1", "--lam", "1600", "--mu", "800", "--r", "320800"], "--lam"),
+        (["flag-mult", "--n", "1", "--lam", "200", "--mu", "100"], "--lam"),
+        # limit: k_max times the largest |b| (over 60 s and 8.6 s when run)
+        (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-100",
+          "--kmax", "100"], "--kmax"),
+        (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-400",
+          "--kmax", "100"], "--kmax"),
+        # rank bounds: the tableau count's block table (3.2 s), descent_length
+        # (1.3 s), and the walk's recursion (a RecursionError)
+        (["tau", "--n", "100", "--i", "0", "--eta", ",".join(["0"] * 101)], "--n"),
+        (["socle", "--n", "4000", "--level", "1", "--mu=" + ",".join(["-1000"] * 4000)],
+         "--n"),
+        (["gamma", "--n", "1000", "--cvals", "2" + ",0" * 1000, "--norm-bound", "0"], "--n"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         start = time.process_time()
@@ -202,6 +220,21 @@ class TestValidation:
         check_formula_cost(1, 0, AffineWeight.from_c_values(1, (2, 0), -400))
         with pytest.raises(ValidationError, match="argument 401, more than 400"):
             check_formula_cost(1, 0, AffineWeight.from_c_values(1, (2, 0), -401))
+        # at n = 1, depth -12 gives M = 9 and |b| <= 4: k_max 100 reaches 400
+        xi = AffineWeight.from_c_values(1, (2, 0), -12)
+        check_formula_cost(1, 0, xi, 100)
+        with pytest.raises(ValidationError, match="argument 404, more than 400"):
+            check_formula_cost(1, 0, xi, 101)
+        # flag-mult at n = 1: a = (lam - mu)/2 and b = mu/2; depth a + b, degree a * b
+        for lam, mu, refusal in [(800, 798, None), (802, 800, "recurse 401 deep"),
+                                 (220, 200, None), (300, 286, "degree 1001"),
+                                 (2000, 2000, None), (2000, 0, None)]:
+            code, _, err = run(capsys, "flag-mult", "--n", "1", "--lam", str(lam),
+                               "--mu", str(mu), "--format", "json")
+            if refusal:
+                assert code == 2 and refusal in err
+            else:
+                assert code == 0
 
     def test_deepest_rank_one_sweep_is_accepted(self, capsys):
         # 6.4 s when every character had a memo of its own
@@ -252,14 +285,30 @@ def level_two_cvals(n, a, b):
     return ",".join(str((k == a) + (k == b)) for k in range(n + 1))
 
 
+HUGE = 10 ** 12
+# sizes near and past the caps, either sign
+BIG = st.sampled_from([100, 1001, 10 ** 6, HUGE]).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+def big(small):
+    """A value from small, or from BIG one time in two."""
+    return st.one_of(small, BIG).map(str)
+
+
+def spread(length, small):
+    """A vector of one entry from big(small), repeated or followed by zeros."""
+    return st.tuples(big(small), st.booleans()).map(
+        lambda t: ",".join([t[0]] + [t[0] if t[1] else "0"] * (length - 1)))
+
+
 class TestContractFuzz:
     """Every query subcommand on generated argv, every value given as
     --opt=value: the exit code is 0, or 2 with a message that names an
-    option; any other exception fails.  Draws stay small (rank <= 3,
-    entries in [-3, 4], --norm-bound <= 12, --kmax <= 4)."""
+    option; any other exception fails.  The draws of options stay small
+    (rank <= 3, entries in [-3, 4], --norm-bound <= 12, --kmax <= 4); those
+    of large_options reach every cap."""
 
-    COMMANDS = ["tau", "socle", "orbit", "gamma", "flag-mult", "multiplicity",
-                "limit", "tensor-general", "verify"]
+    COMMANDS = list(TABLE)
 
     @staticmethod
     def options(data, command):
@@ -305,22 +354,225 @@ class TestContractFuzz:
         drop = data.draw(st.sampled_from([None] * 4 * len(opts) + list(opts)))
         return [f"{k}={data.draw(v)}" for k, v in opts.items() if k != drop]
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(COMMANDS), st.data())
-    def test_exits_zero_or_two(self, command, data):
-        argv = [command, *self.options(data, command), "--format=json"]
+    @staticmethod
+    def large_options(data, command):
+        """Options with --n at 1..3, at the command's rank bound or past it,
+        and with entries, levels, degrees, --norm-bound, --r and --kmax from
+        BIG one time in two.  verify draws only values past its caps, as its
+        largest accepted sweep takes over a minute."""
+        bound = TABLE[command].max_rank
+        n = data.draw(st.sampled_from([1, 2, 3, bound, bound + 1, 100, 1000, 4000, HUGE]))
+        size = min(n, 4000)
+        opts = {"--n": st.just(str(n))}
+        if command == "verify":
+            opts["--n"] = st.sampled_from(["1", "1..2", "5", "1..5", f"1..{HUGE}", f"-{HUGE}..1"])
+            opts["--eta0-max"] = st.sampled_from(["0", "3", "101", str(HUGE)])
+            opts["--depth"] = st.sampled_from(["0", "1", "101", str(HUGE)])
+        elif command in ("socle", "orbit"):
+            opts["--level"] = big(st.integers(1, 3))
+            opts["--mu"] = spread(size, st.integers(-3, 4))
+        elif command == "tau":
+            opts["--i"] = st.integers(0, size).map(str)
+            opts["--eta"] = spread(size + 1, st.integers(0, 4))
+        elif command == "gamma":
+            opts["--cvals"] = spread(size + 1, st.integers(0, 2))
+            opts["--degree"] = big(st.integers(-3, 4))
+            opts["--norm-bound"] = big(st.integers(-3, 12))
+        elif command == "flag-mult":
+            opts["--lam"] = spread(size, st.integers(0, 4))
+            opts["--mu"] = spread(size, st.integers(0, 4))
+            opts["--r"] = big(st.integers(-3, 4))
+        else:
+            i, j, a = (data.draw(st.integers(0, size)) for _ in range(3))
+            if command != "tensor-general":
+                j = 0
+            opts["--i"] = st.just(str(i))
+            if command == "tensor-general":
+                opts["--j"] = st.just(str(j))
+            opts["--cvals"] = st.just(level_two_cvals(size, a, (i + j - a) % (size + 1)))
+            opts["--degree"] = big(st.integers(-3, 4))
+            if command == "limit":
+                opts["--kmax"] = big(st.integers(1, 4))
+        # about one argv in five leaves an option out (flag-mult --r, say)
+        drop = data.draw(st.sampled_from([None] * 4 * len(opts) + list(opts)))
+        return [f"{k}={data.draw(v)}" for k, v in opts.items() if k != drop]
+
+    @staticmethod
+    def check(command, argv):
+        """Run argv: exit 0 with a payload, or 2 naming an option, within
+        2 s of CPU, and 1 s for a refusal.  A query that runs on is stopped
+        by a CPU-time alarm."""
+        def overrun(signum, frame):
+            raise TimeoutError
+
         out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the argv
-                code = exc.code
+        previous = signal.signal(signal.SIGPROF, overrun)
+        signal.setitimer(signal.ITIMER_PROF, 2.0)
+        start = time.process_time()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+        except TimeoutError:
+            pytest.fail(f"{argv} ran past 2 s of CPU")
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
         assert code in (0, 2), (argv, code, err.getvalue())
         if code == 0:
             assert json.loads(out.getvalue())["command"] == command
         else:
+            assert time.process_time() - start < 1.0, argv
             assert re.search(r"(argument|parameters?|required:) --[a-z]",
                              err.getvalue()), (argv, err.getvalue())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COMMANDS), st.data())
+    def test_exits_zero_or_two(self, command, data):
+        self.check(command, [command, *self.options(data, command), "--format=json"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(COMMANDS), st.data())
+    def test_large_values_exit_zero_or_two(self, command, data):
+        self.check(command, [command, *self.large_options(data, command), "--format=json"])
+
+
+# One small accepted query per subcommand and its exact output in json,
+# table and csv.
+GOLDEN = [
+    (["tau", "--n", "2", "--i", "1", "--eta", "2,2,1"],
+     '{"command": "tau", "params": {"eta": [2, 2, 1], "i": 1, "n": 2}, '
+     '"provenance": {"rule": "orbit-pair multipartition count"}, '
+     '"result": {"brute_force": 1, "header": ["shape"], "rows": [["(3, 2)"]], '
+     '"value": 1}}\n',
+     'shape\n'
+     '(3, 2)\n'
+     'brute_force: 1\n'
+     'value: 1\n',
+     'shape\r\n'
+     '"(3, 2)"\r\n'),
+    (["socle", "--n", "2", "--level", "2", "--mu", "2,0"],
+     '{"command": "socle", "params": {"level": 2, "mu": [2, 0], "n": 2}, '
+     '"provenance": {"rule": "closed-form dominant representative"}, '
+     '"result": {"cvals": [0, 2, 0], "degree": "0", "oracle_cvals": [0, 2, '
+     '0], "oracle_degree": "0"}}\n',
+     'cvals: [0, 2, 0]\n'
+     'degree: 0\n'
+     'oracle_cvals: [0, 2, 0]\n'
+     'oracle_degree: 0\n',
+     'cvals,"[0, 2, 0]"\r\n'
+     'degree,0\r\n'
+     'oracle_cvals,"[0, 2, 0]"\r\n'
+     'oracle_degree,0\r\n'),
+    (["orbit", "--n", "2", "--level", "2", "--mu", "6,5"],
+     '{"command": "orbit", "params": {"level": 2, "mu": [6, 5], "n": 2}, '
+     '"provenance": {"rule": "orbit-pair division"}, "result": {"a": [11, 6], '
+     '"b_vector": [2, 3], "dominant": true, "m": [1, 2], "p": [5, 2], '
+     '"residue": 2}}\n',
+     'a: [11, 6]\n'
+     'b_vector: [2, 3]\n'
+     'dominant: True\n'
+     'm: [1, 2]\n'
+     'p: [5, 2]\n'
+     'residue: 2\n',
+     'a,"[11, 6]"\r\n'
+     'b_vector,"[2, 3]"\r\n'
+     'dominant,True\r\n'
+     'm,"[1, 2]"\r\n'
+     'p,"[5, 2]"\r\n'
+     'residue,2\r\n'),
+    (["gamma", "--n", "2", "--cvals", "0,0,2", "--degree", "-6", "--norm-bound", "68/3"],
+     '{"command": "gamma", "params": {"cvals": [0, 0, 2], "degree": "-6", '
+     '"n": 2, "norm_bound": "68/3"}, '
+     '"provenance": {"rule": "orbit-set enumeration"}, "result": {"count": 3, '
+     '"header": ["mu", "m", "p"], "rows": [[[2, 4], [2, 2], [2, 0]], [[4, 0], '
+     '[2, 2], [1, 1]], [[0, 2], [2, 2], [0, -1]]]}}\n',
+     'mu\tm\tp\n'
+     '[2, 4]\t[2, 2]\t[2, 0]\n'
+     '[4, 0]\t[2, 2]\t[1, 1]\n'
+     '[0, 2]\t[2, 2]\t[0, -1]\n'
+     'count: 3\n',
+     'mu,m,p\r\n'
+     '"[2, 4]","[2, 2]","[2, 0]"\r\n'
+     '"[4, 0]","[2, 2]","[1, 1]"\r\n'
+     '"[0, 2]","[2, 2]","[0, -1]"\r\n'),
+    (["flag-mult", "--n", "1", "--lam", "6", "--mu", "2"],
+     '{"command": "flag-mult", "params": {"lam": [6], "mu": [2], "n": 1, '
+     '"r": null}, '
+     '"provenance": {"rule": "flag-multiplicity generating polynomial"}, '
+     '"result": {"header": ["exponent", "coefficient"], '
+     '"polynomial": "q^6 + q^7 + q^8", "rows": [["6", 1], ["7", 1], ["8", '
+     '1]]}}\n',
+     'exponent\tcoefficient\n'
+     '6\t1\n'
+     '7\t1\n'
+     '8\t1\n'
+     'polynomial: q^6 + q^7 + q^8\n',
+     'exponent,coefficient\r\n'
+     '6,1\r\n'
+     '7,1\r\n'
+     '8,1\r\n'),
+    (["multiplicity", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree", "-6"],
+     '{"command": "multiplicity", "params": {"cvals": [0, 0, 2], '
+     '"degree": "-6", "i": 1, "n": 2}, '
+     '"provenance": {"rule": "orbit-sum multiplicity formula"}, '
+     '"result": {"header": ["mu", "bounds", "f", "count"], "rows": [[[2, 4], '
+     '[2, 1], "1", 2], [[4, 0], [0, 2], "3", 2], [[0, 2], [1, 0], "5", 1]], '
+     '"value": 5}}\n',
+     'mu\tbounds\tf\tcount\n'
+     '[2, 4]\t[2, 1]\t1\t2\n'
+     '[4, 0]\t[0, 2]\t3\t2\n'
+     '[0, 2]\t[1, 0]\t5\t1\n'
+     'value: 5\n',
+     'mu,bounds,f,count\r\n'
+     '"[2, 4]","[2, 1]",1,2\r\n'
+     '"[4, 0]","[0, 2]",3,2\r\n'
+     '"[0, 2]","[1, 0]",5,1\r\n'),
+    (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree", "-2", "--kmax", "3"],
+     '{"command": "limit", "params": {"cvals": [0, 0, 2], "degree": "-2", '
+     '"i": 1, "kmax": 3, "n": 2}, '
+     '"provenance": {"rule": "stabilizing flag-multiplicity limit"}, '
+     '"result": {"header": ["mu", "threshold", "sequence"], "rows": [[[0, 2], '
+     '2, [0, 0, 1, 1]]], "stabilized_at": 2, "value": 1}}\n',
+     'mu\tthreshold\tsequence\n'
+     '[0, 2]\t2\t[0, 0, 1, 1]\n'
+     'stabilized_at: 2\n'
+     'value: 1\n',
+     'mu,threshold,sequence\r\n'
+     '"[0, 2]",2,"[0, 0, 1, 1]"\r\n'),
+    (["tensor-general", "--n", "2", "--i", "1", "--j", "2", "--cvals", "2,0,0", "--degree", "-4"],
+     '{"command": "tensor-general", "params": {"cvals": [2, 0, 0], '
+     '"degree": "-4", "i": 1, "j": 2, "n": 2}, '
+     '"provenance": {"rule": "rotation reduction to the (0, j - i) case"}, '
+     '"result": {"value": 4}}\n',
+     'value: 4\n',
+     'value,4\r\n'),
+    (["verify", "--n", "1", "--eta0-max", "0"],
+     '{"command": "verify", "params": {"depth": 0, "eta0_max": 0, "n": "1"}, '
+     '"provenance": {"rule": "cross-check suite"}, "result": {"failures": 0, '
+     '"header": ["instance", "status", "detail"], "instances": 2, '
+     '"rows": [["tau n=1 i=0 eta=(0, 0)", "pass", "formula=1 brute=1"], '
+     '["tau n=1 i=1 eta=(0, 0)", "pass", "formula=1 brute=1"]]}}\n',
+     'instance\tstatus\tdetail\n'
+     'tau n=1 i=0 eta=(0, 0)\tpass\tformula=1 brute=1\n'
+     'tau n=1 i=1 eta=(0, 0)\tpass\tformula=1 brute=1\n'
+     'failures: 0\n'
+     'instances: 2\n',
+     'instance,status,detail\r\n'
+     '"tau n=1 i=0 eta=(0, 0)",pass,formula=1 brute=1\r\n'
+     '"tau n=1 i=1 eta=(0, 0)",pass,formula=1 brute=1\r\n'),
+]
+
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv,json_text,table_text,csv_text", GOLDEN,
+                             ids=[case[0][0] for case in GOLDEN])
+    def test_exact_output(self, capsys, argv, json_text, table_text, csv_text):
+        for fmt, text in [("json", json_text), ("table", table_text), ("csv", csv_text)]:
+            assert run(capsys, *argv, "--format", fmt) == (0, text, "")
 
 
 class TestClosedStdout:
