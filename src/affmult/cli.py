@@ -21,7 +21,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, floor, isqrt
 
 from .affine_cartan import (
     AffineWeight,
@@ -41,6 +41,7 @@ from .multiplicities import (
     outer_multiplicity_limit,
     rotated_to_zero,
     tau_formula,
+    xi_from_eta,
 )
 from .records import Record
 from .tableaux import jk_from_eta, mw_shapes_with_character, tau_count, tau_counts
@@ -61,7 +62,7 @@ SOCLE_MAX_ENTRY = 1_000  # bounds |mu|, and with it the descent's steps at each 
 SOCLE_MAX_SCANNED = 2_000_000  # descent steps times the n + 1 coroot values each scans
 SOCLE_MAX_RANK = 1_999  # descent_length's n(n + 1)/2 partial sums stay <= SOCLE_MAX_SCANNED
 BALL_MAX_LEAVES = 150_000  # f-ball walk leaves, C(M + n, n) with M = isqrt(cap)
-WALK_MAX_RANK = 64  # a leaf resumes n nested generators; to 64 costs <= a ball point at n = 1
+WALK_MAX_RANK = 64  # a leaf is one O(n) test, so a walk takes <= 150,000 * 64 steps
 RHO_MAX_ARGUMENT = 400  # counts run to floor(bound/4), and in `limit` to k_max * floor(M/2)
 LIMIT_MAX_KMAX = 100  # `limit` evaluates k_max + 1 flag multiplicities per member
 FLAG_MAX_RANK = 300  # the flag data reads the n x n inverse Cartan matrix three times
@@ -106,10 +107,13 @@ def check_rank(lo: int, hi: int, bound: int, noun: str = "rank") -> None:
         raise ValidationError(f"parameter --n: {noun} must be <= {bound}")
 
 
-def check_ball(n: int, bound, name: str) -> None:
+def check_ball(n: int, bound, name: str, scale=None) -> None:
     """Refuse a bound whose f-ball walk tests more than BALL_MAX_LEAVES
-    leaves: the weakly decreasing vectors in [0, M]^n, C(M + n, n) of them."""
-    cap = scaled_cap(n, bound)
+    leaves: the weakly decreasing vectors in [0, M]^n, C(M + n, n) of them,
+    with M = isqrt(floor(scale * bound)).  The orbit-set walk has scale
+    n + 1 (the default); level_two_family's box a_1^2 <= 2f has scale 2,
+    and its prunes only cut, so the count bounds its leaves too."""
+    cap = floor((n + 1 if scale is None else scale) * Fraction(bound))
     leaves = comb(isqrt(cap) + n, n) if cap >= 0 else 0
     if leaves > BALL_MAX_LEAVES:
         raise ValidationError(f"parameter {name}: the f-ball walk would test {leaves} "
@@ -309,6 +313,7 @@ def cmd_tau(q):
     if tau_count(q.eta, q.i, TAU_MAX_ROWS) > TAU_MAX_ROWS:
         raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
                               f"shapes, the most rows tau lists")
+    check_ball(q.n, f_ball_bound(q.n, q.i, xi_from_eta(q.n, q.i, q.eta)), "--eta", scale=2)
     value = tau_formula(q.n, q.i, q.eta)
     shapes = mw_shapes_with_character(q.eta, q.i)
     result = {

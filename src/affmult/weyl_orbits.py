@@ -13,6 +13,7 @@ generates those level-2 pairs directly, pruning by the integer form
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Sequence
 
@@ -242,27 +243,20 @@ def gamma_contains(xi: AffineWeight, mu: FiniteWeight) -> bool:
 
 def _dominant_eps_in_ball(n: int, norm_bound):
     """Weakly decreasing non-negative integer vectors a of length n with
-    f(a) <= norm_bound, in depth-first order, largest entries first.
+    f(a) <= norm_bound, in decreasing lexicographic order.
 
     The walk covers the box a_i^2 <= cap, with cap = floor((n+1)*norm_bound)
-    from scaled_cap, and tests each leaf in integers: (n+1)*f(a) is the
-    integer scaled_f(a), so f(a) <= norm_bound exactly when
-    scaled_f(a) <= cap."""
+    from scaled_cap: the C(M + n, n) weakly decreasing vectors in [0, M]^n,
+    M = isqrt(cap), that cli.check_ball counts, in one flat loop over
+    combinations_with_replacement.  Each leaf is tested in integers:
+    (n+1)*f(a) is the integer scaled_f(a), so f(a) <= norm_bound exactly
+    when scaled_f(a) <= cap."""
     cap = scaled_cap(n, norm_bound)
     if cap < 0:
         return
-
-    def rec(prefix, largest):
-        if len(prefix) == n:
-            if scaled_f(prefix) <= cap:
-                yield tuple(prefix)
-            return
-        for v in range(largest, -1, -1):
-            prefix.append(v)
-            yield from rec(prefix, v)
-            prefix.pop()
-
-    yield from rec([], isqrt(cap))
+    for a in combinations_with_replacement(range(isqrt(cap), -1, -1), n):
+        if scaled_f(a) <= cap:
+            yield a
 
 
 def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:

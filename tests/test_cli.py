@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -194,11 +195,13 @@ class TestValidation:
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-400",
           "--kmax", "100"], "--kmax"),
         # rank bounds: the tableau count's block table (3.2 s), descent_length
-        # (1.3 s), and the walk's recursion (a RecursionError)
+        # (1.3 s), and the walk's O(n) leaf test under the leaf cap
         (["tau", "--n", "100", "--i", "0", "--eta", ",".join(["0"] * 101)], "--n"),
         (["socle", "--n", "4000", "--level", "1", "--mu=" + ",".join(["-1000"] * 4000)],
          "--n"),
         (["gamma", "--n", "1000", "--cvals", "2" + ",0" * 1000, "--norm-bound", "0"], "--n"),
+        # tau: level_two_family's walk, C(42, 30) leaves (8.1 s when it ran)
+        (["tau", "--n", "30", "--i", "0", "--eta", ",".join(["20"] * 31)], "--eta"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         start = time.process_time()
@@ -213,6 +216,19 @@ class TestValidation:
         check_ball(1, 11249700000, "--norm-bound")
         with pytest.raises(ValidationError, match="150001 leaves"):
             check_ball(1, 11250000000, "--norm-bound")
+        # level_two_family's box a_1^2 <= 2 * bound: at n = 1, M = 149999
+        # gives 150,000 leaves and M = 150000 gives 150,001
+        check_ball(1, Fraction(149999 ** 2, 2), "--eta", scale=2)
+        with pytest.raises(ValidationError, match="150001 leaves"):
+            check_ball(1, Fraction(150000 ** 2, 2), "--eta", scale=2)
+        # tau at n = 30: eta = 3 everywhere has M = 4 (46,376 leaves), 4 has M = 5
+        for e, refusal in [(3, None), (4, "324632 leaves")]:
+            code, _, err = run(capsys, "tau", "--n", "30", "--i", "0",
+                               "--eta", ",".join([str(e)] * 31), "--format", "json")
+            if refusal:
+                assert code == 2 and "--eta" in err and refusal in err
+            else:
+                assert code == 0
         code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
                            "--degree=-1", "--kmax", "100", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["stabilized_at"] == 1

@@ -4,12 +4,13 @@ families and reduced-pair lengths."""
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affmult import cli, weyl_orbits
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -27,6 +28,7 @@ from affmult.affine_cartan import (
 from affmult.multiplicities import f_ball_bound, mu_split
 from affmult.weyl_orbits import (
     _descend,
+    _dominant_eps_in_ball,
     LevelTwoFamily,
     OrbitPair,
     b_vector,
@@ -363,6 +365,33 @@ class TestIntegerWalk:
                         assert enumerate_gamma(xi, bound) == expect
                         checked += len(expect)
         assert checked > 0
+
+    def test_leaf_count_is_the_cli_cap(self, monkeypatch):
+        """The walk tests scaled_f on exactly the C(M + n, n) leaves,
+        M = isqrt(cap), that cli.check_ball refuses on, and keeps the
+        vectors reference_ball keeps."""
+        tested = []
+
+        def counted(a):
+            tested.append(a)
+            return scaled_f(a)
+
+        monkeypatch.setattr(weyl_orbits, "scaled_f", counted)
+        for n in range(1, 7):
+            for bound in (-2, Fraction(-1, 7), 0, Fraction(1, 3), 1, Fraction(5, 2),
+                          4, Fraction(37, 8), 9):
+                tested.clear()
+                walked = list(_dominant_eps_in_ball(n, bound))
+                assert walked == list(reference_ball(n, Fraction(bound)))
+                cap = scaled_cap(n, bound)
+                leaves = comb(isqrt(cap) + n, n) if cap >= 0 else 0
+                assert len(tested) == leaves
+                monkeypatch.setattr(cli, "BALL_MAX_LEAVES", leaves)
+                cli.check_ball(n, bound, "--norm-bound")
+                if leaves:
+                    monkeypatch.setattr(cli, "BALL_MAX_LEAVES", leaves - 1)
+                    with pytest.raises(cli.ValidationError, match=f" {leaves} leaves"):
+                        cli.check_ball(n, bound, "--norm-bound")
 
 
 class TestLevelTwoFamily:
