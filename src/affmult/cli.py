@@ -9,9 +9,10 @@ Exit codes: 0 success, 1 cross-check mismatch, 2 parameter validation
 failure, 141 (128 + SIGPIPE) when the reader closes stdout early.
 
 The subcommands are one table, ``COMMANDS``: each entry names its help
-text, provenance rule, rank bound, options and handler.  ``main`` checks
-the options in the order of the entry, runs the handler on the checked
-values and prints the one payload.
+text, provenance rule, options, work estimate and handler.  ``main``
+checks the options in the order of the entry, refuses a query whose work
+estimate passes ``WORK_MAX``, runs the handler on the checked values and
+prints the one payload.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .multiplicities import (
     outer_multiplicity_limit,
     rotated_to_zero,
     tau_formula,
-    xi_from_eta,
 )
 from .records import Record
 from .tableaux import jk_from_eta, mw_shapes_with_character, tau_count, tau_counts
@@ -54,23 +54,12 @@ from .weyl_orbits import (
     socle_oracle,
 )
 
-# Input caps, one derivation line each; README's "CLI" table gives the worst
-# query each one accepts and its time.
-TAU_MAX_ROWS = 20_000  # `tau` prints one row per admissible shape
-TAU_MAX_RANK = 30  # the tableau count's block table takes (n + 1)^4 / 4 steps, 231k at 30
-SOCLE_MAX_ENTRY = 1_000  # bounds |mu|, and with it the descent's steps at each rank
-SOCLE_MAX_SCANNED = 2_000_000  # descent steps times the n + 1 coroot values each scans
-SOCLE_MAX_RANK = 1_999  # descent_length's n(n + 1)/2 partial sums stay <= SOCLE_MAX_SCANNED
-BALL_MAX_LEAVES = 150_000  # f-ball walk leaves, C(M + n, n) with M = isqrt(cap)
-WALK_MAX_RANK = 64  # a leaf is one O(n) test, so a walk takes <= 150,000 * 64 steps
-RHO_MAX_ARGUMENT = 400  # counts run to floor(bound/4), and in `limit` to k_max * floor(M/2)
-LIMIT_MAX_KMAX = 100  # `limit` evaluates k_max + 1 flag multiplicities per member
-FLAG_MAX_RANK = 300  # the flag data reads the n x n inverse Cartan matrix three times
-FLAG_MAX_DEPTH = 400  # q_binomial recurses a_j + b_j deep, two of Python's 1000 frames a level
-FLAG_MAX_DEGREE = 1_000  # Pascal table and product take about (sum a_j b_j)^2 steps
-VERIFY_MAX_RANK = 4  # the tableau counts and walks of rank 4 take 54 s at --eta0-max 100
-VERIFY_MAX_ETA0 = 100  # each (rank, charge) counts eta0_max + 1 characters per delta-string
-VERIFY_MAX_DEPTH = 100  # the oracle tables of ranks <= 2 grow with the depth
+# A work estimate counts steps, about one pass of an inner loop each, over
+# the loops its command runs; README's "CLI" table gives each estimate's
+# worst accepted query and its time.
+WORK_MAX = 5_000_000  # 1.5 s at the slowest rate measured for the estimated loops, 3.3M steps/s
+TAU_MAX_ROWS = 20_000  # not work: the most rows `tau` prints, one per admissible shape
+LIMIT_MAX_KMAX = 400  # not work: `limit` counts recurse about k_max deep, two of 1000 frames each
 
 
 class ValidationError(Exception):
@@ -100,42 +89,31 @@ def parse_weight(n: int, text: str, name: str) -> FiniteWeight:
     return FiniteWeight(n, coords)
 
 
-def check_rank(lo: int, hi: int, bound: int, noun: str = "rank") -> None:
-    if lo < 1:
-        raise ValidationError(f"parameter --n: {noun} must be >= 1")
-    if hi > bound:
-        raise ValidationError(f"parameter --n: {noun} must be <= {bound}")
+def _num(x: int) -> str:
+    """x in decimal, or a power of two below it where str(x) would pass
+    Python's limit of 4300 digits."""
+    return str(x) if x.bit_length() < 14_000 else f"over 2^{x.bit_length() - 1}"
 
 
-def check_ball(n: int, bound, name: str, scale=None) -> None:
-    """Refuse a bound whose f-ball walk tests more than BALL_MAX_LEAVES
-    leaves: the weakly decreasing vectors in [0, M]^n, C(M + n, n) of them,
-    with M = isqrt(floor(scale * bound)).  The orbit-set walk has scale
-    n + 1 (the default); level_two_family's box a_1^2 <= 2f has scale 2,
-    and its prunes only cut, so the count bounds its leaves too."""
-    cap = floor((n + 1 if scale is None else scale) * Fraction(bound))
-    leaves = comb(isqrt(cap) + n, n) if cap >= 0 else 0
-    if leaves > BALL_MAX_LEAVES:
-        raise ValidationError(f"parameter {name}: the f-ball walk would test {leaves} "
-                              f"leaves, more than {BALL_MAX_LEAVES}")
+def ball_leaves(n: int, bound, scale: int) -> int:
+    """C(M + n, n) vectors, M = isqrt(floor(scale * bound)): the orbit-set
+    walk's leaves at scale n + 1, and at scale 2 a box holding every a with
+    f(a) <= bound, as a_1^2 <= 2 f(a)."""
+    cap = floor(scale * Fraction(bound))
+    return comb(isqrt(cap) + n, n) if cap >= 0 else 0
 
 
-def check_formula_cost(n: int, i: int, xi: AffineWeight, kmax: int = 0) -> None:
-    """Refuse an orbit sum of charge i at xi whose f-ball walk is over
-    BALL_MAX_LEAVES or whose multipartition counts run past argument
-    RHO_MAX_ARGUMENT; both grow with the depth of xi, so name --degree.
-    With kmax, refuse also a limit route whose k_max-th flag multiplicities
-    count past RHO_MAX_ARGUMENT: a member's k-th one counts at about k|b|,
-    and |b| <= floor(M/2) for the walk's largest entry M."""
-    bound = f_ball_bound(n, i, xi)
-    check_ball(n, bound, "--degree")
-    if bound // 4 > RHO_MAX_ARGUMENT:
-        raise ValidationError(f"parameter --degree: the multipartition counts would run "
-                              f"to argument {bound // 4}, more than {RHO_MAX_ARGUMENT}")
-    reach = kmax * (isqrt(max(scaled_cap(n, bound), 0)) // 2)
-    if reach > RHO_MAX_ARGUMENT:
-        raise ValidationError(f"parameters --kmax/--degree: the flag multiplicities would "
-                              f"count to argument {reach}, more than {RHO_MAX_ARGUMENT}")
+def walk_steps(n: int, bound) -> int:
+    """enumerate_gamma: n + 5 steps a leaf test and 16 times that a socle
+    test (0.5 + 0.03n us and 7.5 + 0.47n us measured)."""
+    return (ball_leaves(n, bound, n + 1) + 16 * ball_leaves(n, bound, 2)) * (n + 5)
+
+
+def count_steps(n: int, bound) -> int:
+    """rho_multi on n components to arguments m <= bound/4, with parts up to
+    floor(M/2) for the walk's largest entry M: memos of (m + 1)^2 values."""
+    m, parts = floor(Fraction(max(bound, 0)) / 4), isqrt(max(scaled_cap(n, bound), 0)) // 2
+    return (m + 1) ** 2 * (parts + 1) * n
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -171,12 +149,22 @@ def emit(payload: dict, fmt: str) -> None:
 
 
 class Query:
-    """The checked values of one command line, as attributes, and
-    ``params``, the values its payload echoes."""
+    """The checked values of parsed arguments, as attributes, and ``params``,
+    the values the payload echoes: each option's check in the order of the
+    command's entry, then its work estimate, refused once its steps so far
+    pass WORK_MAX."""
 
-    def __init__(self, command):
-        self.command = command
+    def __init__(self, args):
         self.params = {}
+        command = COMMANDS[args.command]
+        for option in command.options:
+            option.check(args, self)
+        total = 0
+        for steps, name, what in command.estimate(self):
+            total += steps
+            if total > WORK_MAX:
+                raise ValidationError(f"parameter {name}: {what}: {_num(total)} steps of "
+                                      f"work, more than {WORK_MAX}")
 
     def set(self, **values):
         """Keep checked values that the payload echoes as given."""
@@ -192,11 +180,6 @@ class Option(Record):
     __slots__ = ("flags", "check")
 
 
-def _check_n(args, q):
-    check_rank(args.n, args.n, q.command.max_rank)
-    q.set(n=args.n)
-
-
 def _index(name: str) -> Option:
     def check(args, q):
         value = getattr(args, name)
@@ -206,16 +189,14 @@ def _index(name: str) -> Option:
     return Option(((f"--{name}", dict(type=int, required=True)),), check)
 
 
-def _bounded(flag: str, lo: int, hi: int, **kwargs) -> Option:
-    """An integer option that must lie in [lo, hi]."""
+def _at_least(flag: str, lo: int, **kwargs) -> Option:
+    """An integer option that must be at least lo."""
     dest = flag[2:].replace("-", "_")
 
     def check(args, q):
         value = getattr(args, dest)
         if value < lo:
             raise ValidationError(f"parameter {flag}: must be >= {lo}")
-        if value > hi:
-            raise ValidationError(f"parameter {flag}: must be <= {hi}")
         q.set(**{dest: value})
     return Option(((flag, dict(type=int, **kwargs)),), check)
 
@@ -234,11 +215,8 @@ def _check_eta(args, q):
     q.params["eta"] = list(eta)
 
 
-def _check_level_mu(args, q):
-    if args.level < 1:
-        raise ValidationError("parameter --level: must be >= 1")
+def _check_mu(args, q):
     q.mu = parse_weight(q.n, args.mu, "--mu")
-    q.set(level=args.level)
     q.params["mu"] = list(q.mu.coords)
 
 
@@ -287,33 +265,48 @@ def _check_ranks(args, q):
         raise ValidationError("parameter --n: expected N or LO..HI")
     if not q.ranks:
         raise ValidationError(f"parameter --n: empty range {args.n}")
-    check_rank(q.ranks[0], q.ranks[-1], q.command.max_rank, "ranks")
+    if q.ranks[0] < 1:
+        raise ValidationError("parameter --n: ranks must be >= 1")
     q.params["n"] = args.n
 
 
-RANK = Option((("--n", dict(type=int, required=True)),), _check_n)
+RANK = _at_least("--n", 1, required=True)
 INDEX_I, INDEX_J = _index("i"), _index("j")
 ETA = Option((("--eta", dict(required=True)),), _check_eta)
-LEVEL_MU = Option((("--level", dict(type=int, required=True)), ("--mu", dict(required=True))),
-                  _check_level_mu)
+LEVEL = _at_least("--level", 1, required=True)
+MU = Option((("--mu", dict(required=True)),), _check_mu)
 CVALS_DEGREE = (("--cvals", dict(required=True)), ("--degree", dict(default="0")))
 WEIGHT = Option(CVALS_DEGREE, _affine(level_two=False))
 LEVEL_TWO = Option(CVALS_DEGREE, _affine(level_two=True))
 NORM_BOUND = Option((("--norm-bound", dict(required=True)),), _check_norm_bound)
 LAM_MU = Option((("--lam", dict(required=True)), ("--mu", dict(required=True))), _check_lam_mu)
 R = Option((("--r", dict(default=None)),), _check_r)
-KMAX = _bounded("--kmax", 1, LIMIT_MAX_KMAX, default=20)
+KMAX = _at_least("--kmax", 1, default=20)
 RANKS = Option((("--n", dict(default="1..2")),), _check_ranks)
-ETA0_MAX = _bounded("--eta0-max", 0, VERIFY_MAX_ETA0, default=3)
-DEPTH = _bounded("--depth", 0, VERIFY_MAX_DEPTH, default=0,
-                 help="also run the character-oracle sweep to this depth")
+ETA0_MAX = _at_least("--eta0-max", 0, default=3)
+DEPTH = _at_least("--depth", 0, default=0,
+                  help="also run the character-oracle sweep to this depth")
+
+
+def tau_steps(q):
+    """The count's block table, (n + 1)^4/4 passes of 2 steps (0.14 us a
+    pass measured); then per shape 8(n + 1) steps of the count (up to
+    0.7(n + 1) us measured), which stops once its shapes would pass
+    WORK_MAX, |eta| rows of n + 3 steps for the listing, and the formula's
+    level_two_family walk, which had at most two members a shape, each
+    reached in about n(M + 1) loop passes of 16 steps, M = isqrt(n + 1 +
+    8 eta_0) its largest entry (measured at ranks up to 30)."""
+    block, count = (q.n + 1) ** 4 // 2, 8 * (q.n + 1)
+    yield block, "--n", "the tableau count's block table"
+    rows = tau_count(q.eta, q.i, min(TAU_MAX_ROWS, (WORK_MAX - block) // count))
+    if rows > TAU_MAX_ROWS:
+        raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
+                              f"shapes, the most rows tau lists")
+    per_shape = count + sum(q.eta) * (q.n + 3) + 32 * q.n * (isqrt(q.n + 1 + 8 * q.eta[0]) + 1)
+    yield rows * per_shape, "--eta", f"{rows} shapes of {_num(sum(q.eta))} boxes"
 
 
 def cmd_tau(q):
-    if tau_count(q.eta, q.i, TAU_MAX_ROWS) > TAU_MAX_ROWS:
-        raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
-                              f"shapes, the most rows tau lists")
-    check_ball(q.n, f_ball_bound(q.n, q.i, xi_from_eta(q.n, q.i, q.eta)), "--eta", scale=2)
     value = tau_formula(q.n, q.i, q.eta)
     shapes = mw_shapes_with_character(q.eta, q.i)
     result = {
@@ -326,18 +319,18 @@ def cmd_tau(q):
                     and f"mismatch: formula {value} != brute force {len(shapes)}")
 
 
+def socle_steps(q):
+    """descent_length's n(n + 1)/2 partial sums, 2 steps each, then the
+    descent, which scans up to n + 1 coroot values a step."""
+    yield q.n * (q.n + 1), "--n", "descent_length's partial sums"
+    steps = descent_length(AffineWeight(q.mu.w0_image(), q.level, Fraction(0)))
+    yield (steps * (q.n + 1), "--mu", f"the reflection descent makes {_num(steps)} steps "
+           f"and scans up to {q.n + 1} coroot values in each")
+
+
 def cmd_socle(q):
-    if any(abs(c) > SOCLE_MAX_ENTRY for c in q.mu.coords):
-        raise ValidationError(f"parameter --mu: entries must lie in "
-                              f"[-{SOCLE_MAX_ENTRY}, {SOCLE_MAX_ENTRY}]")
-    probe = AffineWeight(q.mu.w0_image(), q.level, Fraction(0))
-    steps = descent_length(probe)
-    if steps * (q.n + 1) > SOCLE_MAX_SCANNED:
-        raise ValidationError(f"parameter --mu: the reflection descent makes {steps} steps "
-                              f"and scans up to {q.n + 1} coroot values in each, "
-                              f"more than {SOCLE_MAX_SCANNED} values scanned")
     formula = socle_formula(q.level, q.mu).weight
-    oracle = socle_oracle(probe).weight
+    oracle = socle_oracle(AffineWeight(q.mu.w0_image(), q.level, Fraction(0))).weight
     result = {
         "cvals": list(formula.c_values()),
         "degree": str(formula.degree),
@@ -363,29 +356,23 @@ def cmd_orbit(q):
 
 
 def cmd_gamma(q):
-    check_ball(q.n, q.bound, "--norm-bound")
     rows = [[list(mu.coords), list(pair.m), list(pair.p)]
             for mu, pair in enumerate_gamma(q.xi, q.bound)]
     return {"count": len(rows), "rows": rows, "header": ["mu", "m", "p"]}, None
 
 
+def flag_steps(q):
+    """The inverse Cartan matrix, as in orbit_sum_steps, then about d^2 steps
+    for the Gaussian binomials and their product, of degree d = sum a_j b_j."""
+    yield 8 * q.n * q.n, "--n", "the inverse Cartan matrix"
+    a = nonneg_root_coeffs(q.lam - q.mu) or ()
+    degree = sum(x * y for x, y in zip(a, direct_split(q.mu)[0].coords))
+    yield degree * degree, "--lam/--mu", f"the polynomial has degree {_num(degree)}"
+
+
 def cmd_flag_mult(q):
-    """Both modes read the generating polynomial, the product of the
-    Gaussian binomials [a_j + b_j choose a_j]_q, with a the root
-    coefficients of lam - mu and b the bounds of mu; --r reads one
+    """Both modes read the generating polynomial; --r reads one
     coefficient."""
-    a = nonneg_root_coeffs(q.lam - q.mu)
-    if a is not None:
-        b = direct_split(q.mu)[0].coords
-        # [a_j + b_j choose a_j]_q is 1 at once when a_j or b_j is 0
-        depth = max((x + y for x, y in zip(a, b) if x and y), default=0)
-        if depth > FLAG_MAX_DEPTH:
-            raise ValidationError(f"parameters --lam/--mu: the Gaussian binomials recurse "
-                                  f"{depth} deep, more than {FLAG_MAX_DEPTH}")
-        degree = sum(x * y for x, y in zip(a, b))
-        if degree > FLAG_MAX_DEGREE:
-            raise ValidationError(f"parameters --lam/--mu: the polynomial has degree "
-                                  f"{degree}, more than {FLAG_MAX_DEGREE}")
     poly = flag_multiplicity_poly(q.lam, q.mu)
     if q.r is not None:
         return {"value": poly.coeff(q.r)}, None
@@ -396,29 +383,52 @@ def cmd_flag_mult(q):
     }, None
 
 
+def orbit_sum_steps(q, weight=lambda q: (q.i, q.xi)):
+    """The inverse Cartan matrix, 8 steps an entry (0.7 us measured), then
+    the orbit sum at the charge and weight of weight(q); returns its bound."""
+    yield 8 * q.n * q.n, "--n", "the inverse Cartan matrix"
+    bound = f_ball_bound(q.n, *weight(q))
+    yield walk_steps(q.n, bound) + count_steps(q.n, bound), "--degree", "the orbit sum"
+    return bound
+
+
 def cmd_multiplicity(q):
-    check_formula_cost(q.n, q.i, q.xi)
     rows = [[list(mu.coords), list(b), str(f), count]
             for mu, b, f, count in orbit_terms(q.n, q.i, q.xi)]
     return {"value": sum(row[-1] for row in rows), "rows": rows,
             "header": ["mu", "bounds", "f", "count"]}, None
 
 
+def limit_steps(q):
+    """The orbit sum, then k_max + 1 flag multiplicities a member of the box
+    a_1^2 <= 2 * bound: the k-th reads the matrix twice and counts to about
+    k|b|, |b| <= floor(M/2), (k|b|)^2/2 steps a component but the last, whose
+    memo grows by k|b|^2 entries of about 4 steps (0.4 us measured)."""
+    if q.kmax > LIMIT_MAX_KMAX:
+        raise ValidationError(f"parameter --kmax: must be <= {LIMIT_MAX_KMAX}")
+    n, k = q.n, q.kmax + 1
+    bound = yield from orbit_sum_steps(q)
+    b = isqrt(max(scaled_cap(n, bound), 0)) // 2
+    per_member = k * (2 * n * n + (n - 1) * (b * k) ** 2 // 6 + 2 * b * b * k)
+    yield ball_leaves(n, bound, 2) * per_member, "--kmax", f"{k} flag multiplicities a member"
+
+
 def cmd_limit(q):
-    check_formula_cost(q.n, q.i, q.xi, q.kmax)
     res = outer_multiplicity_limit(q.n, q.i, q.xi, q.kmax)
     rows = [[list(mu.coords), thr, list(vals)] for mu, thr, vals in res.sequences]
     return {"value": res.value, "stabilized_at": res.stabilized_at,
             "rows": rows, "header": ["mu", "threshold", "sequence"]}, None
 
 
-def cmd_tensor_general(q):
+def _rotated(q) -> tuple:
     try:
-        charge, xi_rot = rotated_to_zero(q.n, q.i, q.j, q.xi)
+        return rotated_to_zero(q.n, q.i, q.j, q.xi)
     except ValueError as exc:
         raise ValidationError(f"parameter --cvals: {exc}")
-    check_formula_cost(q.n, charge, xi_rot)
-    return {"value": outer_multiplicity_formula(q.n, charge, xi_rot)}, None
+
+
+def cmd_tensor_general(q):
+    return {"value": outer_multiplicity_formula(q.n, *_rotated(q))}, None
 
 
 def _verify_instance(task):
@@ -459,6 +469,28 @@ def _delta_string(n: int, i: int, j: int, k: int, eta0_max: int) -> list:
     return []
 
 
+def verify_steps(q):
+    """The count's block tables, (n + 1)^4/4 passes of 2 steps a charge, at
+    every rank first; then at each rank the count's memos, about
+    (n + 1)^3 (E + 1)^3/4 a charge for E = --eta0-max; for each of the
+    m(m + 1)/2 weights Lambda_j + Lambda_k, m = n + 1, the formula walk
+    (n + 5 steps a level_two_family box leaf) and counts of each character
+    of its delta-string; and at ranks <= 2 the oracle table's orbit sums.
+    The norm bounds reach m/2 + 4E, or 4 * --depth."""
+    for n in q.ranks:
+        yield (n + 1) ** 5 // 2, "--n", f"the block tables of rank {n}"
+    for n in q.ranks:
+        m, e, d = n + 1, q.eta0_max, q.depth
+        yield m ** 4 * (e + 1) ** 3 // 4, "--eta0-max", f"the tableau counts of rank {n}"
+        weights, bound = m * (m + 1) // 2, Fraction(m, 2) + 4 * e
+        yield (weights * ((e + 1) * ball_leaves(n, bound, 2) * (n + 5) + count_steps(n, bound)),
+               "--eta0-max", f"the formulas of rank {n}")
+        if d and n <= 2:  # the oracle rows of cmd_verify
+            bound = Fraction(m, 2) + 4 * d
+            yield (weights * ((d + 1) * walk_steps(n, bound) + count_steps(n, bound)),
+                   "--depth", f"the oracle table of rank {n}")
+
+
 def cmd_verify(q):
     tasks = []
     for n in q.ranks:
@@ -486,37 +518,41 @@ def cmd_verify(q):
 
 
 class Command(Record):
-    """One subcommand: its help text, provenance rule, the largest --n it
-    takes, its options in the order they are checked, and its handler,
-    which returns the result and a mismatch message or a false value."""
+    """One subcommand: its help text, provenance rule, options in the order
+    they are checked, work estimate, which yields (steps, parameter, what)
+    for each stage, cheapest to compute first, and handler, which returns
+    the result and a mismatch message or a false value."""
 
-    __slots__ = ("help", "rule", "max_rank", "options", "run")
+    __slots__ = ("help", "rule", "options", "estimate", "run")
 
 
 COMMANDS = {
     "tau": Command("tableau-count multiplicity from a content character",
-                   "orbit-pair multipartition count", TAU_MAX_RANK, (RANK, INDEX_I, ETA), cmd_tau),
+                   "orbit-pair multipartition count", (RANK, INDEX_I, ETA), tau_steps, cmd_tau),
     "socle": Command("dominant orbit representative", "closed-form dominant representative",
-                     SOCLE_MAX_RANK, (RANK, LEVEL_MU), cmd_socle),
-    # orbit_pair is linear in n; the bound is that of socle, on the same weight
+                     (RANK, LEVEL, MU), socle_steps, cmd_socle),
+    # orbit_pair is linear in the command line, so orbit has no estimate
     "orbit": Command("orbit-pair division of a finite weight", "orbit-pair division",
-                     SOCLE_MAX_RANK, (RANK, LEVEL_MU), cmd_orbit),
+                     (RANK, LEVEL, MU), lambda q: (), cmd_orbit),
     "gamma": Command("enumerate the orbit set of a dominant weight", "orbit-set enumeration",
-                     WALK_MAX_RANK, (RANK, WEIGHT, NORM_BOUND), cmd_gamma),
+                     (RANK, WEIGHT, NORM_BOUND),
+                     lambda q: [(walk_steps(q.n, q.bound), "--norm-bound", "the walk")],
+                     cmd_gamma),
     "flag-mult": Command("flag multiplicity polynomial or value",
-                         "flag-multiplicity generating polynomial", FLAG_MAX_RANK,
-                         (RANK, LAM_MU, R), cmd_flag_mult),
+                         "flag-multiplicity generating polynomial", (RANK, LAM_MU, R),
+                         flag_steps, cmd_flag_mult),
     "multiplicity": Command("outer multiplicity via the orbit sum",
-                            "orbit-sum multiplicity formula", WALK_MAX_RANK,
-                            (RANK, INDEX_I, LEVEL_TWO), cmd_multiplicity),
+                            "orbit-sum multiplicity formula", (RANK, INDEX_I, LEVEL_TWO),
+                            orbit_sum_steps, cmd_multiplicity),
     "limit": Command("outer multiplicity via the stabilizing limit",
-                     "stabilizing flag-multiplicity limit", WALK_MAX_RANK,
-                     (RANK, INDEX_I, LEVEL_TWO, KMAX), cmd_limit),
+                     "stabilizing flag-multiplicity limit", (RANK, INDEX_I, LEVEL_TWO, KMAX),
+                     limit_steps, cmd_limit),
     "tensor-general": Command("multiplicity in a general fundamental tensor product",
-                              "rotation reduction to the (0, j - i) case", WALK_MAX_RANK,
-                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO), cmd_tensor_general),
-    "verify": Command("run the cross-check suites", "cross-check suite", VERIFY_MAX_RANK,
-                      (RANKS, ETA0_MAX, DEPTH), cmd_verify),
+                              "rotation reduction to the (0, j - i) case",
+                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO),
+                              lambda q: orbit_sum_steps(q, _rotated), cmd_tensor_general),
+    "verify": Command("run the cross-check suites", "cross-check suite",
+                      (RANKS, ETA0_MAX, DEPTH), verify_steps, cmd_verify),
 }
 
 
@@ -538,10 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
-    q = Query(command)
     try:
-        for option in command.options:
-            option.check(args, q)
+        q = Query(args)
         result, mismatch = command.run(q)
         emit({"command": args.command, "params": q.params, "result": result,
               "provenance": {"rule": command.rule}}, args.format)

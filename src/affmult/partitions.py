@@ -152,8 +152,13 @@ def q_binomial(m: int, p: int) -> LaurentPoly:
         raise ValueError("require 0 <= p <= m")
     if p == 0 or p == m:
         return LaurentPoly.one()
-    # Pascal recurrence [m, p] = [m-1, p] + q^{m-p} [m-1, p-1]
-    return q_binomial(m - 1, p) + q_binomial(m - 1, p - 1).shift(m - p)
+    # Pascal recurrence [m, p] = [m-1, p] + q^{m-p} [m-1, p-1], one row
+    # row[k] = [k + d choose k]_q (k <= p) for each d <= m - p in turn
+    row = [LaurentPoly.one()] * (p + 1)
+    for d in range(1, m - p + 1):
+        for k in range(1, p + 1):
+            row[k] = row[k] + row[k - 1].shift(d)
+    return row[p]
 
 
 def q_binomial_product(m: Sequence[int], p: Sequence[int]) -> LaurentPoly:

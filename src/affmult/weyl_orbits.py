@@ -247,7 +247,7 @@ def _dominant_eps_in_ball(n: int, norm_bound):
 
     The walk covers the box a_i^2 <= cap, with cap = floor((n+1)*norm_bound)
     from scaled_cap: the C(M + n, n) weakly decreasing vectors in [0, M]^n,
-    M = isqrt(cap), that cli.check_ball counts, in one flat loop over
+    M = isqrt(cap), that cli.ball_leaves counts, in one flat loop over
     combinations_with_replacement.  Each leaf is tested in integers:
     (n+1)*f(a) is the integer scaled_f(a), so f(a) <= norm_bound exactly
     when scaled_f(a) <= cap."""

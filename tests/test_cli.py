@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import importlib.util
 import io
 import json
 import os
@@ -9,16 +10,16 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmult.affine_cartan import AffineWeight, affine_Lambda
+from affmult import cli
+from affmult.affine_cartan import affine_Lambda
 from affmult.cli import COMMANDS as TABLE
-from affmult.cli import ValidationError, _delta_string, check_ball, check_formula_cost, main
+from affmult.cli import Query, _delta_string, build_parser, main
 from affmult.multiplicities import eta_from_xi
 from affmult.tableaux import mw_shapes_with_character
 
@@ -155,7 +156,7 @@ class TestValidation:
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0",
           "--degree", "x"], "--degree"),
         (["socle", "--n", "2", "--level", "2", "--mu", "99999999999999999999,0"], "--mu"),
-        (["socle", "--n", "2", "--level", "1", "--mu=-1001,0"], "--mu"),
+        (["socle", "--n", "2", "--level", "1", "--mu=-10000000,0"], "--mu"),
         # deep queries: the f-ball walk's leaf count and the limit's k_max
         (["gamma", "--n", "6", "--cvals", "2,0,0,0,0,0,0", "--norm-bound", "200"],
          "--norm-bound"),
@@ -179,11 +180,11 @@ class TestValidation:
         (["tensor-general", "--n", "6", "--i", "1", "--j", "2",
           "--cvals", "1,0,0,1,0,0,0", "--degree=-50"], "--degree"),
         # verify's ranges
-        (["verify", "--n", "1..5"], "--n"),
+        (["verify", "--n", "1..40"], "--n"),
         (["verify", "--n", "1..1000000000000"], "--n"),
         (["verify", "--n=-1000000000000..1"], "--n"),
-        (["verify", "--n", "1", "--eta0-max", "101"], "--eta0-max"),
-        (["verify", "--n", "1", "--depth", "101"], "--depth"),
+        (["verify", "--n", "1", "--eta0-max", "1000"], "--eta0-max"),
+        (["verify", "--n", "1", "--depth", "100000"], "--depth"),
         # flag-mult: the Gaussian binomials' recursion depth (a RecursionError
         # after 4.9 s and 24 s when the count ran) and the polynomial's degree
         (["flag-mult", "--n", "1", "--lam", "1000", "--mu", "500", "--r", "125500"], "--lam"),
@@ -194,13 +195,13 @@ class TestValidation:
           "--kmax", "100"], "--kmax"),
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-400",
           "--kmax", "100"], "--kmax"),
-        # rank bounds: the tableau count's block table (3.2 s), descent_length
-        # (1.3 s), and the walk's O(n) leaf test under the leaf cap
+        # work that grows with the rank alone: the tableau count's block table
+        # (3.2 s), descent_length (1.3 s) and the inverse Cartan matrix
         (["tau", "--n", "100", "--i", "0", "--eta", ",".join(["0"] * 101)], "--n"),
         (["socle", "--n", "4000", "--level", "1", "--mu=" + ",".join(["-1000"] * 4000)],
          "--n"),
-        (["gamma", "--n", "1000", "--cvals", "2" + ",0" * 1000, "--norm-bound", "0"], "--n"),
-        # tau: level_two_family's walk, C(42, 30) leaves (8.1 s when it ran)
+        (["multiplicity", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], "--n"),
+        # tau: listing 2,362 shapes of 620 boxes (10 s when it ran)
         (["tau", "--n", "30", "--i", "0", "--eta", ",".join(["20"] * 31)], "--eta"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
@@ -210,47 +211,72 @@ class TestValidation:
         assert code == 2 and out == ""
         assert param in err
 
-    def test_caps_are_inclusive(self, capsys):
-        # at n = 1 a bound of 11249700000 gives 149,998 leaves and one of
-        # 11250000000 gives 150,001
-        check_ball(1, 11249700000, "--norm-bound")
-        with pytest.raises(ValidationError, match="150001 leaves"):
-            check_ball(1, 11250000000, "--norm-bound")
-        # level_two_family's box a_1^2 <= 2 * bound: at n = 1, M = 149999
-        # gives 150,000 leaves and M = 150000 gives 150,001
-        check_ball(1, Fraction(149999 ** 2, 2), "--eta", scale=2)
-        with pytest.raises(ValidationError, match="150001 leaves"):
-            check_ball(1, Fraction(150000 ** 2, 2), "--eta", scale=2)
-        # tau at n = 30: eta = 3 everywhere has M = 4 (46,376 leaves), 4 has M = 5
-        for e, refusal in [(3, None), (4, "324632 leaves")]:
-            code, _, err = run(capsys, "tau", "--n", "30", "--i", "0",
-                               "--eta", ",".join([str(e)] * 31), "--format", "json")
-            if refusal:
-                assert code == 2 and "--eta" in err and refusal in err
-            else:
-                assert code == 0
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
                            "--degree=-1", "--kmax", "100", "--format", "json")
         assert code == 0 and json.loads(out)["result"]["stabilized_at"] == 1
-        # 2 Lambda_0 - d delta at n = 1 has f_ball_bound 4d
-        check_formula_cost(1, 0, AffineWeight.from_c_values(1, (2, 0), -400))
-        with pytest.raises(ValidationError, match="argument 401, more than 400"):
-            check_formula_cost(1, 0, AffineWeight.from_c_values(1, (2, 0), -401))
-        # at n = 1, depth -12 gives M = 9 and |b| <= 4: k_max 100 reaches 400
-        xi = AffineWeight.from_c_values(1, (2, 0), -12)
-        check_formula_cost(1, 0, xi, 100)
-        with pytest.raises(ValidationError, match="argument 404, more than 400"):
-            check_formula_cost(1, 0, xi, 101)
-        # flag-mult at n = 1: a = (lam - mu)/2 and b = mu/2; depth a + b, degree a * b
-        for lam, mu, refusal in [(800, 798, None), (802, 800, "recurse 401 deep"),
-                                 (220, 200, None), (300, 286, "degree 1001"),
-                                 (2000, 2000, None), (2000, 0, None)]:
-            code, _, err = run(capsys, "flag-mult", "--n", "1", "--lam", str(lam),
-                               "--mu", str(mu), "--format", "json")
-            if refusal:
-                assert code == 2 and refusal in err
-            else:
-                assert code == 0
+        # limit's counts recurse about k_max deep, so k_max has a cap of its own
+        code, _, err = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
+                           "--degree=0", "--kmax", "401")
+        assert code == 2 and err.startswith("parameter --kmax: must be <= 400")
+        assert run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=0",
+                   "--kmax", "400")[0] == 0
+        # a query whose estimate is WORK_MAX runs, and one step less refuses it,
+        # naming the parameter of the estimate's last stage
+        for argv, param in [
+            (["tau", "--n", "2", "--i", "1", "--eta", "6,6,5"], "--eta"),
+            (["socle", "--n", "2", "--level", "1", "--mu=-1000,1000"], "--mu"),
+            (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "1000"], "--norm-bound"),
+            (["flag-mult", "--n", "1", "--lam", "6", "--mu", "2"], "--lam/--mu"),
+            (["multiplicity", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6"],
+             "--degree"),
+            (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6",
+              "--kmax", "8"], "--kmax"),
+            (["tensor-general", "--n", "2", "--i", "1", "--j", "2", "--cvals", "2,0,0",
+              "--degree=-4"], "--degree"),
+            (["verify", "--n", "1..2", "--eta0-max", "2", "--depth", "1"], "--depth"),
+        ]:
+            monkeypatch.setattr(cli, "WORK_MAX", float("inf"))
+            q = Query(build_parser().parse_args(argv))
+            total = sum(steps for steps, _, _ in TABLE[argv[0]].estimate(q))
+            monkeypatch.setattr(cli, "WORK_MAX", total)
+            assert run(capsys, *argv, "--format", "json")[0] == 0
+            monkeypatch.setattr(cli, "WORK_MAX", total - 1)
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith(f"parameter {param}: ") and f"{total} steps" in err
+
+    def test_deep_pascal_rows_are_accepted(self, capsys):
+        # [401 choose 1]_q: q_binomial recursed 401 deep and was refused
+        code, out, _ = run(capsys, "flag-mult", "--n", "1", "--lam", "802", "--mu", "800",
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        assert len(rows) == 401 and all(c == 1 for _, c in rows)
+        # [1000 choose 1000]_q and [0 choose 0]_q are 1 without a Pascal row
+        for mu in ("0", "2000"):
+            code, out, _ = run(capsys, "flag-mult", "--n", "1", "--lam", "2000", "--mu", mu,
+                               "--format", "json")
+            assert code == 0 and [c for _, c in json.loads(out)["result"]["rows"]] == [1]
+
+    @pytest.mark.parametrize("eta,code", [(4, 0), (20, 2)])
+    def test_tau_walk_estimate_is_tight(self, capsys, eta, code):
+        # the walk's box, C(M + 30, 30) leaves, refused both (0.03 s and 10 s)
+        start = time.process_time()
+        got, _, err = run(capsys, "tau", "--n", "30", "--i", "0",
+                          "--eta", ",".join([str(eta)] * 31))
+        assert got == code
+        if code:
+            assert time.process_time() - start < 1.0 and err.startswith("parameter --eta: ")
+
+    def test_deepest_sweep_is_refused(self, capsys):
+        # 79 s when every rank, depth and eta0 had a cap of its own
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", "--n", "1..4", "--eta0-max", "100",
+                             "--depth", "100")
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert re.match(r"parameter --[a-z0-9-]+: ", err)
 
     def test_deepest_rank_one_sweep_is_accepted(self, capsys):
         # 6.4 s when every character had a memo of its own
@@ -372,12 +398,12 @@ class TestContractFuzz:
 
     @staticmethod
     def large_options(data, command):
-        """Options with --n at 1..3, at the command's rank bound or past it,
-        and with entries, levels, degrees, --norm-bound, --r and --kmax from
-        BIG one time in two.  verify draws only values past its caps, as its
-        largest accepted sweep takes over a minute."""
-        bound = TABLE[command].max_rank
-        n = data.draw(st.sampled_from([1, 2, 3, bound, bound + 1, 100, 1000, 4000, HUGE]))
+        """Options with --n at 1..3 or from 30 up, where the work that grows
+        with the rank alone nears WORK_MAX, and with entries, levels,
+        degrees, --norm-bound, --r and --kmax from BIG one time in two.
+        verify draws ranges and values on either side of its estimate's
+        bound."""
+        n = data.draw(st.sampled_from([1, 2, 3, 30, 64, 65, 300, 1000, 4000, HUGE]))
         size = min(n, 4000)
         opts = {"--n": st.just(str(n))}
         if command == "verify":
@@ -453,6 +479,22 @@ class TestContractFuzz:
     @given(st.sampled_from(COMMANDS), st.data())
     def test_large_values_exit_zero_or_two(self, command, data):
         self.check(command, [command, *self.large_options(data, command), "--format=json"])
+
+
+class TestBenchmarkInputs:
+    def test_cli_pool_and_verify_argv_are_accepted(self):
+        """Every query the benchmark can draw passes its option checks and
+        its work estimate; the handlers are not run."""
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        argvs = [argv for command in workloads.CLI_COMMANDS
+                 for argv, _ in workloads._cli_pool(command)]
+        assert {argv[0] for argv in argvs} == set(TABLE) - {"verify"}
+        parser = build_parser()
+        for argv in argvs + [list(workloads.VERIFY_ARGV)]:
+            Query(parser.parse_args(argv))
 
 
 # One small accepted query per subcommand and its exact output in json,

@@ -4,7 +4,7 @@ families and reduced-pair lengths."""
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -367,9 +367,10 @@ class TestIntegerWalk:
         assert checked > 0
 
     def test_leaf_count_is_the_cli_cap(self, monkeypatch):
-        """The walk tests scaled_f on exactly the C(M + n, n) leaves,
-        M = isqrt(cap), that cli.check_ball refuses on, and keeps the
-        vectors reference_ball keeps."""
+        """The walk tests scaled_f on exactly the cli.ball_leaves(n, bound,
+        n + 1) leaves that its work estimate counts, keeps the vectors
+        reference_ball keeps, and keeps only vectors of the box that
+        cli.ball_leaves(n, bound, 2) counts, a_1^2 <= 2 * bound."""
         tested = []
 
         def counted(a):
@@ -383,15 +384,9 @@ class TestIntegerWalk:
                 tested.clear()
                 walked = list(_dominant_eps_in_ball(n, bound))
                 assert walked == list(reference_ball(n, Fraction(bound)))
-                cap = scaled_cap(n, bound)
-                leaves = comb(isqrt(cap) + n, n) if cap >= 0 else 0
-                assert len(tested) == leaves
-                monkeypatch.setattr(cli, "BALL_MAX_LEAVES", leaves)
-                cli.check_ball(n, bound, "--norm-bound")
-                if leaves:
-                    monkeypatch.setattr(cli, "BALL_MAX_LEAVES", leaves - 1)
-                    with pytest.raises(cli.ValidationError, match=f" {leaves} leaves"):
-                        cli.check_ball(n, bound, "--norm-bound")
+                assert len(tested) == cli.ball_leaves(n, bound, n + 1)
+                assert len(walked) <= cli.ball_leaves(n, bound, 2)
+                assert all(a[0] ** 2 <= 2 * bound for a in walked)
 
 
 class TestLevelTwoFamily:
