@@ -32,6 +32,7 @@ from .multiplicities import (
     flag_multiplicity_at,
     flag_multiplicity_poly,
     general_fundamental,
+    jk_from_eta,
     mu_split,
     outer_multiplicity_formula,
     outer_multiplicity_limit,
@@ -51,7 +52,6 @@ from .tableaux import (
     content_character,
     is_mw,
     is_regular,
-    jk_from_eta,
     tau_bruteforce,
     tau_count,
     tau_counts,

@@ -37,6 +37,7 @@ from .multiplicities import (
     eta_from_xi,
     f_ball_bound,
     flag_multiplicity_poly,
+    jk_from_eta,
     orbit_terms,
     outer_multiplicity_formula,
     outer_multiplicity_limit,
@@ -44,7 +45,7 @@ from .multiplicities import (
     tau_formula,
 )
 from .records import Record
-from .tableaux import jk_from_eta, mw_shapes_with_character, tau_count, tau_counts
+from .tableaux import mw_shapes_with_character, tau_count, tau_counts
 from .weyl_orbits import (
     b_vector,
     descent_length,
@@ -114,6 +115,12 @@ def count_steps(n: int, bound) -> int:
     floor(M/2) for the walk's largest entry M: memos of (m + 1)^2 values."""
     m, parts = floor(Fraction(max(bound, 0)) / 4), isqrt(max(scaled_cap(n, bound), 0)) // 2
     return (m + 1) ** 2 * (parts + 1) * n
+
+
+def listing_passes(rows: int, size: int) -> int:
+    """The tableau tree's child-loop passes to list rows shapes of size
+    boxes, past their count, at most; see tau_steps."""
+    return (rows + 1) * size
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -292,18 +299,23 @@ def tau_steps(q):
     """The count's block table, (n + 1)^4/4 passes of 2 steps (0.14 us a
     pass measured); then per shape 8(n + 1) steps of the count (up to
     0.7(n + 1) us measured), which stops once its shapes would pass
-    WORK_MAX, |eta| rows of n + 3 steps for the listing, and the formula's
-    level_two_family walk, which had at most two members a shape, each
-    reached in about n(M + 1) loop passes of 16 steps, M = isqrt(n + 1 +
-    8 eta_0) its largest entry (measured at ranks up to 30)."""
+    WORK_MAX, and the formula's level_two_family walk, which had at most
+    two members a shape, each reached in about n(M + 1) loop passes of 16
+    steps, M = isqrt(n + 1 + 8 eta_0) its largest entry (measured at ranks
+    up to 30); and the listing of rows shapes of |eta| boxes.  It enters
+    only nodes above some shape, each once: the root loops over at most
+    |eta| parts, the node below a block of part k over fewer than k, and
+    a shape's parts but its last sum to less than |eta|, so it makes at
+    most (rows + 1)|eta| passes (listing_passes) of n + 3 steps."""
     block, count = (q.n + 1) ** 4 // 2, 8 * (q.n + 1)
     yield block, "--n", "the tableau count's block table"
     rows = tau_count(q.eta, q.i, min(TAU_MAX_ROWS, (WORK_MAX - block) // count))
     if rows > TAU_MAX_ROWS:
         raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
                               f"shapes, the most rows tau lists")
-    per_shape = count + sum(q.eta) * (q.n + 3) + 32 * q.n * (isqrt(q.n + 1 + 8 * q.eta[0]) + 1)
-    yield rows * per_shape, "--eta", f"{rows} shapes of {_num(sum(q.eta))} boxes"
+    per_shape = count + 32 * q.n * (isqrt(q.n + 1 + 8 * q.eta[0]) + 1)
+    yield (rows * per_shape + listing_passes(rows, sum(q.eta)) * (q.n + 3), "--eta",
+           f"{rows} shapes of {_num(sum(q.eta))} boxes")
 
 
 def cmd_tau(q):

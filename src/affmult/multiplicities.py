@@ -42,7 +42,6 @@ from .affine_cartan import (
 from .laurent import LaurentPoly
 from .partitions import q_binomial_product, rho_multi, stabilize_threshold
 from .records import Record
-from .tableaux import eta_prime, jk_from_eta
 from .weyl_orbits import b_vector, enumerate_gamma, level_two_family, r_of
 
 
@@ -110,6 +109,31 @@ def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
         return 0
     a, b, shift = data
     return rho_multi(Fraction(r) - shift, b, a)
+
+
+def eta_prime(eta, i: int) -> tuple:
+    """The transformed vector with cyclic entries
+    delta_{0,r} + delta_{i,r} - 2 eta_r + eta_{r-1} + eta_{r+1};
+    eta indexes a dominant weight iff all entries are >= 0."""
+    eta = tuple(eta)
+    m = len(eta)
+    i = i % m
+    return tuple(
+        (1 if r == 0 else 0) + (1 if r == i else 0)
+        - 2 * eta[r] + eta[(r - 1) % m] + eta[(r + 1) % m]
+        for r in range(m)
+    )
+
+
+def jk_from_eta(eta, i: int):
+    """Indices {j, k} with eta' = e_j + e_k; requires eta' >= 0 with
+    total 2.  Then j + k = i mod (n + 1)."""
+    ep = eta_prime(eta, i)
+    if any(x < 0 for x in ep) or sum(ep) != 2:
+        raise ValueError("eta' is not of the form e_j + e_k")
+    idx = [r for r, x in enumerate(ep) for _ in range(x)]
+    j, k = idx
+    return (j, k)
 
 
 def xi_from_eta(n: int, i: int, eta: Sequence[int]) -> AffineWeight:

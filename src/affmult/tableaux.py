@@ -7,24 +7,24 @@ sizes satisfy a system of congruences; counting admissible shapes with
 a prescribed content character gives the tableau route to the outer
 multiplicities.
 
-That count (``tau_count``, behind ``tau_bruteforce``) walks the tree of
-shapes built block by block, largest part first, and cuts a branch only
-when no shape below it can qualify, because a residue count already
-exceeds the content character or a block of equal rows breaks the
-congruences.  It memoizes the count below each node on a small state,
-so its cost follows the number of states rather than the answer, and it
-uses no orbit and no multipartition, so it stays an independent check
-of the formula.  The state does not name the character it started from,
-so ``tau_counts`` counts many characters of one length and charge
-through one memo: the characters of a delta-string xi - eta_0 delta
-(each the last plus 1 in every entry) reach largely the same subtrees.
-``mw_shapes_with_character`` lists the same tree shape by shape and
-re-checks every shape with ``is_mw`` and ``shape_character``; it gives
-the rows of the CLI ``tau`` command and the tests' reference.
+One tree of shapes serves the count and the listing.  It builds shapes
+block by block of equal rows, largest part first, and cuts a branch
+only when no shape below it can qualify, because a residue count
+already exceeds the content character or a block of equal rows breaks
+the congruences.  The count (``tau_count``, behind ``tau_bruteforce``)
+memoizes the number of shapes below each node on a small state that
+does not name the character it started from, so ``tau_counts`` counts
+many characters of one length and charge through one memo: those of a
+delta-string xi - eta_0 delta reach largely the same subtrees.  The
+listing (``mw_shapes_with_character``, the rows of the CLI ``tau``
+command) runs the same child loop but enters only nodes of positive
+count, so it costs about its output.  The tree uses no orbit and no
+multipartition, so it stays an independent check of the formula.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .partitions import canonical, part_multiplicities
@@ -106,56 +106,13 @@ def is_mw(shape, i: int, n: int) -> bool:
 def mw_shapes_with_character(eta, i: int) -> list:
     """All admissible i-charged shapes whose content character is eta,
     in the order of the n-regular partitions of |eta| listed by distinct
-    part sizes from the largest down, each with its multiplicity.
-
-    Shapes are built row by row, largest part first.  A branch is
-    abandoned as soon as some residue count exceeds eta (counts only
-    grow), and a block of equal rows is extended below only when its
-    size satisfies the is_mw congruence, which depends on the blocks
-    above alone.  Every returned shape is re-checked against is_mw and
+    part sizes from the largest down, each with its multiplicity: the
+    leaves of tau_count's tree, reached through the nodes whose memoized
+    count is positive.  Every shape is re-checked against is_mw and
     shape_character."""
     eta = tuple(eta)
     n = len(eta) - 1
-    m = n + 1
-    out = []
-    if any(e < 0 for e in eta):
-        return out
-    counts = [0] * m
-    rows = []
-
-    def place(r: int, length: int, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) the residues of row r."""
-        full, rem = divmod(length, m)
-        if full:
-            for l in range(m):
-                counts[l] += sign * full
-        start = (1 - r + i) % m
-        for c in range(rem):
-            counts[(start + c) % m] += sign
-
-    def rec(remaining: int, largest: int, prefix: int) -> None:
-        if remaining == 0:
-            out.append(tuple(rows))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            # the congruence of is_mw fixes the block size modulo n + 1
-            reps = (part + i - 2 * prefix) % m
-            if reps == 0 or part * reps > remaining:
-                continue
-            placed = 0
-            while placed < reps:
-                placed += 1
-                place(prefix + placed, part, 1)
-                if any(c > e for c, e in zip(counts, eta)):
-                    break
-            else:
-                rows.extend([part] * reps)
-                rec(remaining - part * reps, part - 1, prefix + reps)
-                del rows[-reps:]
-            for r in range(prefix + 1, prefix + placed + 1):
-                place(r, part, -1)
-
-    rec(sum(eta), sum(eta), 0)
+    out = _shape_tree(n + 1, i)[1](eta)
     for shape in out:
         if not (is_mw(shape, i, n) and shape_character(shape, i, n) == eta):
             raise AssertionError(f"enumerated shape {shape} is not admissible "
@@ -163,18 +120,12 @@ def mw_shapes_with_character(eta, i: int) -> list:
     return out
 
 
-def _shape_counter(m: int, i: int, stop: Optional[int] = None):
-    """The tableau count at charge i for characters of length m, as a
-    function count(eta) of a tuple eta over one memo; see tau_count.
-
-    The memo is keyed on (residue counts left, largest part allowed, rows
-    placed mod m), which names the same subtree whatever character it was
-    reached from, so one counter serves any number of characters.  With a
-    stop, a memoized value may be only some number above stop, so a
-    stopped counter answers one character and is then dropped."""
-    # blocks[p][c], for parts = c mod m placed below p rows (mod m): the
-    # block size, the residues its rows hold beyond their full cycles,
-    # and the row count after the block (mod m)
+@lru_cache(maxsize=1)
+def _blocks(m: int, i: int) -> tuple:
+    """blocks[p][c], for parts = c mod m placed below p rows (mod m): the
+    block size, the residues its rows hold beyond their full cycles, and
+    the row count after the block (mod m).  The last table is kept, so
+    that the count and the listing of one tau query build it once."""
     blocks = []
     for p in range(m):
         row = []
@@ -184,72 +135,107 @@ def _shape_counter(m: int, i: int, stop: Optional[int] = None):
             for r in range(p + 1, p + reps + 1):
                 for col in range(c):
                     extra[(1 - r + i + col) % m] += 1
-            row.append((reps, extra, (p + reps) % m))
-        blocks.append(row)
+            row.append((reps, tuple(extra), (p + reps) % m))
+        blocks.append(tuple(row))
+    return tuple(blocks)
+
+
+def _shape_tree(m: int, i: int, stop: Optional[int] = None):
+    """The tree of admissible shapes at charge i for characters of length
+    m, as count(eta) and shapes(eta) over one memo (see tau_count and
+    mw_shapes_with_character).  A node is the state (residue counts left,
+    largest part allowed, rows placed mod m) and a leaf is 0.  With a
+    stop, a memoized count may be only some number above stop, so a
+    stopped tree answers one count and is then dropped."""
+    blocks = _blocks(m, i)
     memo = {}
 
-    def below(rest: tuple, remaining: int, largest: int, prefix: int) -> int:
-        total = 0
+    def children(node: tuple) -> dict:
+        """{part: child} for the blocks that fit below node, largest first,
+        child 0 when the block ends the shape; memoizes the count of node."""
+        out, total = {}, 0
+        rest, largest, prefix = node
+        remaining = sum(rest)
+        row = blocks[prefix]
         for part in range(largest, 0, -1):
             full, c = divmod(part, m)
-            reps, extra, after = blocks[prefix][c]
-            if reps == 0 or part * reps > remaining:
+            reps, extra, after = row[c]
+            under = remaining - part * reps
+            if reps == 0 or under < 0:
                 continue
-            left = [x - full * reps - y for x, y in zip(rest, extra)]
+            cycles = full * reps
+            left = [x - cycles - y for x, y in zip(rest, extra)]
             low = min(left)
             if low < 0:
                 continue
-            under = remaining - part * reps
-            if under == 0:
+            if not under:
+                out[part] = 0
                 total += 1
             else:
                 # a row of m * (low + 1) boxes or more holds too many boxes
                 # of some residue, so larger bounds name the same subtree
-                key = (tuple(left), min(part - 1, under, m * low + m - 1), after)
-                sub = memo.get(key)
+                child = out[part] = (tuple(left), min(part - 1, under, m * low + m - 1), after)
+                sub = memo.get(child)
                 if sub is None:
-                    sub = memo[key] = below(key[0], under, key[1], after)
+                    children(child)
+                    sub = memo[child]
                 total += sub
             if stop is not None and total > stop:
-                return total
-        return total
+                break
+        memo[node] = total
+        return out
+
+    def root(eta):
+        """The node of eta: None if an entry is negative, 0 if all are 0."""
+        size = sum(eta)
+        if min(eta) >= 0:
+            return size and (eta, min(size, m * min(eta) + m - 1), 0)
 
     def count(eta) -> int:
-        if any(e < 0 for e in eta):
-            return 0
-        size = sum(eta)
-        if size == 0:
-            return 1
-        key = (eta, min(size, m * min(eta) + m - 1), 0)
-        total = memo.get(key)
-        if total is None:
-            total = memo[key] = below(eta, size, key[1], 0)
-        return total
+        node = root(eta)
+        if not node:
+            return 0 if node is None else 1
+        if node not in memo:
+            children(node)
+        return memo[node]
 
-    return count
+    def shapes(eta) -> list:
+        out, live = [], {}
+
+        def walk(node, rows: tuple) -> None:
+            if not node:
+                out.append(rows)
+                return
+            kids = live.get(node)
+            if kids is None:
+                row = blocks[node[2]]
+                kids = live[node] = [((part,) * row[part % m][0], child)
+                                     for part, child in children(node).items()
+                                     if not child or memo[child]]
+            for block, child in kids:
+                walk(child, rows + block)
+
+        if count(eta):
+            walk(root(eta), ())
+        return out
+
+    return count, shapes
 
 
 def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
     """Number of admissible i-charged shapes with content character eta,
     that is len(mw_shapes_with_character(eta, i)), without listing them.
-
-    The count walks the tree of mw_shapes_with_character: blocks of
-    equal rows, largest part first, each block size fixed modulo n + 1
-    by the is_mw congruence, and a branch dropped once a residue count
-    exceeds eta.  Below a node the count depends only on the residue
-    counts still to fill, the largest part still allowed and the number
-    of rows placed so far modulo n + 1, because row r's residues start
-    at (1 - r + i) mod (n + 1) and the congruence reads the rows so far
-    only through 2 * prefix mod (n + 1).  Counts are memoized on that
-    state, in a memo made for this call (tau_counts shares one memo
-    across many characters).
+    The count below a node depends only on its state, because row r's
+    residues start at (1 - r + i) mod (n + 1) and the is_mw congruence
+    reads the rows so far only through 2 * prefix mod (n + 1); it is
+    memoized on that state, in a memo made for this call.
 
     With a stop, every node returns as soon as its running total passes
     stop, and the result is then some number above stop.  A memoized
     value above stop only ever feeds a total above stop, so a count at or
     below stop is exact."""
     eta = tuple(eta)
-    return _shape_counter(len(eta), i, stop)(eta)
+    return _shape_tree(len(eta), i, stop)[0](eta)
 
 
 def tau_counts(etas, i: int) -> list:
@@ -264,7 +250,7 @@ def tau_counts(etas, i: int) -> list:
         raise ValueError(f"characters of mixed lengths {sorted(lengths)}")
     if not etas:
         return []
-    count = _shape_counter(lengths.pop(), i)
+    count = _shape_tree(lengths.pop(), i)[0]
     return [count(eta) for eta in etas]
 
 
@@ -272,29 +258,3 @@ def tau_bruteforce(eta, i: int) -> int:
     """Count admissible i-charged tableaux with content character eta,
     independently of the orbit-sum formula: see tau_count."""
     return tau_count(eta, i)
-
-
-def eta_prime(eta, i: int) -> tuple:
-    """The transformed vector with cyclic entries
-    delta_{0,r} + delta_{i,r} - 2 eta_r + eta_{r-1} + eta_{r+1};
-    eta indexes a dominant weight iff all entries are >= 0."""
-    eta = tuple(eta)
-    m = len(eta)
-    n = m - 1
-    i = i % m
-    return tuple(
-        (1 if r == 0 else 0) + (1 if r == i else 0)
-        - 2 * eta[r] + eta[(r - 1) % m] + eta[(r + 1) % m]
-        for r in range(m)
-    )
-
-
-def jk_from_eta(eta, i: int):
-    """Indices {j, k} with eta' = e_j + e_k; requires eta' >= 0 with
-    total 2.  Then j + k = i mod (n + 1)."""
-    ep = eta_prime(eta, i)
-    if any(x < 0 for x in ep) or sum(ep) != 2:
-        raise ValueError("eta' is not of the form e_j + e_k")
-    idx = [r for r, x in enumerate(ep) for _ in range(x)]
-    j, k = idx
-    return (j, k)

@@ -1,13 +1,16 @@
 """The three multiplicity routes, flag multiplicity polynomials, and the
 rotation reduction for general fundamental tensor products."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import affmult.multiplicities
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -44,6 +47,17 @@ from affmult.multiplicities import (
 from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
 from affmult.weyl_orbits import enumerate_gamma
+
+
+class TestIndependence:
+    def test_no_import_from_the_tableau_route(self):
+        # the tableau count checks tau_formula, so the formula side must not
+        # share its code: nothing in multiplicities is imported from tableaux
+        tree = ast.parse(Path(affmult.multiplicities.__file__).read_text())
+        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        sources |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        assert not any(name and name.split(".")[-1] == "tableaux" for name in sources)
 
 
 class TestMuSplit:

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affmult import cli, tableaux
 from affmult.affine_cartan import affine_Lambda
-from affmult.multiplicities import eta_from_xi, tau_formula
+from affmult.multiplicities import eta_from_xi, eta_prime, jk_from_eta, tau_formula
 from affmult.tableaux import (
     charged_tableau,
     content_character,
-    eta_prime,
     is_mw,
     is_regular,
-    jk_from_eta,
     mw_shapes_with_character,
     shape_character,
     tau_bruteforce,
@@ -55,6 +54,34 @@ def reference_shapes(eta, i):
     n = len(eta) - 1
     return [shape for shape in partitions_regular(sum(eta), n)
             if is_mw(shape, i, n) and shape_character(shape, i, n) == eta]
+
+
+def signature_epsilons(shape, b, n):
+    """[epsilon_0, ..., epsilon_n] of an (n+1)-regular partition in
+    Misra-Miwa's realization of the crystal B(Lambda_b), where a box
+    (r, c) has residue c - r + b mod (n + 1): list the addable and the
+    removable j-nodes from the top row down, cancel each addable node
+    that sits directly above a removable one in that list (after the
+    cancellations between them), and count the removable nodes left.
+    With this order, f_j adds the topmost addable node left, and the
+    f_j from the empty partition reach exactly the regular ones."""
+    m = n + 1
+    parts = tuple(shape) + (0,)
+    nodes = []  # (residue, +1 addable or -1 removable), from the top down
+    for r, part in enumerate(parts, start=1):
+        if r == 1 or parts[r - 2] > part:
+            nodes.append(((part + 1 - r + b) % m, 1))
+        if r < len(parts) and part > parts[r]:
+            nodes.append(((part - r + b) % m, -1))
+    eps, open_addable = [0] * m, [0] * m
+    for j, kind in nodes:
+        if kind > 0:
+            open_addable[j] += 1
+        elif open_addable[j]:
+            open_addable[j] -= 1
+        else:
+            eps[j] += 1
+    return eps
 
 
 @st.composite
@@ -160,6 +187,22 @@ class TestAdmissibility:
     def test_irregular_rejected(self):
         assert not is_mw((2, 2, 2), 1, 2)
 
+    def test_is_the_crystal_rule(self):
+        # B(Lambda_0) (x) B(Lambda_i) holds B(Lambda_0 + wt b) for exactly the
+        # b in B(Lambda_i) with epsilon_j(b) <= delta_{j0} (Kashiwara), so the
+        # congruences of is_mw must pick out those partitions at every charge
+        checked = admitted = 0
+        for n, top in zip(range(1, 8), (24, 20, 18, 16, 15, 14, 13)):
+            for size in range(top + 1):
+                for shape in partitions_regular(size, n):
+                    for i in range(n + 1):
+                        eps = signature_epsilons(shape, i, n)
+                        crystal = eps[0] <= 1 and not any(eps[1:])
+                        assert is_mw(shape, i, n) == crystal, (shape, i, n, eps)
+                        checked += 1
+                        admitted += crystal
+        assert (checked, admitted) == (21359, 773)
+
     def test_single_part_size_congruence(self):
         # one distinct part size k with multiplicity r: requires
         # k + i = r mod (n + 1)
@@ -188,9 +231,13 @@ class TestBruteForce:
         assert mw_shapes_with_character(eta, i) == reference_shapes(eta, i)
 
     def test_every_charge_matches_reference(self):
-        for n in (1, 2, 3):
+        for n, etas in [(1, [(4, 4), (6, 5), (0, 0)]),
+                        (2, [(4, 4, 4), (6, 6, 5), (0, 0, 0)]),
+                        (3, [(4, 4, 4, 4), (6, 6, 6, 5), (0, 0, 0, 0)]),
+                        (4, [(3, 3, 3, 3, 3), (4, 4, 4, 4, 3), (4, 4, 3, 3, 3)]),
+                        (5, [(2, 2, 2, 2, 2, 2), (3, 3, 3, 3, 3, 2), (3, 3, 2, 2, 2, 2)])]:
             for i in range(n + 1):
-                for eta in [(4,) * (n + 1), (6,) * n + (5,), (0,) * (n + 1)]:
+                for eta in etas:
                     assert mw_shapes_with_character(eta, i) == reference_shapes(eta, i)
 
 
@@ -198,8 +245,10 @@ class TestTauCount:
     @given(characters())
     @settings(max_examples=300, deadline=None)
     def test_matches_listing(self, case):
+        # the listing walks the count's own tree, so the count is checked
+        # against the unpruned filter instead
         eta, i = case
-        assert tau_count(eta, i) == len(mw_shapes_with_character(eta, i))
+        assert tau_count(eta, i) == len(reference_shapes(eta, i))
 
     def test_pinned_values(self):
         assert tau_count((6, 6, 5), 1) == 5
@@ -243,6 +292,40 @@ class TestTauCount:
 
     def test_bruteforce_is_the_count(self):
         assert tau_bruteforce((40, 40, 39), 1) == 10584
+
+
+class TestListingSteps:
+    def test_listing_passes_are_the_cli_term(self, monkeypatch):
+        """On accepted tau queries at ranks 1-7, listing the shapes makes
+        at most cli.listing_passes(rows, |eta|) passes of the child loop
+        past the count, the bound tau's work estimate prices."""
+        passes = [0]
+
+        def counted(a, b):
+            passes[0] += 1
+            return divmod(a, b)
+
+        # the child loop calls divmod once a pass, and a module global of
+        # that name shadows the builtin inside tableaux alone
+        monkeypatch.setattr(tableaux, "divmod", counted, raising=False)
+        parser = cli.build_parser()
+        for n, depth in [(1, 30), (2, 20), (3, 12), (4, 10), (5, 8), (6, 7), (7, 6)]:
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    top = affine_Lambda(n, j) + affine_Lambda(n, (i - j) % (n + 1))
+                    for eta0 in range(depth + 1):
+                        try:
+                            eta = eta_from_xi(n, i, top.shift_delta(-eta0))
+                        except ValueError:
+                            continue
+                        # every query of the grid is accepted
+                        cli.Query(parser.parse_args(["tau", "--n", str(n), "--i", str(i),
+                                                     "--eta", ",".join(map(str, eta))]))
+                        count, shapes = tableaux._shape_tree(n + 1, i)
+                        count(eta)
+                        passes[0] = 0
+                        rows = len(shapes(eta))
+                        assert passes[0] <= cli.listing_passes(rows, sum(eta)), (n, i, eta)
 
 
 class TestTauCounts:
