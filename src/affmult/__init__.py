@@ -39,14 +39,7 @@ from .multiplicities import (
     tau_formula,
     xi_from_eta,
 )
-from .partitions import (
-    enumerate_bounded,
-    q_binomial,
-    q_binomial_product,
-    rho,
-    rho_multi,
-    stabilize_bijection,
-)
+from .partitions import q_binomial, q_binomial_product, rho, rho_multi
 from .tableaux import (
     charged_tableau,
     content_character,

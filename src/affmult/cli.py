@@ -12,7 +12,9 @@ The subcommands are one table, ``COMMANDS``: each entry names its help
 text, provenance rule, options, work estimate and handler.  ``main``
 checks the options in the order of the entry, refuses a query whose work
 estimate passes ``WORK_MAX``, runs the handler on the checked values and
-prints the one payload.
+prints the one payload.  An estimate weighs the passes of the loops its
+command runs, each bounded, with a derivation and a counted test, beside
+its loop in ``weyl_orbits``, ``partitions`` or ``tableaux``.
 """
 
 from __future__ import annotations
@@ -22,45 +24,28 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import comb, floor, isqrt
 
-from .affine_cartan import (
-    AffineWeight,
-    FiniteWeight,
-    affine_Lambda,
-    nonneg_root_coeffs,
-    scaled_cap,
-)
+from .affine_cartan import AffineWeight, FiniteWeight, affine_Lambda, nonneg_root_coeffs
 from .char_oracle import tensor_outer_multiplicities
 from .multiplicities import (
-    direct_split,
-    eta_from_xi,
-    f_ball_bound,
-    flag_multiplicity_poly,
-    jk_from_eta,
-    orbit_terms,
-    outer_multiplicity_formula,
-    outer_multiplicity_limit,
-    rotated_to_zero,
-    tau_formula,
+    delta_string, direct_split, f_ball_bound, flag_count_data, flag_multiplicity_poly,
+    jk_from_eta, orbit_terms, outer_multiplicity_formula, outer_multiplicity_limit,
+    rotated_to_zero, tau_formula,
 )
+from .partitions import LIMIT_MAX_KMAX, binomial_steps, count_steps, flag_count_steps
 from .records import Record
-from .tableaux import mw_shapes_with_character, tau_count, tau_counts
+from .tableaux import (
+    block_steps, count_passes, listing_passes, mw_shapes_with_character, tau_count, tau_counts,
+)
 from .weyl_orbits import (
-    b_vector,
-    descent_length,
-    enumerate_gamma,
-    orbit_pair,
-    socle_formula,
-    socle_oracle,
+    b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes, level_two_family,
+    orbit_pair, socle_formula, socle_oracle, walk_steps,
 )
 
 # A work estimate counts steps, about one pass of an inner loop each, over
 # the loops its command runs; README's "CLI" table gives each estimate's
 # worst accepted query and its time.
 WORK_MAX = 5_000_000  # 1.5 s at the slowest rate measured for the estimated loops, 3.3M steps/s
-TAU_MAX_ROWS = 20_000  # not work: the most rows `tau` prints, one per admissible shape
-LIMIT_MAX_KMAX = 400  # not work: `limit` counts recurse about k_max deep, two of 1000 frames each
 
 
 class ValidationError(Exception):
@@ -78,9 +63,12 @@ def parse_vec(text: str, name: str) -> tuple:
 
 def parse_rat(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"parameter {name}: expected a rational like -3 or 5/2")
+    if not _printable(value.numerator) or not _printable(value.denominator):
+        raise ValidationError(f"parameter {name}: too many digits to print")
+    return value
 
 
 def parse_weight(n: int, text: str, name: str) -> FiniteWeight:
@@ -90,37 +78,15 @@ def parse_weight(n: int, text: str, name: str) -> FiniteWeight:
     return FiniteWeight(n, coords)
 
 
+def _printable(x: int) -> bool:
+    """Whether str(x) stays within Python's limit of 4300 digits."""
+    return x.bit_length() < 14_000
+
+
 def _num(x: int) -> str:
     """x in decimal, or a power of two below it where str(x) would pass
     Python's limit of 4300 digits."""
-    return str(x) if x.bit_length() < 14_000 else f"over 2^{x.bit_length() - 1}"
-
-
-def ball_leaves(n: int, bound, scale: int) -> int:
-    """C(M + n, n) vectors, M = isqrt(floor(scale * bound)): the orbit-set
-    walk's leaves at scale n + 1, and at scale 2 a box holding every a with
-    f(a) <= bound, as a_1^2 <= 2 f(a)."""
-    cap = floor(scale * Fraction(bound))
-    return comb(isqrt(cap) + n, n) if cap >= 0 else 0
-
-
-def walk_steps(n: int, bound) -> int:
-    """enumerate_gamma: n + 5 steps a leaf test and 16 times that a socle
-    test (0.5 + 0.03n us and 7.5 + 0.47n us measured)."""
-    return (ball_leaves(n, bound, n + 1) + 16 * ball_leaves(n, bound, 2)) * (n + 5)
-
-
-def count_steps(n: int, bound) -> int:
-    """rho_multi on n components to arguments m <= bound/4, with parts up to
-    floor(M/2) for the walk's largest entry M: memos of (m + 1)^2 values."""
-    m, parts = floor(Fraction(max(bound, 0)) / 4), isqrt(max(scaled_cap(n, bound), 0)) // 2
-    return (m + 1) ** 2 * (parts + 1) * n
-
-
-def listing_passes(rows: int, size: int) -> int:
-    """The tableau tree's child-loop passes to list rows shapes of size
-    boxes, past their count, at most; see tau_steps."""
-    return (rows + 1) * size
+    return str(x) if _printable(x) else f"over 2^{x.bit_length() - 1}"
 
 
 def emit(payload: dict, fmt: str) -> None:
@@ -296,26 +262,20 @@ DEPTH = _at_least("--depth", 0, default=0,
 
 
 def tau_steps(q):
-    """The count's block table, (n + 1)^4/4 passes of 2 steps (0.14 us a
-    pass measured); then per shape 8(n + 1) steps of the count (up to
-    0.7(n + 1) us measured), which stops once its shapes would pass
-    WORK_MAX, and the formula's level_two_family walk, which had at most
-    two members a shape, each reached in about n(M + 1) loop passes of 16
-    steps, M = isqrt(n + 1 + 8 eta_0) its largest entry (measured at ranks
-    up to 30); and the listing of rows shapes of |eta| boxes.  It enters
-    only nodes above some shape, each once: the root loops over at most
-    |eta| parts, the node below a block of part k over fewer than k, and
-    a shape's parts but its last sum to less than |eta|, so it makes at
-    most (rows + 1)|eta| passes (listing_passes) of n + 3 steps."""
-    block, count = (q.n + 1) ** 4 // 2, 8 * (q.n + 1)
+    """The count's block table; then the count and the listing, at 1 and
+    n + 3 steps a pass, the formula's walk at 16 steps a pass and its
+    counts, at its norm bound, at most (n + 1)/2 + 4 eta_0.  The count
+    stops once its own passes would pass WORK_MAX."""
+    n, size = q.n, sum(q.eta)
+    block = block_steps(n + 1)
     yield block, "--n", "the tableau count's block table"
-    rows = tau_count(q.eta, q.i, min(TAU_MAX_ROWS, (WORK_MAX - block) // count))
-    if rows > TAU_MAX_ROWS:
-        raise ValidationError(f"parameter --eta: more than {TAU_MAX_ROWS} admissible "
-                              f"shapes, the most rows tau lists")
-    per_shape = count + 32 * q.n * (isqrt(q.n + 1 + 8 * q.eta[0]) + 1)
-    yield (rows * per_shape + listing_passes(rows, sum(q.eta)) * (q.n + 3), "--eta",
-           f"{rows} shapes of {_num(sum(q.eta))} boxes")
+    stop = (WORK_MAX - block) // count_passes(n + 1)
+    rows = tau_count(q.eta, q.i, stop)
+    bound = Fraction(n + 1, 2) + 4 * q.eta[0]
+    walk = family_passes(n, bound, rows)
+    yield ((rows + 1) * count_passes(n + 1) + listing_passes(rows, size) * (n + 3)
+           + 16 * walk + count_steps(n, bound, walk), "--eta",
+           f"{'more than ' * (rows > stop)}{min(rows, stop)} shapes of {_num(size)} boxes")
 
 
 def cmd_tau(q):
@@ -355,6 +315,8 @@ def cmd_socle(q):
 
 def cmd_orbit(q):
     pair = orbit_pair(q.level, q.mu)
+    if not all(map(_printable, pair.a_vector())):
+        raise ValidationError("parameter --mu: an epsilon-coordinate has too many digits to print")
     result = {
         "m": list(pair.m),
         "p": list(pair.p),
@@ -374,12 +336,11 @@ def cmd_gamma(q):
 
 
 def flag_steps(q):
-    """The inverse Cartan matrix, as in orbit_sum_steps, then about d^2 steps
-    for the Gaussian binomials and their product, of degree d = sum a_j b_j."""
+    """The inverse Cartan matrix, as in orbit_sum_steps, then a step a
+    coefficient of the Gaussian binomials and their product."""
     yield 8 * q.n * q.n, "--n", "the inverse Cartan matrix"
     a = nonneg_root_coeffs(q.lam - q.mu) or ()
-    degree = sum(x * y for x, y in zip(a, direct_split(q.mu)[0].coords))
-    yield degree * degree, "--lam/--mu", f"the polynomial has degree {_num(degree)}"
+    yield binomial_steps(a, direct_split(q.mu)[0].coords), "--lam/--mu", "the Gaussian binomials"
 
 
 def cmd_flag_mult(q):
@@ -400,7 +361,8 @@ def orbit_sum_steps(q, weight=lambda q: (q.i, q.xi)):
     the orbit sum at the charge and weight of weight(q); returns its bound."""
     yield 8 * q.n * q.n, "--n", "the inverse Cartan matrix"
     bound = f_ball_bound(q.n, *weight(q))
-    yield walk_steps(q.n, bound) + count_steps(q.n, bound), "--degree", "the orbit sum"
+    yield (walk_steps(q.n, bound) + count_steps(q.n, bound, ball_leaves(q.n, bound, 2)),
+           "--degree", "the orbit sum")
     return bound
 
 
@@ -412,17 +374,20 @@ def cmd_multiplicity(q):
 
 
 def limit_steps(q):
-    """The orbit sum, then k_max + 1 flag multiplicities a member of the box
-    a_1^2 <= 2 * bound: the k-th reads the matrix twice and counts to about
-    k|b|, |b| <= floor(M/2), (k|b|)^2/2 steps a component but the last, whose
-    memo grows by k|b|^2 entries of about 4 steps (0.4 us measured)."""
+    """The orbit sum, whose steps also price the walk of its members
+    (walk_steps), then for each member k_max + 1 flag multiplicities, each
+    reading the matrix twice, 2n^2 steps, and counting in flag_count_steps
+    calls of 2 steps (0.3-0.4 us a call measured)."""
     if q.kmax > LIMIT_MAX_KMAX:
         raise ValidationError(f"parameter --kmax: must be <= {LIMIT_MAX_KMAX}")
-    n, k = q.n, q.kmax + 1
     bound = yield from orbit_sum_steps(q)
-    b = isqrt(max(scaled_cap(n, bound), 0)) // 2
-    per_member = k * (2 * n * n + (n - 1) * (b * k) ** 2 // 6 + 2 * b * b * k)
-    yield ball_leaves(n, bound, 2) * per_member, "--kmax", f"{k} flag multiplicities a member"
+    # Lambda_j + Lambda_k has values 1 at j and k, or 2 at j = k
+    jk = (r for r, v in enumerate(q.xi.c_values()) for _ in range(v))
+    members = level_two_family(q.n, *jk, bound).members
+    data = [flag_count_data(q.n, q.i, q.xi, pair.weight(), q.kmax) for pair in members]
+    steps = 2 * q.n * q.n * (q.kmax + 1) * len(members) + sum(
+        2 * flag_count_steps(*d, q.kmax) for d in data if d)
+    yield steps, "--kmax", f"{q.kmax + 1} flag multiplicities for each of {len(members)} members"
 
 
 def cmd_limit(q):
@@ -465,41 +430,26 @@ def _verify_instance(task):
     return [(True, f"oracle n={n} i={i} depth={depth}", f"{len(table)} entries")]
 
 
-def _delta_string(n: int, i: int, j: int, k: int, eta0_max: int) -> list:
-    """Characters of Lambda_j + Lambda_k - eta0 * delta for eta0 <= eta0_max
-    that lie below Lambda_0 + Lambda_i.  Lowering by delta = sum_l alpha_l
-    adds 1 to every entry, so once one eta0 lies below, every deeper one
-    does, and its character is the first one plus the difference of the
-    eta0 in every entry."""
-    top = affine_Lambda(n, j) + affine_Lambda(n, k)
-    for eta0 in range(eta0_max + 1):
-        try:
-            first = eta_from_xi(n, i, top.shift_delta(-eta0))
-        except ValueError:
-            continue
-        return [tuple(e + d for e in first) for d in range(eta0_max + 1 - eta0)]
-    return []
-
-
 def verify_steps(q):
-    """The count's block tables, (n + 1)^4/4 passes of 2 steps a charge, at
-    every rank first; then at each rank the count's memos, about
-    (n + 1)^3 (E + 1)^3/4 a charge for E = --eta0-max; for each of the
-    m(m + 1)/2 weights Lambda_j + Lambda_k, m = n + 1, the formula walk
-    (n + 5 steps a level_two_family box leaf) and counts of each character
-    of its delta-string; and at ranks <= 2 the oracle table's orbit sums.
-    The norm bounds reach m/2 + 4E, or 4 * --depth."""
+    """At every rank first the count's block tables, one a charge; then at
+    each rank the count's memos, about (n + 1)^3 (E + 1)^3/4 a charge for
+    E = --eta0-max; for each of the m(m + 1)/2 weights Lambda_j + Lambda_k,
+    m = n + 1, the formula walk (n + 5 steps a box leaf) and counts of its
+    delta-string; and at ranks <= 2 the oracle table's orbit sums.  The
+    norm bounds reach m/2 + 4E, or 4 * --depth."""
     for n in q.ranks:
-        yield (n + 1) ** 5 // 2, "--n", f"the block tables of rank {n}"
+        yield (n + 1) * block_steps(n + 1), "--n", f"the block tables of rank {n}"
     for n in q.ranks:
         m, e, d = n + 1, q.eta0_max, q.depth
         yield m ** 4 * (e + 1) ** 3 // 4, "--eta0-max", f"the tableau counts of rank {n}"
         weights, bound = m * (m + 1) // 2, Fraction(m, 2) + 4 * e
-        yield (weights * ((e + 1) * ball_leaves(n, bound, 2) * (n + 5) + count_steps(n, bound)),
+        rows = (e + 1) * ball_leaves(n, bound, 2)
+        yield (weights * (rows * (n + 5) + count_steps(n, bound, rows)),
                "--eta0-max", f"the formulas of rank {n}")
         if d and n <= 2:  # the oracle rows of cmd_verify
             bound = Fraction(m, 2) + 4 * d
-            yield (weights * ((d + 1) * walk_steps(n, bound) + count_steps(n, bound)),
+            rows = (d + 1) * ball_leaves(n, bound, 2)
+            yield (weights * ((d + 1) * walk_steps(n, bound) + count_steps(n, bound, rows)),
                    "--depth", f"the oracle table of rank {n}")
 
 
@@ -511,7 +461,7 @@ def cmd_verify(q):
             for j in range(n + 1):
                 k = (i - j) % (n + 1)
                 if j <= k:
-                    etas += _delta_string(n, i, j, k, q.eta0_max)
+                    etas += delta_string(n, i, j, k, q.eta0_max)
             if etas:
                 tasks.append(("tau", (n, i, etas)))
     if q.depth > 0:

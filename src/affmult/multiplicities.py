@@ -156,6 +156,22 @@ def eta_from_xi(n: int, i: int, xi: AffineWeight) -> tuple:
     return eta
 
 
+def delta_string(n: int, i: int, j: int, k: int, eta0_max: int) -> list:
+    """Characters of Lambda_j + Lambda_k - eta0 * delta for eta0 <= eta0_max
+    that lie below Lambda_0 + Lambda_i.  Lowering by delta = sum_l alpha_l
+    adds 1 to every entry, so once one eta0 lies below, every deeper one
+    does, and its character is the first one plus the difference of the
+    eta0 in every entry."""
+    top = affine_Lambda(n, j) + affine_Lambda(n, k)
+    for eta0 in range(eta0_max + 1):
+        try:
+            first = eta_from_xi(n, i, top.shift_delta(-eta0))
+        except ValueError:
+            continue
+        return [tuple(e + d for e in first) for d in range(eta0_max + 1 - eta0)]
+    return []
+
+
 def f_ball_bound(n: int, i: int, xi: AffineWeight) -> Fraction:
     """Norm bound 2(omega_i, omega_i) - (xibar, xibar) - 4 xi(d) on the
     orbit-set members with a non-zero count."""
@@ -283,6 +299,21 @@ def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
     last = max((threshold for _mu, threshold, _values in sequences), default=0)
     return LimitResult(sum(values[-1] for *_, values in sequences),
                        last if last <= k_max else "not stabilized", tuple(sequences))
+
+
+def flag_count_data(n: int, i: int, xi: AffineWeight, mu: FiniteWeight, k: int):
+    """(argument, bounds, caps) of the count rho_multi(argument, bounds, caps)
+    of outer_multiplicity_limit's k-th flag multiplicity at mu, or None if
+    uncounted.  From k to k + 1 each cap, a root coefficient of lam - mu,
+    lam = omega_i + k theta, grows by 1, and the argument
+    r(mu, xi) + k(|omega_i| + k) - (lam + mu1, lam - mu)/2 by |b|, as its
+    k-terms are k|omega_i| + k^2 - k(theta, omega_i) + k(theta, mu0) - k^2."""
+    wi = omega(n, residue(i, n))
+    data = _flag_data(wi + k * theta(n), mu)
+    if data is None:
+        return None
+    caps, b, shift = data
+    return r_of(mu, xi) + k * (wi.height_sum() + k) - shift, b, caps
 
 
 def rotate(c: int, lam: AffineWeight) -> AffineWeight:

@@ -12,14 +12,19 @@ The convention is checked once per call of the public ``rho`` and
 ``_rho_multi_sorted``, take non-negative ints only, and
 ``_rho_multi_sorted`` calls ``_count`` on the same keys as ``rho``:
 (m, b, cap) with the part-count cap lowered to at most m.
+The bounds on their passes that the CLI's work estimates read sit beside
+them: ``count_steps``, ``flag_count_steps``, ``binomial_steps``, and
+``LIMIT_MAX_KMAX`` for the depth of ``_count``'s recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import floor, isqrt
 from typing import Optional, Sequence
 
+from .affine_cartan import scaled_cap
 from .laurent import LaurentPoly
 
 Partition = tuple  # weakly decreasing tuple of positive integers
@@ -37,30 +42,9 @@ def canonical(parts: Sequence[int]) -> Partition:
     return parts
 
 
-def enumerate_bounded(m: int, b: int, max_parts: Optional[int] = None) -> list:
-    """All partitions of m with parts <= b (and at most max_parts parts),
-    in lexicographically decreasing order."""
-    out = []
-
-    def rec(remaining, largest, count, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if max_parts is not None and count >= max_parts:
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, count + 1, prefix)
-            prefix.pop()
-
-    if max_parts is not None and max_parts < 0:
-        return []
-    if m == 0:
-        return [()]
-    if m < 0 or b == 0:
-        return []
-    rec(m, b, 0, [])
-    return out
+# not work: a count not filled bottom-up recurses about as deep as its length
+# cap, two of 1000 frames a level, and the limit route's caps grow with k_max
+LIMIT_MAX_KMAX = 400
 
 
 @lru_cache(maxsize=None)
@@ -127,21 +111,33 @@ def _rho_multi_sorted(m: int, comps: tuple) -> int:
     )
 
 
-def enumerate_multi(m: int, b: Sequence[int], a: Optional[Sequence[int]] = None) -> list:
-    """Materialize the multipartitions counted by rho_multi."""
-    caps = tuple(a) if a is not None else (None,) * len(b)
+def count_steps(n: int, bound, rows: int) -> int:
+    """A bound on the calls of _count and _rho_multi_sorted, cold, made by an
+    orbit sum of at most rows rows at a norm bound: a call a row, then
+    memos of (m + 1)^2 values a part and component, to arguments m <= bound/4
+    with parts up to floor(M/2), M the f-ball walk's largest entry."""
+    m, parts = floor(Fraction(max(bound, 0)) / 4), isqrt(max(scaled_cap(n, bound), 0)) // 2
+    return rows + (m + 1) ** 2 * (parts + 1) * n
 
-    def rec(j: int, rem: int):
-        if j == len(b):
-            if rem == 0:
-                yield ()
-            return
-        for s in range(rem + 1):
-            for comp in enumerate_bounded(s, b[j], caps[j]):
-                for rest in rec(j + 1, rem - s):
-                    yield (comp,) + rest
 
-    return list(rec(0, m)) if not _is_bad_number(m) else []
+def flag_count_steps(m, b: Sequence[int], caps: Sequence[int], kmax: int) -> int:
+    """A bound on the calls of _count and _rho_multi_sorted, cold, made by
+    the k_max + 1 flag multiplicities of a limit-route member, the last
+    rho_multi(m, b, caps), the k-th to m - (k_max - k)|b| (flag_count_data),
+    none where that is negative or fractional.  To m' on L components with
+    b_j > 0, _rho_multi_sorted makes 2(m' + 1) calls at the top and, as the
+    caps change with k, (m' + 1)(m' + 2) at each of the L - 1 levels below;
+    _count 2 a miss, on keys (s, b', c'), s <= m, b' <= max b and
+    c' <= min(max caps, m)."""
+    s = sum(b)
+    if m < 0 or Fraction(m).denominator != 1:
+        return 0
+    m = int(m)
+    t = min(kmax + 1, m // s + 1) if s else kmax + 1  # the k that count
+    x1 = t * (m + 1) - s * t * (t - 1) // 2  # the sum of m' + 1
+    x2 = t * (m + 1) ** 2 - (m + 1) * s * t * (t - 1) + s * s * (t - 1) * t * (2 * t - 1) // 6
+    lower = max(sum(1 for x in b if x) - 1, 0)
+    return t + 2 * x1 + lower * (x2 + x1) + 2 * (m + 1) * (max(b) + 1) * (min(max(caps), m) + 1)
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +157,16 @@ def q_binomial(m: int, p: int) -> LaurentPoly:
     return row[p]
 
 
+def binomial_steps(a: Sequence[int], b: Sequence[int]) -> int:
+    """A bound on the coefficients that q_binomial_product(a + b, a), cold,
+    and a prefactor shift move: (d + 1)(d + l + 1), l factors of degree
+    d = sum a_j b_j in all.  Pascal pass (d', k) shifts (k - 1)d' + 1, at most
+    (a_j b_j)^2/2 + a_j b_j in all; the product (D + 1)(d_j + 1) pairs into
+    a running product of degree D, at most d^2/2 + l d + l; the shift d + 1."""
+    d = sum(x * y for x, y in zip(a, b))
+    return (d + 1) * (d + len(a) + 1)
+
+
 def q_binomial_product(m: Sequence[int], p: Sequence[int]) -> LaurentPoly:
     """Product of Gaussian binomials [m_j choose p_j]_q."""
     if len(m) != len(p):
@@ -169,13 +175,6 @@ def q_binomial_product(m: Sequence[int], p: Sequence[int]) -> LaurentPoly:
     for mj, pj in zip(m, p):
         out = out * q_binomial(mj, pj)
     return out
-
-
-def box_complement(parts: Partition, b: int, length: int) -> Partition:
-    """Complement a partition inside a length x b box: pad with zeros to
-    the given length, replace each part by b minus it, re-sort."""
-    padded = list(parts) + [0] * (length - len(parts))
-    return canonical(sorted((b - s for s in padded), reverse=True))
 
 
 def stabilize_threshold(f: int, a: Sequence[int], b: Sequence[int]):
@@ -187,33 +186,6 @@ def stabilize_threshold(f: int, a: Sequence[int], b: Sequence[int]):
         dot = sum(x * y for x, y in zip(a, b))
         kmin = max(kmin, -((-(f + dot)) // size))  # ceil division
     return kmin
-
-
-def stabilize_bijection(f: int, a: Sequence[int], b: Sequence[int], k: int) -> list:
-    """Explicit pairing between the capped multipartitions of
-    k|b| - <a,b> - f (caps k - a_j, bounds b) and the multipartitions of
-    f (bounds b), by componentwise box complement."""
-    if len(a) != len(b):
-        raise ValueError("vectors must have equal length")
-    if sum(b) == 0:
-        raise ValueError("require |b| > 0")
-    if k < stabilize_threshold(f, a, b):
-        raise ValueError("k below the stabilization threshold")
-    caps = [k - aj for aj in a]
-    total = k * sum(b) - sum(x * y for x, y in zip(a, b)) - f
-    pairs = []
-    for multi in enumerate_multi(total, b, caps):
-        image = tuple(
-            box_complement(comp, bj, cap)
-            for comp, bj, cap in zip(multi, b, caps)
-        )
-        pairs.append((multi, image))
-    # sanity: the images exhaust P_b(f) exactly once
-    targets = set(enumerate_multi(f, b))
-    images = [im for _, im in pairs]
-    if len(set(images)) != len(images) or set(images) != targets:
-        raise AssertionError("complement map failed to be a bijection")
-    return pairs
 
 
 def compositions(m: int, l: int):

@@ -20,6 +20,8 @@ listing (``mw_shapes_with_character``, the rows of the CLI ``tau``
 command) runs the same child loop but enters only nodes of positive
 count, so it costs about its output.  The tree uses no orbit and no
 multipartition, so it stays an independent check of the formula.
+The bounds on its passes that the CLI's estimate of ``tau`` reads sit
+beside it: ``block_steps``, ``count_passes`` and ``listing_passes``.
 """
 
 from __future__ import annotations
@@ -138,6 +140,28 @@ def _blocks(m: int, i: int) -> tuple:
             row.append((reps, tuple(extra), (p + reps) % m))
         blocks.append(tuple(row))
     return tuple(blocks)
+
+
+def block_steps(m: int) -> int:
+    """The work of _blocks(m, i): reps < m rows of c columns for each pair
+    (p, c), as p runs reps runs through one parity class of residues at most
+    twice, so at most m^4/4 passes, of 2 steps (0.14 us a pass measured)."""
+    return m ** 4 // 2
+
+
+def count_passes(m: int) -> int:
+    """The child-loop passes of a count of rows shapes are at most
+    count_passes(m) * (rows + 1): measured, not derived, as a dead node
+    costs passes but no shape (under 7m(rows + 1) on the tests' queries)."""
+    return 8 * m
+
+
+def listing_passes(rows: int, size: int) -> int:
+    """The child-loop passes of shapes(eta) past its count, rows shapes of
+    size boxes: it enters only nodes above some shape, each once; the root
+    loops over at most size parts, the node below a block of part k over
+    fewer than k, and a shape's parts but its last sum to less than size."""
+    return (rows + 1) * size
 
 
 def _shape_tree(m: int, i: int, stop: Optional[int] = None):

@@ -7,14 +7,15 @@ write the epsilon-coordinates a_i of mu as a_i = p_i * l + m_i with
 of l*Lambda_0 + w0(mu) in closed form, and at level 2 parameterizes the
 orbit sets indexing the multiplicity sums.  ``level_two_family``
 generates those level-2 pairs directly, pruning by the integer form
-(n + 1)*f, and re-checks every member it returns.
+(n + 1)*f, and re-checks every member it returns.  ``walk_steps`` and
+``family_passes`` bound the passes of the two walks for the CLI.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import isqrt
+from math import comb, floor, isqrt
 from typing import Sequence
 
 from .affine_cartan import (
@@ -247,7 +248,7 @@ def _dominant_eps_in_ball(n: int, norm_bound):
 
     The walk covers the box a_i^2 <= cap, with cap = floor((n+1)*norm_bound)
     from scaled_cap: the C(M + n, n) weakly decreasing vectors in [0, M]^n,
-    M = isqrt(cap), that cli.ball_leaves counts, in one flat loop over
+    M = isqrt(cap), that ball_leaves counts, in one flat loop over
     combinations_with_replacement.  Each leaf is tested in integers:
     (n+1)*f(a) is the integer scaled_f(a), so f(a) <= norm_bound exactly
     when scaled_f(a) <= cap."""
@@ -273,6 +274,34 @@ def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
         if socle_formula(level, mu).weight.equiv_mod_delta(xi):
             out.append((mu, OrbitPair(*orbit_division(level, a), level)))
     return out
+
+
+def ball_leaves(n: int, bound, scale: int) -> int:
+    """C(M + n, n), M = isqrt(floor(scale * bound)), vectors: at scale n + 1
+    the leaves _dominant_eps_in_ball tests, at scale 2 a box holding every
+    a with f(a) <= bound, as a_1^2 <= 2 f(a), so the kept leaves."""
+    cap = floor(scale * Fraction(bound))
+    return comb(isqrt(cap) + n, n) if cap >= 0 else 0
+
+
+def walk_steps(n: int, bound) -> int:
+    """The work of enumerate_gamma at a norm bound: n + 5 steps a leaf test
+    and 16 times that a socle test (0.5 + 0.03n us and 7.5 + 0.47n us
+    measured); also family_passes(n, bound) at 16 steps a pass."""
+    return (ball_leaves(n, bound, n + 1) + 16 * ball_leaves(n, bound, 2)) * (n + 5)
+
+
+def family_passes(n: int, bound, shapes=None) -> int:
+    """A bound on the passes of level_two_family(n, j, k, bound): a pass at
+    depth t names a weakly decreasing vector of t entries in [0, M], M =
+    isqrt(floor(2 * bound)), distinct passes distinct vectors, and there are
+    C(M + t, t) <= C(M + n, n) of them, so n * ball_leaves(n, bound, 2) in
+    all.  Given the shapes the tableau route counts for the weight, also
+    n(n + 1)(M + 1) a shape and one more: measured, not derived (under 0.4
+    of it at ranks up to 40)."""
+    box = n * ball_leaves(n, bound, 2)
+    return box if shapes is None else min(
+        box, (shapes + 1) * n * (n + 1) * (isqrt(floor(2 * Fraction(bound))) + 1))
 
 
 def family_residues(n: int, j: int, k: int, s: int) -> set:

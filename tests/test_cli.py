@@ -10,18 +10,30 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affmult import cli
-from affmult.affine_cartan import affine_Lambda
+from affmult.affine_cartan import AffineWeight, affine_Lambda, nonneg_root_coeffs
 from affmult.cli import COMMANDS as TABLE
-from affmult.cli import Query, _delta_string, build_parser, main
-from affmult.multiplicities import eta_from_xi
-from affmult.tableaux import mw_shapes_with_character
+from affmult.cli import Query, build_parser, main
+from affmult.multiplicities import (
+    delta_string,
+    direct_split,
+    eta_from_xi,
+    f_ball_bound,
+    flag_count_data,
+    rotate,
+    rotated_to_zero,
+)
+from affmult.partitions import binomial_steps, count_steps, flag_count_steps
+from affmult.tableaux import count_passes, listing_passes, mw_shapes_with_character, tau_count
+from affmult.weyl_orbits import ball_leaves, descent_length, enumerate_gamma, family_passes
+from pass_counters import KINDS, counting
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +44,10 @@ def src_env():
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+# the message of a query whose work estimate passes WORK_MAX
+WORK_REFUSAL = re.compile(r"\d+ steps of work, more than 5000000$")
 
 
 def run(capsys, *argv):
@@ -64,7 +80,7 @@ class TestTau:
         code, out, err = run(capsys, "tau", "--n", "2", "--i", "1", "--eta", "60,60,59")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "--eta" in err and "more than 20000 admissible shapes" in err
+        assert "--eta" in err and WORK_REFUSAL.search(err)
 
     @pytest.mark.parametrize("eta", ["200,200,199", "300,300,299"])
     def test_row_cap_stops_the_count(self, capsys, eta):
@@ -73,7 +89,7 @@ class TestTau:
         code, out, err = run(capsys, "tau", "--n", "2", "--i", "1", "--eta", eta)
         assert time.process_time() - start < 1.0
         assert code == 2 and out == ""
-        assert "--eta" in err and "more than 20000 admissible shapes" in err
+        assert "--eta" in err and WORK_REFUSAL.search(err)
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "tau", "--n", "2", "--i", "1",
@@ -296,6 +312,16 @@ class TestValidation:
         (["verify", "--n", "1", "--depth", "-3"], "--depth"),
         (["verify", "--n", "2..1"], "--n"),
         (["gamma", "--n", "2", "--cvals", "0,0,0", "--norm-bound", "4"], "--cvals"),
+        # numbers too long to print (Python's limit of 4300 digits)
+        (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "1e5000"], "--norm-bound"),
+        (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "1", "--degree=1e5000"],
+         "--degree"),
+        (["multiplicity", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=1e5000"],
+         "--degree"),
+        (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=1e5000"], "--degree"),
+        (["tensor-general", "--n", "1", "--i", "0", "--j", "0", "--cvals", "2,0",
+          "--degree=1e5000"], "--degree"),
+        (["orbit", "--n", "20", "--level", "1", "--mu=" + ",".join(["9" * 4299] * 20)], "--mu"),
     ])
     def test_library_errors_exit_two_without_traceback(self, argv, param):
         proc = subprocess.run([sys.executable, "-m", "affmult.cli", *argv],
@@ -335,6 +361,13 @@ BIG = st.sampled_from([100, 1001, 10 ** 6, HUGE]).flatmap(lambda v: st.sampled_f
 def big(small):
     """A value from small, or from BIG one time in two."""
     return st.one_of(small, BIG).map(str)
+
+
+def big_rational(small):
+    """A value from big(small), or a power of ten in exponent notation,
+    some of them too long to print."""
+    return st.one_of(big(small), st.sampled_from(["1e5000", "-1e5000", "1e-5000", "1e4299",
+                                                   "-2e12"]))
 
 
 def spread(length, small):
@@ -400,7 +433,9 @@ class TestContractFuzz:
     def large_options(data, command):
         """Options with --n at 1..3 or from 30 up, where the work that grows
         with the rank alone nears WORK_MAX, and with entries, levels,
-        degrees, --norm-bound, --r and --kmax from BIG one time in two.
+        degrees, --norm-bound, --r and --kmax from BIG one time in two;
+        degrees, --norm-bound and --r also in exponent notation, some of
+        them too long to print.
         verify draws ranges and values on either side of its estimate's
         bound."""
         n = data.draw(st.sampled_from([1, 2, 3, 30, 64, 65, 300, 1000, 4000, HUGE]))
@@ -418,12 +453,12 @@ class TestContractFuzz:
             opts["--eta"] = spread(size + 1, st.integers(0, 4))
         elif command == "gamma":
             opts["--cvals"] = spread(size + 1, st.integers(0, 2))
-            opts["--degree"] = big(st.integers(-3, 4))
-            opts["--norm-bound"] = big(st.integers(-3, 12))
+            opts["--degree"] = big_rational(st.integers(-3, 4))
+            opts["--norm-bound"] = big_rational(st.integers(-3, 12))
         elif command == "flag-mult":
             opts["--lam"] = spread(size, st.integers(0, 4))
             opts["--mu"] = spread(size, st.integers(0, 4))
-            opts["--r"] = big(st.integers(-3, 4))
+            opts["--r"] = big_rational(st.integers(-3, 4))
         else:
             i, j, a = (data.draw(st.integers(0, size)) for _ in range(3))
             if command != "tensor-general":
@@ -432,7 +467,7 @@ class TestContractFuzz:
             if command == "tensor-general":
                 opts["--j"] = st.just(str(j))
             opts["--cvals"] = st.just(level_two_cvals(size, a, (i + j - a) % (size + 1)))
-            opts["--degree"] = big(st.integers(-3, 4))
+            opts["--degree"] = big_rational(st.integers(-3, 4))
             if command == "limit":
                 opts["--kmax"] = big(st.integers(1, 4))
         # about one argv in five leaves an option out (flag-mult --r, say)
@@ -481,20 +516,178 @@ class TestContractFuzz:
         self.check(command, [command, *self.large_options(data, command), "--format=json"])
 
 
+def bench_workloads():
+    """bench/workloads.py, read-only: it imports nothing from affmult."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestBenchmarkInputs:
     def test_cli_pool_and_verify_argv_are_accepted(self):
         """Every query the benchmark can draw passes its option checks and
         its work estimate; the handlers are not run."""
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      ROOT / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = bench_workloads()
         argvs = [argv for command in workloads.CLI_COMMANDS
                  for argv, _ in workloads._cli_pool(command)]
         assert {argv[0] for argv in argvs} == set(TABLE) - {"verify"}
         parser = build_parser()
         for argv in argvs + [list(workloads.VERIFY_ARGV)]:
             Query(parser.parse_args(argv))
+
+    def test_formula_ladder_inputs_are_accepted(self):
+        """Every formula_ladder instance of seeds 1-3 passes the option
+        checks and work estimates of tau, multiplicity and limit with
+        --kmax eta_0, the routes the workload runs; the handlers are not
+        run."""
+        workloads = bench_workloads()
+        parser = build_parser()
+        for seed in (1, 2, 3):
+            for n, i, j, k, eta0, eta, kmax in workloads.formula_ladder(seed):
+                weight = ["--n", str(n), "--i", str(i), "--cvals",
+                          ",".join(map(str, workloads.level_two_cvals(n, j, k))),
+                          f"--degree={-eta0}"]
+                tau = ["tau", "--n", str(n), "--i", str(i), "--eta", ",".join(map(str, eta))]
+                for argv in (tau, ["multiplicity", *weight],
+                             ["limit", *weight, "--kmax", str(kmax)]):
+                    Query(parser.parse_args(argv))
+
+
+def below(n, i, j, eta0):
+    """Lambda_j + Lambda_{i-j} - eta0 delta and its character for charge i,
+    or None where the weight is not below Lambda_0 + Lambda_i."""
+    xi = (affine_Lambda(n, j) + affine_Lambda(n, (i - j) % (n + 1))).shift_delta(-eta0)
+    try:
+        return xi, eta_from_xi(n, i, xi)
+    except ValueError:
+        return None
+
+
+# ranks drawn by TestCountedPasses, with the deepest eta_0 drawn at each
+DEPTHS = {1: 60, 2: 30, 3: 16, 4: 10, 5: 8, 7: 5, 12: 3, 30: 2}
+
+
+class TestCountedPasses:
+    """Queries the work estimates accept, run under the counters of
+    pass_counters: every count stays within the bound on its loop that
+    the estimate reads from the loop's module."""
+
+    @staticmethod
+    def draw(data, command):
+        """argv of one query of command, near the sizes the estimates allow."""
+        n = data.draw(st.sampled_from(sorted(DEPTHS)))
+        if command in ("multiplicity", "limit", "tensor-general", "gamma", "socle", "orbit",
+                       "flag-mult"):
+            n = min(n, 4)
+        i, j = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        eta0 = data.draw(st.integers(0, DEPTHS[n]))
+        if command == "verify":
+            return ["verify", "--n", data.draw(st.sampled_from(["1", "2", "3", "1..2", "1..3"])),
+                    "--eta0-max", str(data.draw(st.integers(0, 12))),
+                    "--depth", str(data.draw(st.integers(0, 2)))]
+        if command in ("socle", "orbit"):
+            return [command, "--n", str(n), "--level", str(data.draw(st.integers(1, 3))),
+                    "--mu=" + data.draw(ints(-60, 60, n))]
+        if command == "flag-mult":
+            argv = ["flag-mult", "--n", str(n), "--lam", data.draw(ints(0, 30, n)),
+                    "--mu", data.draw(ints(0, 30, n))]
+            return argv + data.draw(st.sampled_from([[], ["--r", str(eta0)]]))
+        if command == "gamma":
+            bound = data.draw(st.fractions(0, 60, max_denominator=7))
+            return ["gamma", "--n", str(n), "--cvals", level_two_cvals(n, j, (i - j) % (n + 1)),
+                    "--degree", str(-eta0), "--norm-bound", str(bound)]
+        found = below(n, i, j, eta0)
+        if found is None:
+            return None
+        xi, eta = found
+        if command == "tau":
+            return ["tau", "--n", str(n), "--i", str(i), "--eta", ",".join(map(str, eta))]
+        argv = [command, "--n", str(n), "--i", str(i)]
+        if command == "tensor-general":
+            # the same weight, as a multiplicity of Lambda_a (x) Lambda_{i+a}
+            a = data.draw(st.integers(0, n))
+            argv = [command, "--n", str(n), "--i", str(a), "--j", str((a + i) % (n + 1))]
+            xi = rotate(a, xi)
+        argv += ["--cvals", ",".join(map(str, xi.c_values())), f"--degree={xi.degree}"]
+        if command == "limit":
+            kmax = data.draw(st.sampled_from([1, eta0 + 1, 3 * eta0 + 2, 40, 120]))
+            argv += ["--kmax", str(kmax)]
+        return argv
+
+    @staticmethod
+    def bounds(command, q):
+        """The bound on each counted loop, read from the loops' modules."""
+        out = dict.fromkeys(KINDS, 0)
+        n = getattr(q, "n", None)
+
+        def orbit_sum(n, bound):
+            out["leaves"] += ball_leaves(n, bound, n + 1)
+            out["socles"] += ball_leaves(n, bound, 2)
+            out["memo"] += count_steps(n, bound, ball_leaves(n, bound, 2))
+
+        if command == "tau":
+            rows = tau_count(q.eta, q.i)
+            # the estimate's count, the listing's count and the listing
+            out["tableau"] = (2 * count_passes(n + 1) * (rows + 1)
+                              + listing_passes(rows, sum(q.eta)))
+            bound = Fraction(n + 1, 2) + 4 * q.eta[0]
+            out["family"] = family_passes(n, bound, rows)
+            out["memo"] = count_steps(n, bound, out["family"])
+        elif command == "socle":
+            out["descent"] = descent_length(AffineWeight(q.mu.w0_image(), q.level, 0)) + 1
+        elif command == "gamma":
+            out["leaves"] = ball_leaves(n, q.bound, n + 1)
+            out["socles"] = ball_leaves(n, q.bound, 2)
+        elif command == "flag-mult":
+            a = nonneg_root_coeffs(q.lam - q.mu) or ()
+            out["coefficients"] = binomial_steps(a, direct_split(q.mu)[0].coords)
+        elif command in ("multiplicity", "tensor-general"):
+            i, xi = (q.i, q.xi) if command == "multiplicity" else rotated_to_zero(n, q.i, q.j, q.xi)
+            orbit_sum(n, f_ball_bound(n, i, xi))
+        elif command == "limit":
+            bound = f_ball_bound(n, q.i, q.xi)
+            orbit_sum(n, bound)
+            out["family"] = family_passes(n, bound)
+            for mu, _pair in enumerate_gamma(q.xi, bound):
+                data = flag_count_data(n, q.i, q.xi, mu, q.kmax)
+                if data:
+                    out["memo"] += flag_count_steps(*data, q.kmax)
+        elif command == "verify":
+            for n in q.ranks:
+                m, e, d = n + 1, q.eta0_max, q.depth
+                weights, bound = m * (m + 1) // 2, Fraction(m, 2) + 4 * e
+                out["tableau"] += m ** 4 * (e + 1) ** 3 // 4
+                out["family"] += weights * (e + 1) * family_passes(n, bound)
+                out["memo"] += weights * count_steps(n, bound, (e + 1) * ball_leaves(n, bound, 2))
+                if d and n <= 2:
+                    # the oracle's reflection descents are not priced (the
+                    # estimate of verify reads its formula work only)
+                    out["descent"] = float("inf")
+                    bound = Fraction(m, 2) + 4 * d
+                    out["leaves"] += weights * (d + 1) * ball_leaves(n, bound, n + 1)
+                    out["socles"] += weights * (d + 1) * ball_leaves(n, bound, 2)
+                    out["memo"] += weights * count_steps(n, bound,
+                                                         (d + 1) * ball_leaves(n, bound, 2))
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(TABLE)), st.data())
+    def test_counts_are_within_their_bounds(self, command, data):
+        argv = self.draw(data, command)
+        assume(argv is not None)
+        args = build_parser().parse_args(argv + ["--format", "json"])
+        with counting() as counts:
+            try:
+                q = Query(args)
+            except cli.ValidationError:
+                assume(False)
+            with redirect_stdout(io.StringIO()):
+                TABLE[command].run(q)
+        bounds = self.bounds(command, q)
+        over = {kind: (count, bounds[kind]) for kind, count in counts.items()
+                if count > bounds[kind]}
+        assert not over, (argv, over)
 
 
 # One small accepted query per subcommand and its exact output in json,
@@ -701,7 +894,7 @@ class TestVerify:
                         except ValueError:
                             assert not found  # the string has no gap
                     assert found
-                    assert _delta_string(n, i, j, k, 15) == found
+                    assert delta_string(n, i, j, k, 15) == found
                     first, d0 = found[0], 16 - len(found)
                     for eta0, eta in enumerate(found, start=d0):
                         assert eta == tuple(e + eta0 - d0 for e in first)

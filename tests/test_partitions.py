@@ -10,17 +10,16 @@ from affmult.laurent import LaurentPoly
 from affmult.partitions import (
     _count,
     _rho_multi_sorted,
-    box_complement,
+    binomial_steps,
     canonical,
-    enumerate_bounded,
-    enumerate_multi,
     q_binomial,
     q_binomial_product,
     rho,
     rho_multi,
-    stabilize_bijection,
     stabilize_threshold,
 )
+from multipartitions import box_complement, enumerate_bounded, enumerate_multi, stabilize_bijection
+from pass_counters import counting
 
 
 class TestEnumerateBounded:
@@ -189,6 +188,15 @@ class TestQBinomialProduct:
         poly = q_binomial_product(m, p)
         bounds = [mj - pj for mj, pj in zip(m, p)]
         assert poly.coeff(s) == rho_multi(s, bounds, p)
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=5))
+    def test_coefficients_within_binomial_steps(self, ab):
+        """The Pascal rows and the product shift and multiply at most
+        binomial_steps(a, b) coefficients, with the prefactor's shift."""
+        a, b = [x for x, _ in ab], [y for _, y in ab]
+        with counting() as counts:
+            q_binomial_product([x + y for x, y in ab], a).shift(Fraction(1, 2))
+        assert counts["coefficients"] <= binomial_steps(a, b)
 
 
 class TestStabilization:

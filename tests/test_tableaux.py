@@ -11,16 +11,21 @@ from affmult import cli, tableaux
 from affmult.affine_cartan import affine_Lambda
 from affmult.multiplicities import eta_from_xi, eta_prime, jk_from_eta, tau_formula
 from affmult.tableaux import (
+    block_steps,
     charged_tableau,
+    count_passes,
     content_character,
     is_mw,
     is_regular,
+    listing_passes,
     mw_shapes_with_character,
     shape_character,
     tau_bruteforce,
     tau_count,
     tau_counts,
 )
+from pass_counters import counting
+
 
 shapes = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(
     lambda parts: tuple(sorted(parts, reverse=True)))
@@ -295,19 +300,11 @@ class TestTauCount:
 
 
 class TestListingSteps:
-    def test_listing_passes_are_the_cli_term(self, monkeypatch):
+    def test_listing_passes_are_the_cli_term(self):
         """On accepted tau queries at ranks 1-7, listing the shapes makes
-        at most cli.listing_passes(rows, |eta|) passes of the child loop
-        past the count, the bound tau's work estimate prices."""
-        passes = [0]
-
-        def counted(a, b):
-            passes[0] += 1
-            return divmod(a, b)
-
-        # the child loop calls divmod once a pass, and a module global of
-        # that name shadows the builtin inside tableaux alone
-        monkeypatch.setattr(tableaux, "divmod", counted, raising=False)
+        at most listing_passes(rows, |eta|) passes of the child loop past
+        the count, and the count at most count_passes(n + 1) * (rows + 1),
+        the bounds tau's work estimate prices."""
         parser = cli.build_parser()
         for n, depth in [(1, 30), (2, 20), (3, 12), (4, 10), (5, 8), (6, 7), (7, 6)]:
             for i in range(n + 1):
@@ -322,10 +319,21 @@ class TestListingSteps:
                         cli.Query(parser.parse_args(["tau", "--n", str(n), "--i", str(i),
                                                      "--eta", ",".join(map(str, eta))]))
                         count, shapes = tableaux._shape_tree(n + 1, i)
-                        count(eta)
-                        passes[0] = 0
-                        rows = len(shapes(eta))
-                        assert passes[0] <= cli.listing_passes(rows, sum(eta)), (n, i, eta)
+                        with counting() as counted:
+                            rows = count(eta)
+                        assert counted["tableau"] <= count_passes(n + 1) * (rows + 1)
+                        with counting() as listed:
+                            assert len(shapes(eta)) == rows
+                        assert listed["tableau"] <= listing_passes(rows, sum(eta)), (n, i, eta)
+
+    def test_block_table_passes(self):
+        """The block table of charge i makes sum(reps * c) passes, which
+        block_steps prices at 2 steps each."""
+        for m in range(1, 17):
+            for i in range(m):
+                table = tableaux._blocks(m, i)
+                passes = sum(reps * c for row in table for c, (reps, _, _) in enumerate(row))
+                assert 2 * passes <= block_steps(m), (m, i)
 
 
 class TestTauCounts:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmult import cli, weyl_orbits
+from affmult import weyl_orbits
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -32,9 +32,11 @@ from affmult.weyl_orbits import (
     LevelTwoFamily,
     OrbitPair,
     b_vector,
+    ball_leaves,
     cofinal_weight,
     descent_length,
     enumerate_gamma,
+    family_passes,
     family_residues,
     gamma_contains,
     level_two_family,
@@ -51,6 +53,8 @@ from affmult.weyl_orbits import (
     socle_oracle,
     translation,
 )
+from pass_counters import counting
+
 
 
 def random_affine_weight(rng, n):
@@ -367,10 +371,10 @@ class TestIntegerWalk:
         assert checked > 0
 
     def test_leaf_count_is_the_cli_cap(self, monkeypatch):
-        """The walk tests scaled_f on exactly the cli.ball_leaves(n, bound,
+        """The walk tests scaled_f on exactly the ball_leaves(n, bound,
         n + 1) leaves that its work estimate counts, keeps the vectors
         reference_ball keeps, and keeps only vectors of the box that
-        cli.ball_leaves(n, bound, 2) counts, a_1^2 <= 2 * bound."""
+        ball_leaves(n, bound, 2) counts, a_1^2 <= 2 * bound."""
         tested = []
 
         def counted(a):
@@ -384,9 +388,25 @@ class TestIntegerWalk:
                 tested.clear()
                 walked = list(_dominant_eps_in_ball(n, bound))
                 assert walked == list(reference_ball(n, Fraction(bound)))
-                assert len(tested) == cli.ball_leaves(n, bound, n + 1)
-                assert len(walked) <= cli.ball_leaves(n, bound, 2)
+                assert len(tested) == ball_leaves(n, bound, n + 1)
+                assert len(walked) <= ball_leaves(n, bound, 2)
                 assert all(a[0] ** 2 <= 2 * bound for a in walked)
+
+    def test_walks_are_within_walk_steps(self):
+        """enumerate_gamma tests at most ball_leaves(n, bound, 2) leaves by
+        socle_formula, and level_two_family, at the same bound, makes at
+        most family_passes(n, bound) passes, the counts walk_steps prices."""
+        for n in range(1, 6):
+            for cv in ((2,) + (0,) * n, (1, 1) + (0,) * (n - 1), (0,) * n + (2,),
+                       (1,) + (0,) * (n // 2) + (1,) + (0,) * (n - n // 2 - 1)):
+                xi = AffineWeight.from_c_values(n, cv)
+                j, k = (r for r, v in enumerate(cv) for _ in range(v))
+                for bound in (0, Fraction(1, 3), 2, Fraction(37, 8), 9, 16):
+                    with counting() as counts:
+                        enumerate_gamma(xi, bound)
+                        level_two_family(n, j, k, bound)
+                    assert counts["socles"] <= ball_leaves(n, bound, 2)
+                    assert counts["family"] <= family_passes(n, bound)
 
 
 class TestLevelTwoFamily:
