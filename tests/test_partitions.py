@@ -6,18 +6,22 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affmult.affine_cartan import AffineWeight
 from affmult.laurent import LaurentPoly
+from affmult.multiplicities import f_ball_bound, orbit_terms
 from affmult.partitions import (
     _count,
     _rho_multi_sorted,
     binomial_steps,
     canonical,
+    count_steps,
     q_binomial,
     q_binomial_product,
     rho,
     rho_multi,
     stabilize_threshold,
 )
+from affmult.weyl_orbits import ball_leaves
 from multipartitions import box_complement, enumerate_bounded, enumerate_multi, stabilize_bijection
 from pass_counters import counting
 
@@ -126,6 +130,23 @@ class TestCountKeys:
             _count.cache_clear()
             assert value == self._by_rho(m, comps)
             assert _count.cache_info().currsize == entries
+
+
+class TestCountSteps:
+    def test_orbit_sum_calls_within_count_steps(self):
+        """An orbit sum at ranks 1-3, cold, calls _count and _rho_multi_sorted
+        at most count_steps(n, bound, rows) times, one call a row and the
+        memos; the rows are at most the kept leaves of its walk."""
+        for n in (1, 2, 3):
+            for cv in ((2,) + (0,) * n, (0, 2) + (0,) * (n - 1), (1, 1) + (0,) * (n - 1)):
+                for i in range(n + 1):
+                    for eta0 in range(6):
+                        xi = AffineWeight.from_c_values(n, cv, -eta0)
+                        bound = f_ball_bound(n, i, xi)
+                        with counting() as counts:
+                            orbit_terms(n, i, xi)
+                        rows = ball_leaves(n, bound, 2)
+                        assert counts["memo"] <= count_steps(n, bound, rows), (n, cv, i, eta0)
 
 
 class TestQBinomial:
