@@ -56,7 +56,6 @@ from affmult.weyl_orbits import (
 from pass_counters import counting
 
 
-
 def random_affine_weight(rng, n):
     fin = FiniteWeight(n, tuple(rng.randint(-4, 4) for _ in range(n)))
     return AffineWeight(fin, rng.randint(1, 3), Fraction(rng.randint(-5, 5)))
