@@ -40,15 +40,7 @@ from .multiplicities import (
     xi_from_eta,
 )
 from .partitions import q_binomial, q_binomial_product, rho, rho_multi
-from .tableaux import (
-    charged_tableau,
-    content_character,
-    is_mw,
-    is_regular,
-    tau_bruteforce,
-    tau_count,
-    tau_counts,
-)
+from .tableaux import is_mw, tau_bruteforce, tau_count, tau_counts
 from .weyl_orbits import (
     OrbitPair,
     b_vector,

@@ -13,8 +13,9 @@ mu_bar in omega_j + Q and t = (|mu_bar|^2 - |omega_j|^2)/2 + k, with
 multiplicity the number of n-coloured partitions of k.  A norm
 inequality, derived at ``_admitted_weights`` and checked on every
 reflection descent, bounds the weights that reach a summand within the
-requested delta-depth.  No level-2 character is built and nothing is
-peeled.
+requested delta-depth; ``descent_passes`` bounds the passes of the
+descents, which the CLI prices.  No level-2 character is built and
+nothing is peeled.
 
 ``freudenthal_character`` runs the affine Freudenthal recursion (Kac,
 Ch. 11) in integers on the root-coefficient vector k of Lam - mu =
@@ -199,7 +200,24 @@ def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
     times 2L, read (L-1)|mu_bar - c/(L-1)|^2 <= R with
     R = 2L*depth + L|omega_j|^2 - |rho_bar|^2 + L|c|^2/(L-1), a ball since
     L > 1, so |mu_bar|^2 <= 2|c|^2/(L-1)^2 + 2R/(L-1).  An epsilon vector
-    has a_i^2 <= 2 f(a), which bounds the box searched."""
+    has a_i^2 <= 2 f(a), which bounds the box searched, |a_i| <= amax."""
+    j, lev, c, norm_rho, big_r, amax = _ball(Lam, Lam2, depth)
+    radius_sq = 2 * Fraction(scaled_f(c), (lev - 1) ** 2) + 2 * big_r / (lev - 1)
+    for a, t0 in _maximal_weights(Lam.n, j, amax):
+        nu = [x + y for x, y in zip(a, c)]
+        if 2 * lev * (Lam.n + 1) * (t0 - depth) > scaled_f(nu) - norm_rho:
+            continue
+        # (L-1)|mu_bar - c/(L-1)|^2 = |(L-1) mu_bar - c|^2 / (L-1)
+        off_centre = [(lev - 1) * x - y for x, y in zip(a, c)]
+        if (scaled_f(off_centre) > (lev - 1) * big_r
+                or scaled_f(a) > radius_sq):
+            raise AssertionError("admitted weight outside the derived ball")
+        yield a, t0
+
+
+def _ball(Lam: AffineWeight, Lam2: AffineWeight, depth: int) -> tuple:
+    """j with Lam2 = Lambda_j, and L, c, |rho_bar|^2, R and the box radius
+    amax of the ball of _admitted_weights."""
     n = Lam.n
     m = n + 1
     j = Lam2.c_values().index(1)
@@ -208,21 +226,22 @@ def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
         raise AssertionError("the depth bound needs level > 1")
     norm_c = scaled_f(c)
     norm_w = scaled_f(eps_coords(omega(n, j)))
-    # every norm below is scaled by m = n + 1
-    big_r = (2 * lev * depth * m + lev * norm_w - norm_rho
-             + Fraction(lev * norm_c, lev - 1))
-    radius_sq = 2 * Fraction(norm_c, (lev - 1) ** 2) + 2 * big_r / (lev - 1)
-    amax = isqrt(int(2 * radius_sq / m))
-    for a, t0 in _maximal_weights(n, j, amax):
-        nu = [x + y for x, y in zip(a, c)]
-        if 2 * lev * m * (t0 - depth) > scaled_f(nu) - norm_rho:
-            continue
-        # (L-1)|mu_bar - c/(L-1)|^2 = |(L-1) mu_bar - c|^2 / (L-1)
-        off_centre = [(lev - 1) * x - y for x, y in zip(a, c)]
-        if (scaled_f(off_centre) > (lev - 1) * big_r
-                or scaled_f(a) > radius_sq):
-            raise AssertionError("admitted weight outside the derived ball")
-        yield a, t0
+    # every norm below is scaled by m = n + 1; R = r + L|c|^2/(L-1), so the
+    # squared radius 2|c|^2/(L-1)^2 + 2R/(L-1) is 2((L+1)|c|^2 + (L-1)r)/(L-1)^2
+    r = 2 * lev * depth * m + lev * norm_w - norm_rho
+    amax = isqrt(4 * ((lev + 1) * norm_c + (lev - 1) * r) // (m * (lev - 1) ** 2))
+    return j, lev, c, norm_rho, r + Fraction(lev * norm_c, lev - 1), amax
+
+
+def descent_passes(Lam: AffineWeight, Lam2: AffineWeight, depth: int) -> int:
+    """A bound on the scans of _descend in tensor_outer_multiplicities(Lam,
+    Lam2, depth): at most (2 amax + 1)^n admitted weights, each descended
+    with a scan a reflection and one more, and by descent_length at most
+    |s|//L + 1 reflections for each of the n(n + 1)/2 positive finite roots
+    alpha, s = (nu_bar, alpha) a difference of two entries of a + c and 0."""
+    _, lev, c, _, _, amax = _ball(Lam, Lam2, depth)
+    n, spread = Lam.n, 2 * amax + max(0, *c) - min(0, *c)
+    return (2 * amax + 1) ** n * (n * (n + 1) // 2 * (spread // lev + 1) + 1)
 
 
 def _brauer_klimyk(Lam: AffineWeight, Lam2: AffineWeight, depth: int,

@@ -12,9 +12,10 @@ The subcommands are one table, ``COMMANDS``: each entry names its help
 text, provenance rule, options, work estimate and handler.  ``main``
 checks the options in the order of the entry, refuses a query whose work
 estimate passes ``WORK_MAX``, runs the handler on the checked values and
-prints the one payload.  An estimate weighs the passes of the loops its
-command runs, each bounded, with a derivation and a counted test, beside
-its loop in ``weyl_orbits``, ``partitions`` or ``tableaux``.
+prints the one payload.  An estimate yields, stage by stage, the passes
+of the loops its command runs, by kind, each bounded, with a derivation
+and a counted test, beside its loop in ``weyl_orbits``, ``partitions``,
+``tableaux`` or ``char_oracle``; ``PRICES`` prices a pass of each kind.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import sys
 from fractions import Fraction
 
 from .affine_cartan import AffineWeight, FiniteWeight, affine_Lambda, nonneg_root_coeffs
-from .char_oracle import tensor_outer_multiplicities
+from .char_oracle import descent_passes, tensor_outer_multiplicities
 from .multiplicities import (
-    delta_string, direct_split, f_ball_bound, flag_count_data, flag_multiplicity_poly,
+    delta_string, direct_split, f_ball_bound, flag_multiplicity_poly, flag_progression,
     jk_from_eta, orbit_terms, outer_multiplicity_formula, outer_multiplicity_limit,
     rotated_to_zero, tau_formula,
 )
@@ -39,13 +40,30 @@ from .tableaux import (
 )
 from .weyl_orbits import (
     b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes, level_two_family,
-    orbit_pair, socle_formula, socle_oracle, walk_steps,
+    orbit_pair, socle_formula, socle_oracle,
 )
 
-# A work estimate counts steps, about one pass of an inner loop each, over
-# the loops its command runs; README's "CLI" table gives each estimate's
-# worst accepted query and its time.
+# A work estimate counts steps of about 0.3 us; README's "CLI" table gives
+# each estimate's worst accepted query and its time.
 WORK_MAX = 5_000_000  # 1.5 s at the slowest rate measured for the estimated loops, 3.3M steps/s
+
+# The steps of one pass of each kind of loop, at the stage's rank n;
+# README's "CLI" table says what a pass is and where its bound sits.  The
+# last four kinds are fixed terms, which no loop counter counts.
+PRICES = {
+    "leaves": lambda n: n + 5,             # an f-ball leaf, scaled_f of n entries: 0.5 + 0.03n us
+    "socles": lambda n: 16 * (n + 5),      # a socle_formula test of a kept leaf: 7.5 + 0.47n us
+    "family": lambda n: 8,                 # a pass of level_two_family's loop: 2.0-2.2 us
+    "descent": lambda n: n + 2,            # a scan of _descend's n + 1 values: 0.5-0.8 us
+    "memo": lambda n: 2,                   # a call of _count or _rho_multi_sorted: 0.4-0.5 us
+    "coefficients": lambda n: 1,           # a coefficient a Gaussian binomial shifts or multiplies
+    "count": lambda n: 1,                  # a pass of the tableau tree's child loop, counting
+    "listing": lambda n: n + 3,            # a pass of it that lists, and builds the rows
+    "matrix": lambda n: 8,                 # an entry of (n + 1)C^-1 that bilinear or a_of_eta sums
+    "progressions": lambda n: 40 + n * n,  # a flag_progression: 9-35 us at n = 1-100
+    "partial sums": lambda n: 2,           # one of descent_length's n(n + 1)/2 partial sums
+    "blocks": lambda n: 2,                 # a pass of the tableau count's block table: 0.14 us
+}
 
 
 class ValidationError(Exception):
@@ -94,49 +112,40 @@ def emit(payload: dict, fmt: str) -> None:
         print(json.dumps(payload, sort_keys=True, default=str))
         return
     result = payload["result"]
+    rows = result.get("rows")
+    table = None if rows is None else [result.get("header", []), *rows]
     if fmt == "csv":
         import csv  # only here, so JSON and table queries do not load _csv
 
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        rows = result.get("rows")
-        if rows is not None:
-            writer.writerow(result.get("header", []))
-            writer.writerows(rows)
-        else:
-            for key in sorted(result):
-                writer.writerow([key, result[key]])
+        csv.writer(buf).writerows(table or ([key, result[key]] for key in sorted(result)))
         sys.stdout.write(buf.getvalue())
         return
     # table format: aligned key/value lines, rows printed as a block
-    rows = result.get("rows")
-    if rows is not None:
-        header = result.get("header", [])
-        print("\t".join(str(h) for h in header))
-        for row in rows:
-            print("\t".join(str(x) for x in row))
-    for key in sorted(result):
-        if key in ("rows", "header"):
-            continue
+    for row in table or ():
+        print("\t".join(map(str, row)))
+    for key in sorted(result.keys() - {"rows", "header"}):
         print(f"{key}: {result[key]}")
 
 
 class Query:
     """The checked values of parsed arguments, as attributes, and ``params``,
     the values the payload echoes: each option's check in the order of the
-    command's entry, then its work estimate, refused once its steps so far
-    pass WORK_MAX."""
+    command's entry, then its work estimate, whose passes by kind add up in
+    ``passes`` and priced in ``steps``, refused once the steps pass WORK_MAX."""
 
     def __init__(self, args):
         self.params = {}
         command = COMMANDS[args.command]
         for option in command.options:
             option.check(args, self)
-        total = 0
-        for steps, name, what in command.estimate(self):
-            total += steps
-            if total > WORK_MAX:
-                raise ValidationError(f"parameter {name}: {what}: {_num(total)} steps of "
+        self.steps, self.passes = 0, dict.fromkeys(PRICES, 0)
+        for name, what, n, passes in command.estimate(self):
+            for kind, count in passes.items():
+                self.steps += PRICES[kind](n) * count
+                self.passes[kind] += count
+            if self.steps > WORK_MAX:
+                raise ValidationError(f"parameter {name}: {what}: {_num(self.steps)} steps of "
                                       f"work, more than {WORK_MAX}")
 
     def set(self, **values):
@@ -162,14 +171,16 @@ def _index(name: str) -> Option:
     return Option(((f"--{name}", dict(type=int, required=True)),), check)
 
 
-def _at_least(flag: str, lo: int, **kwargs) -> Option:
-    """An integer option that must be at least lo."""
+def _at_least(flag: str, lo: int, hi=None, **kwargs) -> Option:
+    """An integer option that must be at least lo, and at most hi if given."""
     dest = flag[2:].replace("-", "_")
 
     def check(args, q):
         value = getattr(args, dest)
         if value < lo:
             raise ValidationError(f"parameter {flag}: must be >= {lo}")
+        if hi is not None and value > hi:
+            raise ValidationError(f"parameter {flag}: must be <= {hi}")
         q.set(**{dest: value})
     return Option(((flag, dict(type=int, **kwargs)),), check)
 
@@ -254,7 +265,7 @@ LEVEL_TWO = Option(CVALS_DEGREE, _affine(level_two=True))
 NORM_BOUND = Option((("--norm-bound", dict(required=True)),), _check_norm_bound)
 LAM_MU = Option((("--lam", dict(required=True)), ("--mu", dict(required=True))), _check_lam_mu)
 R = Option((("--r", dict(default=None)),), _check_r)
-KMAX = _at_least("--kmax", 1, default=20)
+KMAX = _at_least("--kmax", 1, LIMIT_MAX_KMAX, default=20)
 RANKS = Option((("--n", dict(default="1..2")),), _check_ranks)
 ETA0_MAX = _at_least("--eta0-max", 0, default=3)
 DEPTH = _at_least("--depth", 0, default=0,
@@ -262,53 +273,43 @@ DEPTH = _at_least("--depth", 0, default=0,
 
 
 def tau_steps(q):
-    """The count's block table; then the count and the listing, at 1 and
-    n + 3 steps a pass, the formula's walk at 16 steps a pass and its
-    counts, at its norm bound, at most (n + 1)/2 + 4 eta_0.  The count
-    stops once its own passes would pass WORK_MAX."""
-    n, size = q.n, sum(q.eta)
-    block = block_steps(n + 1)
-    yield block, "--n", "the tableau count's block table"
-    stop = (WORK_MAX - block) // count_passes(n + 1)
+    """The count's block table; then two counts of the shapes, the
+    estimate's own, stopped once the passes of both would pass WORK_MAX,
+    and the listing's, the listing, and the formula's walk and counts, at
+    its norm bound, at most (n + 1)/2 + 4 eta_0."""
+    n, m, size = q.n, q.n + 1, sum(q.eta)
+    yield "--n", "the tableau count's block table", n, {"blocks": block_steps(m)}
+    stop = (WORK_MAX - q.steps) // (2 * PRICES["count"](n) * count_passes(m))
     rows = tau_count(q.eta, q.i, stop)
-    bound = Fraction(n + 1, 2) + 4 * q.eta[0]
+    bound = Fraction(m, 2) + 4 * q.eta[0]
     walk = family_passes(n, bound, rows)
-    yield ((rows + 1) * count_passes(n + 1) + listing_passes(rows, size) * (n + 3)
-           + 16 * walk + count_steps(n, bound, walk), "--eta",
-           f"{'more than ' * (rows > stop)}{min(rows, stop)} shapes of {_num(size)} boxes")
+    yield ("--eta", f"{'more than ' * (rows > stop)}{min(rows, stop)} shapes of {_num(size)} "
+           "boxes", n, {"count": 2 * (rows + 1) * count_passes(m), "family": walk,
+                        "listing": listing_passes(rows, size), "memo": count_steps(n, bound, walk)})
 
 
 def cmd_tau(q):
-    value = tau_formula(q.n, q.i, q.eta)
-    shapes = mw_shapes_with_character(q.eta, q.i)
-    result = {
-        "value": value,
-        "brute_force": len(shapes),
-        "rows": [[str(s)] for s in shapes],
-        "header": ["shape"],
-    }
+    value, shapes = tau_formula(q.n, q.i, q.eta), mw_shapes_with_character(q.eta, q.i)
+    result = {"value": value, "brute_force": len(shapes), "rows": [[str(s)] for s in shapes],
+              "header": ["shape"]}
     return result, (value != len(shapes)
                     and f"mismatch: formula {value} != brute force {len(shapes)}")
 
 
 def socle_steps(q):
-    """descent_length's n(n + 1)/2 partial sums, 2 steps each, then the
-    descent, which scans up to n + 1 coroot values a step."""
-    yield q.n * (q.n + 1), "--n", "descent_length's partial sums"
+    """descent_length's n(n + 1)/2 partial sums, then the descent: a step
+    a reflection and one more, which finds no negative value."""
+    yield "--n", "descent_length's partial sums", q.n, {"partial sums": q.n * (q.n + 1) // 2}
     steps = descent_length(AffineWeight(q.mu.w0_image(), q.level, Fraction(0)))
-    yield (steps * (q.n + 1), "--mu", f"the reflection descent makes {_num(steps)} steps "
-           f"and scans up to {q.n + 1} coroot values in each")
+    yield ("--mu", f"the reflection descent makes {_num(steps)} steps and scans up to "
+           f"{q.n + 1} coroot values in each", q.n, {"descent": steps + 1})
 
 
 def cmd_socle(q):
     formula = socle_formula(q.level, q.mu).weight
     oracle = socle_oracle(AffineWeight(q.mu.w0_image(), q.level, Fraction(0))).weight
-    result = {
-        "cvals": list(formula.c_values()),
-        "degree": str(formula.degree),
-        "oracle_cvals": list(oracle.c_values()),
-        "oracle_degree": str(oracle.degree),
-    }
+    result = {"cvals": list(formula.c_values()), "degree": str(formula.degree),
+              "oracle_cvals": list(oracle.c_values()), "oracle_degree": str(oracle.degree)}
     return result, (formula != oracle
                     and "mismatch: closed form disagrees with reflection descent")
 
@@ -317,13 +318,8 @@ def cmd_orbit(q):
     pair = orbit_pair(q.level, q.mu)
     if not all(map(_printable, pair.a_vector())):
         raise ValidationError("parameter --mu: an epsilon-coordinate has too many digits to print")
-    result = {
-        "m": list(pair.m),
-        "p": list(pair.p),
-        "a": list(pair.a_vector()),
-        "residue": pair.residue(),
-        "dominant": pair.in_dominant_set(),
-    }
+    result = {"m": list(pair.m), "p": list(pair.p), "a": list(pair.a_vector()),
+              "residue": pair.residue(), "dominant": pair.in_dominant_set()}
     if q.level == 2 and pair.in_dominant_set():
         result["b_vector"] = list(b_vector(pair))
     return result, None
@@ -336,11 +332,12 @@ def cmd_gamma(q):
 
 
 def flag_steps(q):
-    """The inverse Cartan matrix, as in orbit_sum_steps, then a step a
-    coefficient of the Gaussian binomials and their product."""
-    yield 8 * q.n * q.n, "--n", "the inverse Cartan matrix"
+    """The inverse Cartan matrix, as in orbit_sum_steps, then the
+    coefficients of the Gaussian binomials and their product."""
+    yield "--n", "the inverse Cartan matrix", q.n, {"matrix": q.n * q.n}
     a = nonneg_root_coeffs(q.lam - q.mu) or ()
-    yield binomial_steps(a, direct_split(q.mu)[0].coords), "--lam/--mu", "the Gaussian binomials"
+    yield ("--lam/--mu", "the Gaussian binomials", q.n,
+           {"coefficients": binomial_steps(a, direct_split(q.mu)[0].coords)})
 
 
 def cmd_flag_mult(q):
@@ -349,20 +346,20 @@ def cmd_flag_mult(q):
     poly = flag_multiplicity_poly(q.lam, q.mu)
     if q.r is not None:
         return {"value": poly.coeff(q.r)}, None
-    return {
-        "polynomial": repr(poly),
-        "rows": [[str(e), poly.coeffs[e]] for e in poly.support()],
-        "header": ["exponent", "coefficient"],
-    }, None
+    return {"polynomial": repr(poly), "rows": [[str(e), poly.coeffs[e]] for e in poly.support()],
+            "header": ["exponent", "coefficient"]}, None
 
 
 def orbit_sum_steps(q, weight=lambda q: (q.i, q.xi)):
-    """The inverse Cartan matrix, 8 steps an entry (0.7 us measured), then
-    the orbit sum at the charge and weight of weight(q); returns its bound."""
-    yield 8 * q.n * q.n, "--n", "the inverse Cartan matrix"
+    """The inverse Cartan matrix, which f_ball_bound and rotated_to_zero
+    sum over, then the orbit sum at the charge and weight of weight(q): its
+    walk's leaves, the socle tests of those kept, and the counts of its
+    rows, one a kept leaf at most; returns its norm bound."""
+    yield "--n", "the inverse Cartan matrix", q.n, {"matrix": q.n * q.n}
     bound = f_ball_bound(q.n, *weight(q))
-    yield (walk_steps(q.n, bound) + count_steps(q.n, bound, ball_leaves(q.n, bound, 2)),
-           "--degree", "the orbit sum")
+    kept = ball_leaves(q.n, bound, 2)
+    yield "--degree", "the orbit sum", q.n, {"leaves": ball_leaves(q.n, bound, q.n + 1),
+                                             "socles": kept, "memo": count_steps(q.n, bound, kept)}
     return bound
 
 
@@ -374,20 +371,20 @@ def cmd_multiplicity(q):
 
 
 def limit_steps(q):
-    """The orbit sum, whose steps also price the walk of its members
-    (walk_steps), then for each member k_max + 1 flag multiplicities, each
-    reading the matrix twice, 2n^2 steps, and counting in flag_count_steps
-    calls of 2 steps (0.3-0.4 us a call measured)."""
-    if q.kmax > LIMIT_MAX_KMAX:
-        raise ValidationError(f"parameter --kmax: must be <= {LIMIT_MAX_KMAX}")
+    """The orbit sum; the estimate's own walk of its members by
+    level_two_family; the flag_progression of each member, made by the
+    estimate and by the route; then the counts of the k_max + 1 flag
+    multiplicities of each."""
     bound = yield from orbit_sum_steps(q)
+    yield "--degree", "the walk of the orbit set", q.n, {"family": family_passes(q.n, bound)}
     # Lambda_j + Lambda_k has values 1 at j and k, or 2 at j = k
     jk = (r for r, v in enumerate(q.xi.c_values()) for _ in range(v))
     members = level_two_family(q.n, *jk, bound).members
-    data = [flag_count_data(q.n, q.i, q.xi, pair.weight(), q.kmax) for pair in members]
-    steps = 2 * q.n * q.n * (q.kmax + 1) * len(members) + sum(
-        2 * flag_count_steps(*d, q.kmax) for d in data if d)
-    yield steps, "--kmax", f"{q.kmax + 1} flag multiplicities for each of {len(members)} members"
+    what = f"{q.kmax + 1} flag multiplicities for each of {len(members)} members"
+    yield "--kmax", what, q.n, {"progressions": 2 * len(members)}
+    progressions = [flag_progression(q.n, q.i, q.xi, pair.weight()) for pair in members]
+    yield "--kmax", what, q.n, {"memo": sum(flag_count_steps(*p, q.kmax)
+                                           for p in progressions if p)}
 
 
 def cmd_limit(q):
@@ -414,9 +411,8 @@ def _verify_instance(task):
     kind, data = task
     if kind == "tau":
         n, i, etas = data
-        brutes = tau_counts(etas, i)  # one memo for the whole task
         rows = []
-        for eta, b in zip(etas, brutes):
+        for eta, b in zip(etas, tau_counts(etas, i)):  # one memo for the whole task
             a = tau_formula(n, i, eta)
             rows.append((a == b, f"tau n={n} i={i} eta={eta}", f"formula={a} brute={b}"))
         return rows
@@ -432,25 +428,30 @@ def _verify_instance(task):
 
 def verify_steps(q):
     """At every rank first the count's block tables, one a charge; then at
-    each rank the count's memos, about (n + 1)^3 (E + 1)^3/4 a charge for
+    each rank the counts, about (n + 1)^3 (E + 1)^3/4 passes a charge for
     E = --eta0-max; for each of the m(m + 1)/2 weights Lambda_j + Lambda_k,
-    m = n + 1, the formula walk (n + 5 steps a box leaf) and counts of its
-    delta-string; and at ranks <= 2 the oracle table's orbit sums.  The
-    norm bounds reach m/2 + 4E, or 4 * --depth."""
+    m = n + 1, the formula walks of its delta-string, at norm bounds
+    m/2 + 4 eta_0, and the counts of all their rows through one memo; at
+    ranks <= 2 the oracle tables' descents and orbit sums, to D = --depth."""
     for n in q.ranks:
-        yield (n + 1) * block_steps(n + 1), "--n", f"the block tables of rank {n}"
+        yield "--n", f"the block tables of rank {n}", n, {"blocks": (n + 1) * block_steps(n + 1)}
     for n in q.ranks:
         m, e, d = n + 1, q.eta0_max, q.depth
-        yield m ** 4 * (e + 1) ** 3 // 4, "--eta0-max", f"the tableau counts of rank {n}"
-        weights, bound = m * (m + 1) // 2, Fraction(m, 2) + 4 * e
-        rows = (e + 1) * ball_leaves(n, bound, 2)
-        yield (weights * (rows * (n + 5) + count_steps(n, bound, rows)),
-               "--eta0-max", f"the formulas of rank {n}")
+        yield ("--eta0-max", f"the tableau counts of rank {n}", n,
+               {"count": m ** 4 * (e + 1) ** 3 // 4})
+        weights, bounds = m * (m + 1) // 2, [Fraction(m + 8 * k, 2) for k in range(e + 1)]
+        rows = weights * sum(ball_leaves(n, b, 2) for b in bounds)
+        yield "--eta0-max", f"the formulas of rank {n}", n, {
+            "family": weights * sum(family_passes(n, b) for b in bounds),
+            "memo": count_steps(n, bounds[-1], rows)}
         if d and n <= 2:  # the oracle rows of cmd_verify
             bound = Fraction(m, 2) + 4 * d
-            rows = (d + 1) * ball_leaves(n, bound, 2)
-            yield (weights * ((d + 1) * walk_steps(n, bound) + count_steps(n, bound, rows)),
-                   "--depth", f"the oracle table of rank {n}")
+            rows = weights * (d + 1) * ball_leaves(n, bound, 2)
+            yield "--depth", f"the oracle tables of rank {n}", n, {
+                "descent": sum(descent_passes(affine_Lambda(n, 0), affine_Lambda(n, i), d)
+                               for i in range(m)),
+                "leaves": weights * (d + 1) * ball_leaves(n, bound, n + 1),
+                "socles": rows, "memo": count_steps(n, bound, rows)}
 
 
 def cmd_verify(q):
@@ -464,12 +465,8 @@ def cmd_verify(q):
                     etas += delta_string(n, i, j, k, q.eta0_max)
             if etas:
                 tasks.append(("tau", (n, i, etas)))
-    if q.depth > 0:
-        for n in q.ranks:
-            if n > 2:
-                continue  # oracle rows cover ranks <= 2; the tests check rank 3
-            for i in range(n + 1):
-                tasks.append(("oracle", (n, i, q.depth)))
+    if q.depth > 0:  # oracle rows cover ranks <= 2; the tests check rank 3
+        tasks += [("oracle", (n, i, q.depth)) for n in q.ranks if n <= 2 for i in range(n + 1)]
     rows = [[key, "pass" if ok else "FAIL", detail]
             for t in tasks for ok, key, detail in _verify_instance(t)]
     failures = [row for row in rows if row[1] == "FAIL"]
@@ -481,9 +478,10 @@ def cmd_verify(q):
 
 class Command(Record):
     """One subcommand: its help text, provenance rule, options in the order
-    they are checked, work estimate, which yields (steps, parameter, what)
-    for each stage, cheapest to compute first, and handler, which returns
-    the result and a mismatch message or a false value."""
+    they are checked, work estimate, which yields (parameter, what, rank,
+    passes by kind) for each stage, cheapest to compute first, and
+    handler, which returns the result and a mismatch message or a false
+    value."""
 
     __slots__ = ("help", "rule", "options", "estimate", "run")
 
@@ -498,7 +496,9 @@ COMMANDS = {
                      (RANK, LEVEL, MU), lambda q: (), cmd_orbit),
     "gamma": Command("enumerate the orbit set of a dominant weight", "orbit-set enumeration",
                      (RANK, WEIGHT, NORM_BOUND),
-                     lambda q: [(walk_steps(q.n, q.bound), "--norm-bound", "the walk")],
+                     lambda q: [("--norm-bound", "the walk", q.n,
+                                 {"leaves": ball_leaves(q.n, q.bound, q.n + 1),
+                                  "socles": ball_leaves(q.n, q.bound, 2)})],
                      cmd_gamma),
     "flag-mult": Command("flag multiplicity polynomial or value",
                          "flag-multiplicity generating polynomial", (RANK, LAM_MU, R),

@@ -36,7 +36,6 @@ from .affine_cartan import (
     quadratic_f,
     residue,
     scaled_f,
-    theta,
     varpi_eps,
 )
 from .laurent import LaurentPoly
@@ -269,51 +268,45 @@ def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
     """Limit route: for each row (mu, bounds, f, count) of orbit_terms
     evaluate the flag multiplicity
     [D(1, omega_i + k*theta) : D(2, mu, r(mu,xi) + k(|omega_i|+k))]
-    for k = 0..k_max.  Each sequence is non-decreasing and constant from
-    the explicit stabilization threshold on (whose bounds, the direct
-    split of mu, are the row's reversed); the stabilized sum is the outer
-    multiplicity."""
+    for k = 0..k_max, the counts of flag_progression.  Each sequence is
+    non-decreasing and constant from the explicit stabilization threshold
+    on; the stabilized sum is the outer multiplicity."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    i = residue(i, n)
-    wi = omega(n, i)
-    size = wi.height_sum()
-    th = theta(n)
     sequences = []
-    for mu, bounds, f, _count in orbit_terms(n, i, xi):
-        r0 = r_of(mu, xi)
-        values = tuple(
-            flag_multiplicity_at(wi + k * th, mu, r0 + k * (size + k))
-            for k in range(k_max + 1)
-        )
-        if f.denominator != 1 or f < 0:
-            threshold = 0  # count is identically 0 at every k
-        else:
-            try:
-                a_cap = a_of_eta(mu - wi)
-            except ValueError:  # mu - omega_i off the root lattice
-                threshold = 0
-            else:
-                threshold = max(0, stabilize_threshold(int(f), a_cap, bounds[::-1]))
+    for mu, _bounds, f, _count in orbit_terms(n, i, xi):
+        progression = flag_progression(n, i, xi, mu)
+        if progression is None:  # mu - omega_i off the root lattice
+            sequences.append((mu, 0, (0,) * (k_max + 1)))
+            continue
+        arg, b, caps = progression
+        values = tuple(rho_multi(arg + k * sum(b), b, [c + k for c in caps])
+                       for k in range(k_max + 1))
+        # b is the row's bounds reversed and -caps is a_of_eta(mu - omega_i);
+        # at a negative or fractional f the count is 0 at every k
+        threshold = (max(0, stabilize_threshold(int(f), [-c for c in caps], b))
+                     if f.denominator == 1 and f >= 0 else 0)
         sequences.append((mu, threshold, values))
     last = max((threshold for _mu, threshold, _values in sequences), default=0)
     return LimitResult(sum(values[-1] for *_, values in sequences),
                        last if last <= k_max else "not stabilized", tuple(sequences))
 
 
-def flag_count_data(n: int, i: int, xi: AffineWeight, mu: FiniteWeight, k: int):
-    """(argument, bounds, caps) of the count rho_multi(argument, bounds, caps)
-    of outer_multiplicity_limit's k-th flag multiplicity at mu, or None if
-    uncounted.  From k to k + 1 each cap, a root coefficient of lam - mu,
-    lam = omega_i + k theta, grows by 1, and the argument
-    r(mu, xi) + k(|omega_i| + k) - (lam + mu1, lam - mu)/2 by |b|, as its
-    k-terms are k|omega_i| + k^2 - k(theta, omega_i) + k(theta, mu0) - k^2."""
+def flag_progression(n: int, i: int, xi: AffineWeight, mu: FiniteWeight):
+    """(argument, bounds, caps) of the limit route's 0-th flag multiplicity
+    at mu, whose k-th is rho_multi(argument + k|bounds|, bounds, caps + k),
+    or None when mu - omega_i is off the root lattice and every count is 0:
+    at lam = omega_i + k theta, flag_multiplicity_at counts to r(mu, xi) +
+    k(|omega_i| + k) - (lam + mu1, lam - mu)/2 with bounds mu0 and caps the
+    root coefficients of lam - mu (0 at a negative one); theta adds 1 to
+    each cap and (theta, mu0 - omega_i) + |omega_i| = |mu0| to the argument."""
     wi = omega(n, residue(i, n))
-    data = _flag_data(wi + k * theta(n), mu)
-    if data is None:
+    try:
+        caps = a_of_eta(wi - mu)
+    except ValueError:
         return None
-    caps, b, shift = data
-    return r_of(mu, xi) + k * (wi.height_sum() + k) - shift, b, caps
+    mu0, mu1 = direct_split(mu)
+    return r_of(mu, xi) - Fraction(bilinear(wi + mu1, wi - mu), 2), mu0.coords, caps
 
 
 def rotate(c: int, lam: AffineWeight) -> AffineWeight:

@@ -12,8 +12,8 @@ The convention is checked once per call of the public ``rho`` and
 ``_rho_multi_sorted``, take non-negative ints only, and
 ``_rho_multi_sorted`` calls ``_count`` on the same keys as ``rho``:
 (m, b, cap) with the part-count cap lowered to at most m.
-The bounds on their passes that the CLI's work estimates read sit beside
-them: ``count_steps``, ``flag_count_steps``, ``binomial_steps``, and
+The bounds on their passes, which the CLI prices, sit beside them:
+``count_steps``, ``flag_count_steps``, ``binomial_steps``, and
 ``LIMIT_MAX_KMAX`` for the depth of ``_count``'s recursion.
 """
 
@@ -120,16 +120,17 @@ def count_steps(n: int, bound, rows: int) -> int:
     return rows + (m + 1) ** 2 * (parts + 1) * n
 
 
-def flag_count_steps(m, b: Sequence[int], caps: Sequence[int], kmax: int) -> int:
+def flag_count_steps(arg, b: Sequence[int], caps: Sequence[int], kmax: int) -> int:
     """A bound on the calls of _count and _rho_multi_sorted, cold, made by
-    the k_max + 1 flag multiplicities of a limit-route member, the last
-    rho_multi(m, b, caps), the k-th to m - (k_max - k)|b| (flag_count_data),
-    none where that is negative or fractional.  To m' on L components with
+    the k_max + 1 flag multiplicities of a limit-route member, the k-th
+    rho_multi(arg + k|b|, b, caps + k) (flag_progression), none where its
+    argument is negative or fractional.  To m' on L components with
     b_j > 0, _rho_multi_sorted makes 2(m' + 1) calls at the top and, as the
     caps change with k, (m' + 1)(m' + 2) at each of the L - 1 levels below;
     _count 2 a miss, on keys (s, b', c'), s <= m, b' <= max b and
-    c' <= min(max caps, m)."""
+    c' <= min(max caps + k_max, m), m the last argument."""
     s = sum(b)
+    m, top = arg + kmax * s, max(caps) + kmax  # the last count's argument and largest cap
     if m < 0 or Fraction(m).denominator != 1:
         return 0
     m = int(m)
@@ -137,7 +138,7 @@ def flag_count_steps(m, b: Sequence[int], caps: Sequence[int], kmax: int) -> int
     x1 = t * (m + 1) - s * t * (t - 1) // 2  # the sum of m' + 1
     x2 = t * (m + 1) ** 2 - (m + 1) * s * t * (t - 1) + s * s * (t - 1) * t * (2 * t - 1) // 6
     lower = max(sum(1 for x in b if x) - 1, 0)
-    return t + 2 * x1 + lower * (x2 + x1) + 2 * (m + 1) * (max(b) + 1) * (min(max(caps), m) + 1)
+    return t + 2 * x1 + lower * (x2 + x1) + 2 * (m + 1) * (max(b) + 1) * (min(top, m) + 1)
 
 
 @lru_cache(maxsize=None)

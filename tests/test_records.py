@@ -13,8 +13,8 @@ import pytest
 from affmult.affine_cartan import AffineWeight, FiniteWeight
 from affmult.char_oracle import TruncatedCharacter
 from affmult.multiplicities import LimitResult, MuSplit
-from affmult.tableaux import ExtendedTableau
 from affmult.weyl_orbits import LevelTwoFamily, OrbitPair, SocleResult
+from charged_tableaux import ExtendedTableau
 
 ROOT = Path(__file__).resolve().parents[1]
 

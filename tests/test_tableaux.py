@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmult import cli, tableaux
-from affmult.affine_cartan import affine_Lambda
-from affmult.multiplicities import eta_from_xi, eta_prime, jk_from_eta, tau_formula
+from affmult.affine_cartan import affine_alpha, affine_Lambda
+from affmult.multiplicities import (
+    eta_from_xi,
+    eta_prime,
+    general_fundamental,
+    jk_from_eta,
+    tau_formula,
+)
 from affmult.tableaux import (
     block_steps,
-    charged_tableau,
     count_passes,
-    content_character,
     is_mw,
-    is_regular,
     listing_passes,
     mw_shapes_with_character,
     shape_character,
@@ -24,6 +27,7 @@ from affmult.tableaux import (
     tau_count,
     tau_counts,
 )
+from charged_tableaux import charged_tableau, content_character, is_regular
 from pass_counters import counting
 
 
@@ -208,6 +212,35 @@ class TestAdmissibility:
                         admitted += crystal
         assert (checked, admitted) == (21359, 773)
 
+    def test_general_pairs_are_the_crystal_rule(self):
+        # B(Lambda_a) (x) B(Lambda_b) holds B(Lambda_a + wt b) for the b in
+        # B(Lambda_b) with epsilon_j(b) <= delta_{ja}, so the multiplicity of
+        # Lambda_a + Lambda_b - sum_j eta_j alpha_j counts those charge-b
+        # shapes of character eta; the tableau count reads it at charge
+        # b - a on eta rotated by a, with no delta-shift
+        characters = nonzero = 0
+        for n, top in zip(range(1, 5), (12, 10, 9, 8)):
+            m = n + 1
+            for a in range(m):
+                for b in range(m):
+                    crystal = {}
+                    for size in range(top + 1):
+                        for shape in partitions_regular(size, n):
+                            eta = shape_character(shape, b, n)
+                            eps = signature_epsilons(shape, b, n)
+                            admitted = all(e <= (j == a) for j, e in enumerate(eps))
+                            crystal[eta] = crystal.get(eta, 0) + admitted
+                    for eta, count in crystal.items():
+                        xi = affine_Lambda(n, a) + affine_Lambda(n, b)
+                        for j, e in enumerate(eta):
+                            xi = xi - e * affine_alpha(n, j)
+                        formula = general_fundamental(n, a, b, xi) if xi.is_dominant() else 0
+                        rotated = eta[a:] + eta[:a]
+                        assert count == formula == tau_count(rotated, (b - a) % m), (n, a, b, eta)
+                        characters += 1
+                        nonzero += count > 0
+        assert (characters, nonzero) == (1958, 317)
+
     def test_single_part_size_congruence(self):
         # one distinct part size k with multiplicity r: requires
         # k + i = r mod (n + 1)
@@ -321,19 +354,19 @@ class TestListingSteps:
                         count, shapes = tableaux._shape_tree(n + 1, i)
                         with counting() as counted:
                             rows = count(eta)
-                        assert counted["tableau"] <= count_passes(n + 1) * (rows + 1)
+                        assert counted["count"] <= count_passes(n + 1) * (rows + 1)
                         with counting() as listed:
                             assert len(shapes(eta)) == rows
-                        assert listed["tableau"] <= listing_passes(rows, sum(eta)), (n, i, eta)
+                        assert listed["listing"] <= listing_passes(rows, sum(eta)), (n, i, eta)
 
     def test_block_table_passes(self):
-        """The block table of charge i makes sum(reps * c) passes, which
-        block_steps prices at 2 steps each."""
+        """The block table of charge i makes sum(reps * c) passes, at most
+        block_steps(m)."""
         for m in range(1, 17):
             for i in range(m):
                 table = tableaux._blocks(m, i)
                 passes = sum(reps * c for row in table for c, (reps, _, _) in enumerate(row))
-                assert 2 * passes <= block_steps(m), (m, i)
+                assert passes <= block_steps(m), (m, i)
 
 
 class TestTauCounts:
