@@ -4,9 +4,11 @@ derived depth bound."""
 
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import affmult.char_oracle
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -26,6 +28,14 @@ from affmult.char_oracle import (
 )
 from affmult.multiplicities import outer_multiplicity_formula
 from affmult.weyl_orbits import simple_reflection, socle_oracle
+from test_imports import package_imports
+
+
+class TestIndependence:
+    def test_no_import_from_the_checked_module(self):
+        # the oracle checks the multiplicity routes, so it must not share
+        # their code: nothing in it is imported from multiplicities
+        assert "multiplicities" not in package_imports(Path(affmult.char_oracle.__file__))
 
 
 class TestBasicModuleStrings:

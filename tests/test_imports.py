@@ -13,11 +13,7 @@ GRAPH = {
     "partitions": {"affine_cartan", "laurent"},
     "tableaux": {"partitions"},
     "weyl_orbits": {"affine_cartan", "records"},
-    # the tableau count checks tau_formula, so the formula side must not
-    # share its code: nothing in multiplicities is imported from tableaux
     "multiplicities": {"affine_cartan", "laurent", "partitions", "records", "weyl_orbits"},
-    # the oracle checks the multiplicity routes, so it must not share
-    # their code: nothing in it is imported from multiplicities
     "char_oracle": {"affine_cartan", "partitions", "records", "weyl_orbits"},
     "cli": {"affine_cartan", "char_oracle", "multiplicities", "partitions", "records",
             "tableaux", "weyl_orbits"},

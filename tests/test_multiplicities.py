@@ -3,11 +3,13 @@ rotation reduction for general fundamental tensor products."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import affmult.multiplicities
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
@@ -45,6 +47,14 @@ from affmult.multiplicities import (
 from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
 from affmult.weyl_orbits import enumerate_gamma, r_of
+from test_imports import package_imports
+
+
+class TestIndependence:
+    def test_no_import_from_the_tableau_route(self):
+        # the tableau count checks tau_formula, so the formula side must not
+        # share its code: nothing in multiplicities is imported from tableaux
+        assert "tableaux" not in package_imports(Path(affmult.multiplicities.__file__))
 
 
 class TestMuSplit:
