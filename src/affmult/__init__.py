@@ -11,15 +11,8 @@ from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_Lambda,
-    affine_alpha,
-    affine_bilinear,
-    affine_delta,
-    alpha,
     bilinear,
-    cartan_matrix,
     eps_coords,
-    in_root_lattice,
-    inverse_cartan,
     omega,
     quadratic_f,
     theta,
@@ -29,7 +22,6 @@ from .char_oracle import freudenthal_character, tensor_outer_multiplicities
 from .laurent import LaurentPoly
 from .multiplicities import (
     eta_from_xi,
-    flag_multiplicity_at,
     flag_multiplicity_poly,
     general_fundamental,
     jk_from_eta,
@@ -44,16 +36,11 @@ from .tableaux import is_mw, tau_bruteforce, tau_count, tau_counts
 from .weyl_orbits import (
     OrbitPair,
     b_vector,
-    cofinal_weight,
     enumerate_gamma,
-    gamma_contains,
     level_two_family,
     r_of,
-    reduced_pair_length,
-    simple_reflection,
     socle_formula,
     socle_oracle,
-    translation,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,17 +22,6 @@ def residue(a: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of type A_n (tridiagonal 2 / -1)."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    return tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
-@lru_cache(maxsize=None)
 def inverse_cartan_scaled(n: int) -> tuple[tuple[int, ...], ...]:
     """The integer matrix (n + 1) * C^{-1} of type A_n: entry (i, j) is
     min(i,j) * (n + 1 - max(i,j)) with 1-based indices."""
@@ -41,29 +30,6 @@ def inverse_cartan_scaled(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1))
         for i in range(1, n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def inverse_cartan(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the type A_n Cartan matrix."""
-    return tuple(
-        tuple(Fraction(x, n + 1) for x in row) for row in inverse_cartan_scaled(n)
-    )
-
-
-@lru_cache(maxsize=None)
-def affine_cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of type A_n^(1) on index set [0, n] (cyclic)."""
-    if n == 1:
-        return ((2, -2), (-2, 2))
-    m = n + 1
-    return tuple(
-        tuple(
-            2 if i == j else (-1 if (i - j) % m in (1, m - 1) else 0)
-            for j in range(m)
-        )
-        for i in range(m)
     )
 
 
@@ -133,14 +99,6 @@ def omega(n: int, i: int) -> FiniteWeight:
     return FiniteWeight(n, tuple(1 if j == i else 0 for j in range(1, n + 1)))
 
 
-def alpha(n: int, i: int) -> FiniteWeight:
-    """Simple root alpha_i (1 <= i <= n) in fundamental-weight coordinates."""
-    if not 1 <= i <= n:
-        raise ValueError("index out of range")
-    col = cartan_matrix(n)
-    return FiniteWeight(n, tuple(col[j][i - 1] for j in range(n)))
-
-
 def theta(n: int) -> FiniteWeight:
     """Highest root; alpha_1 + ... + alpha_n."""
     if n == 1:
@@ -201,12 +159,6 @@ def scaled_cap(n: int, norm_bound) -> int:
 def quadratic_f(a: Sequence) -> Fraction:
     """Positive definite form f(a) = (n*sum a_i^2 - 2*sum_{i<j} a_i a_j)/(n+1)."""
     return Fraction(scaled_f(a), len(a) + 1)
-
-
-def in_root_lattice(b: Sequence[int]) -> bool:
-    """Whether sum(b_i) eps_i lies in the root lattice Q."""
-    n = len(b)
-    return sum(b) % (n + 1) == 0
 
 
 def varpi_eps(n: int, i: int) -> tuple[int, ...]:
@@ -282,22 +234,6 @@ class AffineWeight(Record):
 def affine_Lambda(n: int, i: int) -> AffineWeight:
     """Fundamental affine weight Lambda_i = omega_i + Lambda_0 (type A)."""
     return AffineWeight(omega(n, residue(i, n)), 1, Fraction(0))
-
-
-def affine_delta(n: int) -> AffineWeight:
-    return AffineWeight(FiniteWeight.zero(n), 0, Fraction(1))
-
-
-def affine_alpha(n: int, i: int) -> AffineWeight:
-    """Simple root alpha_i as an affine weight; alpha_0 = delta - theta."""
-    if i == 0:
-        return AffineWeight(-theta(n), 0, Fraction(1))
-    return AffineWeight(alpha(n, i), 0, Fraction(0))
-
-
-def affine_bilinear(lam: AffineWeight, mu: AffineWeight) -> Fraction:
-    """(lam, mu) = (finite, finite) + lam(c) mu(d) + lam(d) mu(c)."""
-    return bilinear(lam.finite, mu.finite) + lam.level * mu.degree + lam.degree * mu.level
 
 
 def rho_hat(n: int) -> AffineWeight:

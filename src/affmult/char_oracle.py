@@ -26,10 +26,10 @@ while k_0 <= depth.  The positive roots are r*delta + e_[a,b] (r >= 0)
 and r*delta - e_[a,b] (r >= 1), e_[a,b] = alpha_a + ... + alpha_b, of
 multiplicity 1, and r*delta of multiplicity n; with b the coefficient
 vector of beta, (mu + t*beta, beta) = b.mu(h) + t*(beta, beta).  It uses
-no Brauer-Klimyk sum, descent or Frenkel-Kac form, so
-``reconstruction_check`` (the table re-summed with Freudenthal
-characters against the product of the factors' characters) is an
-independent check of the table.
+no Brauer-Klimyk sum, descent or Frenkel-Kac form, so the tests'
+reconstruction check (the table re-summed with Freudenthal characters
+against ``tensor_character``, the product of the factors' characters)
+is an independent check of the table.
 
 Everything is exact.
 """
@@ -307,25 +307,3 @@ def tensor_outer_multiplicities(Lam: AffineWeight, Lam2: AffineWeight,
     if any(val < 0 for val in table.values()):
         raise ArithmeticError("negative outer multiplicity")
     return table
-
-
-def reconstruction_check(Lam: AffineWeight, Lam2: AffineWeight,
-                         depth: int) -> bool:
-    """Full reconstruction identity: the Brauer-Klimyk table re-summed
-    with Freudenthal characters equals the product of the factors'
-    Freudenthal characters at every weight within depth."""
-    c1 = freudenthal_character(Lam, depth)
-    c2 = freudenthal_character(Lam2, depth)
-    expected = tensor_character(c1, c2, depth)
-    table = tensor_outer_multiplicities(Lam, Lam2, depth)
-    top = Lam + Lam2
-    recon = {}
-    for xi, m in table.items():
-        if m == 0:
-            continue
-        rem = depth - int(top.degree - xi.degree)
-        ch = freudenthal_character(xi, rem)
-        for w, mw in ch.mults.items():
-            if top.degree - w.degree <= depth:
-                recon[w] = recon.get(w, 0) + m * mw
-    return recon == expected

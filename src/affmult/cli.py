@@ -36,7 +36,7 @@ from .multiplicities import (
 from .partitions import LIMIT_MAX_KMAX, binomial_steps, count_steps, flag_count_steps
 from .records import Record
 from .tableaux import (
-    block_steps, count_passes, listing_passes, mw_shapes_with_character, tau_count, tau_counts,
+    _shape_tree, block_steps, count_passes, listing_passes, mw_shapes_with_character, tau_counts,
 )
 from .weyl_orbits import (
     b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes, level_two_family,
@@ -273,23 +273,24 @@ DEPTH = _at_least("--depth", 0, default=0,
 
 
 def tau_steps(q):
-    """The count's block table; then two counts of the shapes, the
-    estimate's own, stopped once the passes of both would pass WORK_MAX,
-    and the listing's, the listing, and the formula's walk and counts, at
-    its norm bound, at most (n + 1)/2 + 4 eta_0."""
+    """The count's block table; then the count of the shapes, stopped once
+    its passes would pass WORK_MAX, whose tree the listing then walks
+    again without counting; the listing, and the formula's walk and
+    counts, at its norm bound, at most (n + 1)/2 + 4 eta_0."""
     n, m, size = q.n, q.n + 1, sum(q.eta)
     yield "--n", "the tableau count's block table", n, {"blocks": block_steps(m)}
-    stop = (WORK_MAX - q.steps) // (2 * PRICES["count"](n) * count_passes(m))
-    rows = tau_count(q.eta, q.i, stop)
+    stop = (WORK_MAX - q.steps) // (PRICES["count"](n) * count_passes(m))
+    q.tree = _shape_tree(m, q.i, stop)
+    rows = q.tree[0](q.eta)
     bound = Fraction(m, 2) + 4 * q.eta[0]
     walk = family_passes(n, bound, rows)
     yield ("--eta", f"{'more than ' * (rows > stop)}{min(rows, stop)} shapes of {_num(size)} "
-           "boxes", n, {"count": 2 * (rows + 1) * count_passes(m), "family": walk,
+           "boxes", n, {"count": (rows + 1) * count_passes(m), "family": walk,
                         "listing": listing_passes(rows, size), "memo": count_steps(n, bound, walk)})
 
 
 def cmd_tau(q):
-    value, shapes = tau_formula(q.n, q.i, q.eta), mw_shapes_with_character(q.eta, q.i)
+    value, shapes = tau_formula(q.n, q.i, q.eta), mw_shapes_with_character(q.eta, q.i, q.tree)
     result = {"value": value, "brute_force": len(shapes), "rows": [[str(s)] for s in shapes],
               "header": ["shape"]}
     return result, (value != len(shapes)

@@ -99,17 +99,6 @@ def flag_multiplicity_poly(lam: FiniteWeight, mu: FiniteWeight) -> LaurentPoly:
     return poly.shift(shift)
 
 
-def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
-    """Coefficient extraction without building the polynomial: the number
-    of multipartitions of r - (lam+mu1, lam-mu)/2 with bounds from mu and
-    length caps from lam - mu; zero off the admissible range."""
-    data = _flag_data(lam, mu)
-    if data is None:
-        return 0
-    a, b, shift = data
-    return rho_multi(Fraction(r) - shift, b, a)
-
-
 def eta_prime(eta, i: int) -> tuple:
     """The transformed vector with cyclic entries
     delta_{0,r} + delta_{i,r} - 2 eta_r + eta_{r-1} + eta_{r+1};
@@ -296,7 +285,7 @@ def flag_progression(n: int, i: int, xi: AffineWeight, mu: FiniteWeight):
     """(argument, bounds, caps) of the limit route's 0-th flag multiplicity
     at mu, whose k-th is rho_multi(argument + k|bounds|, bounds, caps + k),
     or None when mu - omega_i is off the root lattice and every count is 0:
-    at lam = omega_i + k theta, flag_multiplicity_at counts to r(mu, xi) +
+    at lam = omega_i + k theta, the flag multiplicity counts to r(mu, xi) +
     k(|omega_i| + k) - (lam + mu1, lam - mu)/2 with bounds mu0 and caps the
     root coefficients of lam - mu (0 at a negative one); theta adds 1 to
     each cap and (theta, mu0 - omega_i) + |omega_i| = |mu0| to the argument."""

@@ -66,16 +66,17 @@ def is_mw(shape, i: int, n: int) -> bool:
     return True
 
 
-def mw_shapes_with_character(eta, i: int) -> list:
+def mw_shapes_with_character(eta, i: int, tree=None) -> list:
     """All admissible i-charged shapes whose content character is eta,
     in the order of the n-regular partitions of |eta| listed by distinct
     part sizes from the largest down, each with its multiplicity: the
     leaves of tau_count's tree, reached through the nodes whose memoized
-    count is positive.  Every shape is re-checked against is_mw and
-    shape_character."""
+    count is positive, in tree when given (a _shape_tree(len(eta), i,
+    stop) that may have counted eta already).  Every shape is re-checked
+    against is_mw and shape_character."""
     eta = tuple(eta)
     n = len(eta) - 1
-    out = _shape_tree(n + 1, i)[1](eta)
+    out = (tree or _shape_tree(n + 1, i))[1](eta)
     for shape in out:
         if not (is_mw(shape, i, n) and shape_character(shape, i, n) == eta):
             raise AssertionError(f"enumerated shape {shape} is not admissible "
@@ -131,7 +132,9 @@ def _shape_tree(m: int, i: int, stop: Optional[int] = None):
     mw_shapes_with_character).  A node is the state (residue counts left,
     largest part allowed, rows placed mod m) and a leaf is 0.  With a
     stop, a memoized count may be only some number above stop, so a
-    stopped tree answers one count and is then dropped."""
+    stopped tree answers one count, and lists its shapes only if that
+    count is at most stop: no node's running total can then have passed
+    stop, so every count memoized below its root is exact."""
     blocks = _blocks(m, i)
     memo = {}
 
@@ -200,7 +203,10 @@ def _shape_tree(m: int, i: int, stop: Optional[int] = None):
             for block, child in kids:
                 walk(child, rows + block)
 
-        if count(eta):
+        total = count(eta)
+        if stop is not None and total > stop:
+            raise AssertionError(f"a count above its stop {stop} has inexact memoized counts")
+        if total:
             walk(root(eta), ())
         return out
 

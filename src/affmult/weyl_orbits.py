@@ -1,5 +1,5 @@
-"""Affine Weyl group action, socle (dominant orbit representative)
-formulas, orbit parameterizations at level 2, and reduced-pair lengths.
+"""Affine Weyl group action: socle (dominant orbit representative)
+formulas, the reflection descent, and orbit parameterizations at level 2.
 
 The key coordinates: for an integral finite weight mu and a level l,
 write the epsilon-coordinates a_i of mu as a_i = p_i * l + m_i with
@@ -21,36 +21,13 @@ from typing import Sequence
 from .affine_cartan import (
     AffineWeight,
     FiniteWeight,
-    affine_alpha,
     bilinear,
     eps_coords,
-    in_root_lattice,
     scaled_cap,
     scaled_f,
-    theta,
     weight_from_eps,
 )
 from .records import Record
-
-
-def simple_reflection(i: int, lam: AffineWeight) -> AffineWeight:
-    """s_i(lam) = lam - lam(h_i) alpha_i for i in [0, n]."""
-    v = lam.value(i)
-    if v == 0:
-        return lam
-    return lam - v * affine_alpha(lam.n, i)
-
-
-def translation(alpha_fin: FiniteWeight, lam: AffineWeight) -> AffineWeight:
-    """t_alpha(lam) = lam + lam(c) alpha
-    - ((lam, alpha) + (alpha, alpha) lam(c) / 2) delta, for alpha in Q."""
-    if not in_root_lattice(eps_coords(alpha_fin)):
-        raise ValueError("translation vector must lie in the root lattice")
-    pairing = bilinear(lam.finite, alpha_fin)
-    norm = bilinear(alpha_fin, alpha_fin)
-    new_fin = lam.finite + lam.level * alpha_fin
-    new_deg = lam.degree - (pairing + Fraction(norm * lam.level, 2))
-    return AffineWeight(new_fin, lam.level, new_deg)
 
 
 class SocleResult(Record):
@@ -228,20 +205,6 @@ def r_of(mu: FiniteWeight, phi: AffineWeight) -> Fraction:
     )
 
 
-def gamma_contains(xi: AffineWeight, mu: FiniteWeight) -> bool:
-    """Whether the orbit of xi meets xi(c)*Lambda_0 + w0(mu) + Q*delta,
-    i.e. mu lies in the orbit set of xi.  Checked by the closed-form
-    socle and cross-checked by reflection descent."""
-    if not xi.is_dominant() or xi.level < 1:
-        raise ValueError("xi must be dominant of positive level")
-    by_formula = socle_formula(xi.level, mu).weight.equiv_mod_delta(xi)
-    probe = AffineWeight(mu.w0_image(), xi.level, Fraction(0))
-    by_oracle = socle_oracle(probe).weight.equiv_mod_delta(xi)
-    if by_formula != by_oracle:
-        raise AssertionError("socle routes disagree on orbit membership")
-    return by_formula
-
-
 def _dominant_eps_in_ball(n: int, norm_bound):
     """Weakly decreasing non-negative integer vectors a of length n with
     f(a) <= norm_bound, in decreasing lexicographic order.
@@ -413,64 +376,3 @@ def b_vector(pair: OrbitPair) -> tuple:
         d = m[r] - m[r + 1]
         out.append(p[r] - p[r + 1] + (d - abs(d)) // 2)
     return tuple(out)
-
-
-def cofinal_weight(Lam: AffineWeight, k: int) -> AffineWeight:
-    """The k-th element of the cofinal orbit sequence through Lam:
-    level*Lambda_0 + (lambda + k*level*theta)
-    + (s - k(k*level + |lambda|)) delta."""
-    if not Lam.is_dominant():
-        raise ValueError("Lam must be dominant")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return Lam
-    ell = Lam.level
-    lam = Lam.finite
-    size = lam.height_sum()
-    fin = lam + (k * ell) * theta(Lam.n)
-    deg = Lam.degree - k * (k * ell + size)
-    return AffineWeight(fin, ell, Fraction(deg))
-
-
-def permutation_length(w: Sequence[int]) -> int:
-    """Coxeter length of a finite permutation = inversion count."""
-    w = list(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError("w must be a permutation of 1..n+1")
-    return sum(
-        1 for x in range(len(w)) for y in range(x + 1, len(w)) if w[x] > w[y]
-    )
-
-
-def reduced_pair_length(w: Sequence[int], i: Sequence[int], j: Sequence[int],
-                        n: int) -> int:
-    """Length of the affine Weyl element assembled from a finite
-    permutation w and a reduced pair (i, j): when the pair satisfies the
-    four reducedness conditions, the length is additive,
-    l(w) + l + sum_k (i_k + n + 1 - j_k)."""
-    if len(i) != len(j):
-        raise ValueError("i and j must have equal length")
-    l = len(i)
-    for s in range(l):
-        if not (0 <= i[s] < n and 1 <= j[s] <= n + 1):
-            raise ValueError("index out of range in (i, j)")
-    for s in range(l - 1):
-        # condition (1): interior factors avoid the degenerate shapes
-        if not ((i[s], j[s]) == (0, 1) or (i[s] != 0 and j[s] != n + 1)):
-            raise ValueError("not reduced: condition (1) fails at position %d" % (s + 1))
-    for s in range(l - 1):
-        # condition (2): i non-increasing, j non-decreasing
-        if i[s] < i[s + 1] or j[s] > j[s + 1]:
-            raise ValueError("not reduced: condition (2) fails at position %d" % (s + 1))
-    for s in range(l - 1):
-        # condition (3)
-        if i[s] < j[s] - 1 and not i[s] > i[s + 1]:
-            raise ValueError("not reduced: condition (3) fails at position %d" % (s + 1))
-    for s in range(1, l):
-        # condition (4)
-        if i[s] < j[s] - 1 and not j[s - 1] < j[s]:
-            raise ValueError("not reduced: condition (4) fails at position %d" % (s + 1))
-    return permutation_length(w) + l + sum(
-        i[s] + n + 1 - j[s] for s in range(l)
-    )

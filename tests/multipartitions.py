@@ -1,11 +1,18 @@
 """Listings behind the multipartition counts, for the tests only: the
 partitions and multipartitions that ``partitions.rho`` and
-``partitions.rho_multi`` count, and the box-complement bijection behind
-``partitions.stabilize_threshold``, which the limit route uses."""
+``partitions.rho_multi`` count, the box-complement bijection behind
+``partitions.stabilize_threshold``, which the limit route uses, and one
+flag multiplicity counted as multipartitions, the reference of the limit
+route's ``flag_progression``."""
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from affmult.partitions import Partition, _is_bad_number, canonical, stabilize_threshold
+from affmult.affine_cartan import FiniteWeight
+from affmult.multiplicities import _flag_data
+from affmult.partitions import (
+    Partition, _is_bad_number, canonical, rho_multi, stabilize_threshold,
+)
 
 
 def enumerate_bounded(m: int, b: int, max_parts: Optional[int] = None) -> list:
@@ -83,3 +90,14 @@ def stabilize_bijection(f: int, a: Sequence[int], b: Sequence[int], k: int) -> l
     if len(set(images)) != len(images) or set(images) != targets:
         raise AssertionError("complement map failed to be a bijection")
     return pairs
+
+
+def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
+    """Coefficient extraction without building the polynomial: the number
+    of multipartitions of r - (lam+mu1, lam-mu)/2 with bounds from mu and
+    length caps from lam - mu; zero off the admissible range."""
+    data = _flag_data(lam, mu)
+    if data is None:
+        return 0
+    a, b, shift = data
+    return rho_multi(Fraction(r) - shift, b, a)

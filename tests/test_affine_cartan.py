@@ -10,21 +10,23 @@ from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
     affine_Lambda,
-    affine_alpha,
-    affine_bilinear,
-    affine_delta,
-    alpha,
     bilinear,
-    cartan_matrix,
     eps_coords,
-    in_root_lattice,
-    inverse_cartan,
     inverse_cartan_scaled,
     omega,
     quadratic_f,
     theta,
     varpi_eps,
     weight_from_eps,
+)
+from weyl_group import (
+    affine_alpha,
+    affine_bilinear,
+    affine_delta,
+    alpha,
+    cartan_matrix,
+    in_root_lattice,
+    inverse_cartan,
 )
 
 ranks = st.integers(1, 4)

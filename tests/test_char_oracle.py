@@ -23,12 +23,13 @@ from affmult.char_oracle import (
     _coloured_partition_counts,
     _maximal_weights,
     freudenthal_character,
-    reconstruction_check,
+    tensor_character,
     tensor_outer_multiplicities,
 )
 from affmult.multiplicities import outer_multiplicity_formula
-from affmult.weyl_orbits import simple_reflection, socle_oracle
+from affmult.weyl_orbits import socle_oracle
 from test_imports import package_imports
+from weyl_group import simple_reflection
 
 
 class TestIndependence:
@@ -81,6 +82,27 @@ class TestCharacterInvariance:
         ch = freudenthal_character(affine_Lambda(1, 1), 3)
         for w in ch.mults:
             assert socle_oracle(w).weight.degree >= w.degree
+
+
+def reconstruction_check(Lam, Lam2, depth: int) -> bool:
+    """Full reconstruction identity: the Brauer-Klimyk table re-summed
+    with Freudenthal characters equals the product of the factors'
+    Freudenthal characters at every weight within depth."""
+    c1 = freudenthal_character(Lam, depth)
+    c2 = freudenthal_character(Lam2, depth)
+    expected = tensor_character(c1, c2, depth)
+    table = tensor_outer_multiplicities(Lam, Lam2, depth)
+    top = Lam + Lam2
+    recon = {}
+    for xi, m in table.items():
+        if m == 0:
+            continue
+        rem = depth - int(top.degree - xi.degree)
+        ch = freudenthal_character(xi, rem)
+        for w, mw in ch.mults.items():
+            if top.degree - w.degree <= depth:
+                recon[w] = recon.get(w, 0) + m * mw
+    return recon == expected
 
 
 class TestTensorPeeling:

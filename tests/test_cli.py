@@ -641,6 +641,16 @@ class TestCountedPasses:
     def test_cap_queries_are_within_their_bounds(self, argv):
         self.check(argv)
 
+    @pytest.mark.parametrize("eta", ["6,6,5", "8,8,8,8"])
+    def test_tau_lists_through_the_estimates_count(self, eta):
+        # the estimate's count is at most its stop, so its memo is exact
+        # and the handler lists through it without counting again
+        argv = ["tau", "--n", str(eta.count(",")), "--i", "1", "--eta", eta]
+        q = Query(build_parser().parse_args(argv))
+        with counting() as counts, redirect_stdout(io.StringIO()):
+            TABLE["tau"].run(q)
+        assert counts["count"] == 0 and counts["listing"] > 0
+
 
 # One small accepted query per subcommand and its exact output in json,
 # table and csv.

@@ -1,9 +1,13 @@
-"""The package's import graph, pinned in one table."""
+"""The package's import graph, pinned in one table, and the code that
+reaches every definition in the package."""
 
 import ast
 from pathlib import Path
 
 import affmult
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(affmult.__file__).parent
 
 # each module of the package and the package modules it imports
 GRAPH = {
@@ -39,5 +43,58 @@ def package_imports(path: Path) -> set:
 
 
 def test_import_graph():
-    modules = Path(affmult.__file__).parent.glob("*.py")
+    modules = PACKAGE.glob("*.py")
     assert {path.stem: package_imports(path) for path in modules} == GRAPH
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """The names a syntax tree refers to: bare names, attribute names and
+    names imported from a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def root_names() -> set:
+    """The names the package's users refer to: the cli module, scripts/,
+    bench/ with the attributes its tracer's SPANS and COUNTS name in
+    strings, and the names tests/test_acceptance.py imports."""
+    found = referenced_names(ast.parse((PACKAGE / "cli.py").read_text()))
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        found |= referenced_names(ast.parse(path.read_text()))
+    for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) in ("SPANS", "COUNTS") for target in node.targets):
+            for const in ast.walk(node.value):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    found |= set(const.value.split("."))
+    for node in ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_every_definition_is_reached():
+    """Every top-level function and class of the package is reached from
+    root_names through the bodies of the definitions reached, matched by
+    name, so code that only the tests call lives in the tests' helpers."""
+    definitions = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+    reached = set()
+    todo = root_names() & definitions.keys()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _module, node in definitions[name]:
+            todo |= (referenced_names(node) & definitions.keys()) - reached
+    assert sorted(f"{module}.{name}" for name, found in definitions.items()
+                  for module, _node in found if name not in reached) == []

@@ -3,6 +3,7 @@ rotation reduction for general fundamental tensor products."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,25 +14,20 @@ import affmult.multiplicities
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
-    affine_bilinear,
     affine_Lambda,
-    affine_alpha,
-    affine_delta,
-    alpha,
     bilinear,
-    inverse_cartan,
     omega,
     theta,
 )
 from affmult.laurent import LaurentPoly
 from affmult.multiplicities import (
+    _level_two_rows,
     a_of_eta,
     direct_split,
     eta_from_xi,
     f_ball_bound,
     f_eps,
     f_weight,
-    flag_multiplicity_at,
     flag_multiplicity_poly,
     flag_progression,
     general_fundamental,
@@ -46,8 +42,10 @@ from affmult.multiplicities import (
 )
 from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
-from affmult.weyl_orbits import enumerate_gamma, r_of
+from affmult.weyl_orbits import enumerate_gamma, orbit_pair, r_of
+from multipartitions import flag_multiplicity_at
 from test_imports import package_imports
+from weyl_group import affine_alpha, affine_bilinear, affine_delta, alpha, inverse_cartan
 
 
 class TestIndependence:
@@ -242,6 +240,21 @@ class TestOrbitSumFormula:
             assert b == mu_split(mu).bounds
             assert f == f_weight(n, i, xi, mu)
             assert count == rho_multi(f, b)
+
+
+class TestLevelTwoRows:
+    def test_rows_are_split_and_f_weight(self):
+        # the row of each dominant mu's pair, read off the pair alone: the
+        # bounds of mu_split(mu), the argument f_{i,xi}(mu) and their count
+        for n in (1, 2, 3):
+            for i in range(n + 1):
+                xi = (affine_Lambda(n, 0) + affine_Lambda(n, i)).shift_delta(-3)
+                mus = [FiniteWeight(n, c) for c in product(range(4), repeat=n)]
+                rows = _level_two_rows(n, [orbit_pair(2, mu) for mu in mus],
+                                       (n + 1) * f_ball_bound(n, i, xi))
+                for mu, (b, arg, count) in zip(mus, rows, strict=True):
+                    assert b == mu_split(mu).bounds and arg == f_weight(n, i, xi, mu)
+                    assert count == rho_multi(arg, b)
 
 
 class TestTauFormula:

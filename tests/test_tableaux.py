@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmult import cli, tableaux
-from affmult.affine_cartan import affine_alpha, affine_Lambda
+from affmult.affine_cartan import affine_Lambda
 from affmult.multiplicities import (
     eta_from_xi,
     eta_prime,
@@ -29,6 +29,7 @@ from affmult.tableaux import (
 )
 from charged_tableaux import charged_tableau, content_character, is_regular
 from pass_counters import counting
+from weyl_group import affine_alpha
 
 
 shapes = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(

@@ -3,7 +3,7 @@ families and reduced-pair lengths."""
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import isqrt
 
 import pytest
@@ -14,9 +14,6 @@ from affmult import weyl_orbits
 from affmult.affine_cartan import (
     AffineWeight,
     FiniteWeight,
-    affine_bilinear,
-    affine_cartan_matrix,
-    affine_delta,
     affine_Lambda,
     bilinear,
     eps_coords,
@@ -33,27 +30,32 @@ from affmult.weyl_orbits import (
     OrbitPair,
     b_vector,
     ball_leaves,
-    cofinal_weight,
     descent_length,
     enumerate_gamma,
     family_passes,
     family_residues,
-    gamma_contains,
     level_two_family,
     orbit_division,
     orbit_pair,
-    permutation_length,
     r_of,
-    reduced_pair_length,
     res_p,
     scaled_cap,
     scaled_f,
-    simple_reflection,
     socle_formula,
     socle_oracle,
-    translation,
 )
 from pass_counters import counting
+from weyl_group import (
+    affine_bilinear,
+    affine_cartan_matrix,
+    affine_delta,
+    cofinal_weight,
+    gamma_contains,
+    permutation_length,
+    reduced_pair_length,
+    simple_reflection,
+    translation,
+)
 
 
 def random_affine_weight(rng, n):
@@ -498,6 +500,20 @@ class TestGeneratedFamily:
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=8))
     def test_scaled_f(self, a):
         assert scaled_f(a) == (len(a) + 1) * quadratic_f(a)
+
+
+class TestOrbitPair:
+    def test_division_round_trip_and_dominance(self):
+        # a_i = p_i * level + m_i with 0 < m_i <= level, and the pair comes
+        # from a dominant weight exactly when that weight is dominant
+        for n in (1, 2, 3):
+            for level in (1, 2, 3):
+                for a in product(range(-4, 5), repeat=n):
+                    m, p = orbit_division(level, a)
+                    pair = OrbitPair(m, p, level)
+                    assert all(0 < x <= level for x in m) and pair.n == n
+                    assert pair.a_vector() == a and pair.weight() == weight_from_eps(n, a)
+                    assert pair.in_dominant_set() == pair.weight().is_dominant()
 
 
 class TestBVector:
