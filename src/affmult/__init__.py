@@ -7,7 +7,7 @@ tensor product by the Brauer-Klimyk rule over the closed-form level-1
 characters, within a derived depth bound.
 """
 
-from .affine_cartan import (
+from .affine_cartan import (  # noqa: F401
     AffineWeight,
     FiniteWeight,
     affine_Lambda,
@@ -18,9 +18,9 @@ from .affine_cartan import (
     theta,
     weight_from_eps,
 )
-from .char_oracle import freudenthal_character, tensor_outer_multiplicities
-from .laurent import LaurentPoly
-from .multiplicities import (
+from .char_oracle import freudenthal_character, tensor_outer_multiplicities  # noqa: F401
+from .laurent import LaurentPoly  # noqa: F401
+from .multiplicities import (  # noqa: F401
     eta_from_xi,
     flag_multiplicity_poly,
     general_fundamental,
@@ -31,9 +31,9 @@ from .multiplicities import (
     tau_formula,
     xi_from_eta,
 )
-from .partitions import q_binomial, q_binomial_product, rho, rho_multi
-from .tableaux import is_mw, tau_bruteforce, tau_count, tau_counts
-from .weyl_orbits import (
+from .partitions import q_binomial, q_binomial_product, rho, rho_multi  # noqa: F401
+from .tableaux import is_mw, tau_bruteforce, tau_count, tau_counts  # noqa: F401
+from .weyl_orbits import (  # noqa: F401
     OrbitPair,
     b_vector,
     enumerate_gamma,

@@ -10,7 +10,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .records import Record
@@ -19,18 +19,6 @@ from .records import Record
 def residue(a: int, n: int) -> int:
     """Representative of a modulo n + 1 inside [0, n]."""
     return a % (n + 1)
-
-
-@lru_cache(maxsize=None)
-def inverse_cartan_scaled(n: int) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix (n + 1) * C^{-1} of type A_n: entry (i, j) is
-    min(i,j) * (n + 1 - max(i,j)) with 1-based indices."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    return tuple(
-        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
 
 
 class FiniteWeight(Record):
@@ -107,17 +95,16 @@ def theta(n: int) -> FiniteWeight:
 
 
 def bilinear(lam: FiniteWeight, mu: FiniteWeight) -> Fraction:
-    """Invariant form normalized by (alpha, alpha) = 2, via the inverse
-    Cartan matrix: (omega_i, omega_j) = (C^{-1})_{ij}.  Summed in
-    integers with (n + 1) * C^{-1}, then divided once."""
+    """Invariant form normalized by (alpha, alpha) = 2, from the
+    epsilon-coordinates a and b of lam and mu (Bourbaki, Lie Groups,
+    Plate I): (n + 1)(lam, mu) = (n + 1) sum a_i b_i - sum a * sum b, an
+    integer, divided once.  The prefix sums of the coordinates are
+    eps_coords in reverse order, which the form does not see."""
     if lam.n != mu.n:
         raise ValueError("rank mismatch")
-    inv = inverse_cartan_scaled(lam.n)
-    total = 0
-    for a, row in zip(lam.coords, inv):
-        if a:
-            total += a * sum(x * b for x, b in zip(row, mu.coords))
-    return Fraction(total, lam.n + 1)
+    a, b = tuple(accumulate(lam.coords)), tuple(accumulate(mu.coords))
+    m = lam.n + 1
+    return Fraction(m * sum(x * y for x, y in zip(a, b)) - sum(a) * sum(b), m)
 
 
 def eps_coords(mu: FiniteWeight) -> tuple[int, ...]:
@@ -243,15 +230,17 @@ def rho_hat(n: int) -> AffineWeight:
 
 def a_of_eta(eta: FiniteWeight) -> tuple:
     """Coefficients a with eta = sum a_i alpha_i; a_i = (eta, omega_i).
-    Errors when eta is not in the root lattice."""
-    m = eta.n + 1
-    out = []
-    for row in inverse_cartan_scaled(eta.n):
-        a, rem = divmod(sum(x * c for x, c in zip(row, eta.coords)), m)
-        if rem:
-            raise ValueError("weight is not in the root lattice")
-        out.append(a)
-    return tuple(out)
+    With e = eps_coords(eta), S = sum e and P_k = e_1 + ... + e_k, and
+    eps_coords(omega_i) the n + 1 - i leading ones, bilinear gives
+    a_i = P_{n+1-i} - (n + 1 - i) S/(n + 1).  As S is congruent to
+    -sum_j j eta(h_j) mod n + 1, eta lies in the root lattice exactly
+    when n + 1 divides S; errors when it does not."""
+    e = eps_coords(eta)
+    s, rem = divmod(sum(e), eta.n + 1)
+    if rem:
+        raise ValueError("weight is not in the root lattice")
+    prefix = tuple(accumulate(e))
+    return tuple(prefix[k - 1] - k * s for k in range(eta.n, 0, -1))
 
 
 def nonneg_root_coeffs(eta: FiniteWeight):

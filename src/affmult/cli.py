@@ -39,8 +39,8 @@ from .tableaux import (
     _shape_tree, block_steps, count_passes, listing_passes, mw_shapes_with_character, tau_counts,
 )
 from .weyl_orbits import (
-    b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes, level_two_family,
-    orbit_pair, socle_formula, socle_oracle,
+    FAMILY_MAX_RANK, b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes,
+    level_two_family, orbit_pair, socle_formula, socle_oracle,
 )
 
 # A work estimate counts steps of about 0.3 us; README's "CLI" table gives
@@ -49,7 +49,7 @@ WORK_MAX = 5_000_000  # 1.5 s at the slowest rate measured for the estimated loo
 
 # The steps of one pass of each kind of loop, at the stage's rank n;
 # README's "CLI" table says what a pass is and where its bound sits.  The
-# last four kinds are fixed terms, which no loop counter counts.
+# last three kinds are fixed terms, which no loop counter counts.
 PRICES = {
     "leaves": lambda n: n + 5,             # an f-ball leaf, scaled_f of n entries: 0.5 + 0.03n us
     "socles": lambda n: 16 * (n + 5),      # a socle_formula test of a kept leaf: 7.5 + 0.47n us
@@ -59,8 +59,7 @@ PRICES = {
     "coefficients": lambda n: 1,           # a coefficient a Gaussian binomial shifts or multiplies
     "count": lambda n: 1,                  # a pass of the tableau tree's child loop, counting
     "listing": lambda n: n + 3,            # a pass of it that lists, and builds the rows
-    "matrix": lambda n: 8,                 # an entry of (n + 1)C^-1 that bilinear or a_of_eta sums
-    "progressions": lambda n: 40 + n * n,  # a flag_progression: 9-35 us at n = 1-100
+    "progressions": lambda n: 40 + 2 * n,  # a flag_progression, O(n): 0.04-2 ms at n = 1-1000
     "partial sums": lambda n: 2,           # one of descent_length's n(n + 1)/2 partial sums
     "blocks": lambda n: 2,                 # a pass of the tableau count's block table: 0.14 us
 }
@@ -255,6 +254,7 @@ def _check_ranks(args, q):
 
 
 RANK = _at_least("--n", 1, required=True)
+LIMIT_RANK = _at_least("--n", 1, FAMILY_MAX_RANK, required=True)
 INDEX_I, INDEX_J = _index("i"), _index("j")
 ETA = Option((("--eta", dict(required=True)),), _check_eta)
 LEVEL = _at_least("--level", 1, required=True)
@@ -333,9 +333,7 @@ def cmd_gamma(q):
 
 
 def flag_steps(q):
-    """The inverse Cartan matrix, as in orbit_sum_steps, then the
-    coefficients of the Gaussian binomials and their product."""
-    yield "--n", "the inverse Cartan matrix", q.n, {"matrix": q.n * q.n}
+    """The coefficients of the Gaussian binomials and their product."""
     a = nonneg_root_coeffs(q.lam - q.mu) or ()
     yield ("--lam/--mu", "the Gaussian binomials", q.n,
            {"coefficients": binomial_steps(a, direct_split(q.mu)[0].coords)})
@@ -352,11 +350,9 @@ def cmd_flag_mult(q):
 
 
 def orbit_sum_steps(q, weight=lambda q: (q.i, q.xi)):
-    """The inverse Cartan matrix, which f_ball_bound and rotated_to_zero
-    sum over, then the orbit sum at the charge and weight of weight(q): its
-    walk's leaves, the socle tests of those kept, and the counts of its
-    rows, one a kept leaf at most; returns its norm bound."""
-    yield "--n", "the inverse Cartan matrix", q.n, {"matrix": q.n * q.n}
+    """The orbit sum at the charge and weight of weight(q): its walk's
+    leaves, the socle tests of those kept, and the counts of its rows, one
+    a kept leaf at most; returns its norm bound."""
     bound = f_ball_bound(q.n, *weight(q))
     kept = ball_leaves(q.n, bound, 2)
     yield "--degree", "the orbit sum", q.n, {"leaves": ball_leaves(q.n, bound, q.n + 1),
@@ -508,7 +504,7 @@ COMMANDS = {
                             "orbit-sum multiplicity formula", (RANK, INDEX_I, LEVEL_TWO),
                             orbit_sum_steps, cmd_multiplicity),
     "limit": Command("outer multiplicity via the stabilizing limit",
-                     "stabilizing flag-multiplicity limit", (RANK, INDEX_I, LEVEL_TWO, KMAX),
+                     "stabilizing flag-multiplicity limit", (LIMIT_RANK, INDEX_I, LEVEL_TWO, KMAX),
                      limit_steps, cmd_limit),
     "tensor-general": Command("multiplicity in a general fundamental tensor product",
                               "rotation reduction to the (0, j - i) case",

@@ -55,23 +55,13 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -213,20 +213,15 @@ def _shape_tree(m: int, i: int, stop: Optional[int] = None):
     return count, shapes
 
 
-def tau_count(eta, i: int, stop: Optional[int] = None) -> int:
+def tau_count(eta, i: int) -> int:
     """Number of admissible i-charged shapes with content character eta,
     that is len(mw_shapes_with_character(eta, i)), without listing them.
     The count below a node depends only on its state, because row r's
     residues start at (1 - r + i) mod (n + 1) and the is_mw congruence
     reads the rows so far only through 2 * prefix mod (n + 1); it is
-    memoized on that state, in a memo made for this call.
-
-    With a stop, every node returns as soon as its running total passes
-    stop, and the result is then some number above stop.  A memoized
-    value above stop only ever feeds a total above stop, so a count at or
-    below stop is exact."""
+    memoized on that state, in a memo made for this call."""
     eta = tuple(eta)
-    return _shape_tree(len(eta), i, stop)[0](eta)
+    return _shape_tree(len(eta), i)[0](eta)
 
 
 def tau_counts(etas, i: int) -> list:

@@ -242,9 +242,20 @@ def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
 def ball_leaves(n: int, bound, scale: int) -> int:
     """C(M + n, n), M = isqrt(floor(scale * bound)) for an int or Fraction
     bound: at scale n + 1 the leaves _dominant_eps_in_ball tests, at scale 2
-    a box holding the kept ones, as a_1^2 <= 2 f(a) <= 2 bound."""
+    a box holding the kept ones, as a_1^2 <= 2 f(a) <= 2 bound.
+
+    Past 2^64, where no estimate accepts the walk, it returns a power of
+    two 2^e <= C(M + n, n), e > 64, from C(M + n, n) = C(M + n, k) >=
+    ((M + n)/k)^k for k = min(M, n): the exact count has about n log2(M)
+    bits, and at n = 1000 and a bound of 4,200 digits took 6 s of a 2-core
+    VM to multiply out."""
     cap = scale * bound.numerator // bound.denominator  # floor(scale * bound)
-    return comb(isqrt(cap) + n, n) if cap >= 0 else 0
+    if cap < 0:
+        return 0
+    m = isqrt(cap)
+    k = min(m, n)
+    e = k * (((m + n) // k).bit_length() - 1) if k else 0
+    return 1 << e if e > 64 else comb(m + n, n)
 
 
 def family_passes(n: int, bound, shapes=None) -> int:
@@ -278,6 +289,12 @@ class LevelTwoFamily(Record):
     ``members`` is a tuple of OrbitPair values."""
 
     __slots__ = ("j", "k", "n", "members")
+
+
+# level_two_family recurses once an entry of a, n + 1 of the interpreter's
+# 1000 frames at rank n: the CLI's limit, whose estimate walks the family,
+# takes ranks up to this, which leaves the rest to its callers
+FAMILY_MAX_RANK = 800
 
 
 def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:

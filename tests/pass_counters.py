@@ -80,7 +80,6 @@ def counting():
         mp.setattr(partitions, "_rho_multi_sorted", tally("memo", partitions._rho_multi_sorted))
         mp.setattr(LaurentPoly, "shift", tally("coefficients", LaurentPoly.shift,
                                                lambda p, s: len(p.coeffs)))
-        mp.setattr(LaurentPoly, "__mul__", tally(
-            "coefficients", LaurentPoly.__mul__,
-            lambda p, q: len(p.coeffs) * len(q.coeffs) if isinstance(q, LaurentPoly) else 0))
+        mp.setattr(LaurentPoly, "__mul__", tally("coefficients", LaurentPoly.__mul__,
+                                                 lambda p, q: len(p.coeffs) * len(q.coeffs)))
         yield counts

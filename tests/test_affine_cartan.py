@@ -12,7 +12,6 @@ from affmult.affine_cartan import (
     affine_Lambda,
     bilinear,
     eps_coords,
-    inverse_cartan_scaled,
     omega,
     quadratic_f,
     theta,
@@ -27,6 +26,7 @@ from weyl_group import (
     cartan_matrix,
     in_root_lattice,
     inverse_cartan,
+    inverse_cartan_scaled,
 )
 
 ranks = st.integers(1, 4)
@@ -71,7 +71,7 @@ class TestScaledInverse:
                 val = sum(C[i][k] * inv[k][j] for k in range(n))
                 assert val == (n + 1 if i == j else 0)
 
-    @given(st.integers(1, 8).flatmap(
+    @given(st.integers(1, 40).flatmap(
         lambda n: st.tuples(finite_weights(n), finite_weights(n))))
     def test_integer_bilinear_matches_fraction_formula(self, pair):
         lam, mu = pair

@@ -216,16 +216,22 @@ class TestValidation:
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-200",
           "--kmax", "100"], "--kmax"),
         # work that grows with the rank alone: the tableau count's block table
-        # (3.2 s), descent_length (1.3 s) and the inverse Cartan matrix
+        # (3.2 s) and descent_length (1.3 s); and limit's family walk, which
+        # recurses once a coordinate (a RecursionError at rank 1000)
         (["tau", "--n", "100", "--i", "0", "--eta", ",".join(["0"] * 101)], "--n"),
         (["socle", "--n", "4000", "--level", "1", "--mu=" + ",".join(["-1000"] * 4000)],
          "--n"),
-        (["multiplicity", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], "--n"),
+        (["limit", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], "--n"),
         # tau: listing 2,362 shapes of 620 boxes (10 s when it ran)
         (["tau", "--n", "30", "--i", "0", "--eta", ",".join(["20"] * 31)], "--eta"),
         # the orbit sum's memo calls, priced as the limit's, at 2 steps
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-400",
           "--kmax", "100"], "--degree"),
+        # a walk of about 2^6971000 leaves, which took 6 s to count exactly
+        (["multiplicity", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000,
+          "--degree=-1e4200"], "--degree"),
+        (["gamma", "--n", "1000", "--cvals", "2" + ",0" * 1000, "--norm-bound", "1e4200"],
+         "--norm-bound"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         start = time.process_time()
@@ -233,6 +239,22 @@ class TestValidation:
         assert time.process_time() - start < 1.0
         assert code == 2 and out == ""
         assert param in err
+
+    @pytest.mark.parametrize("argv,value", [
+        (["multiplicity", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], 1),
+        (["flag-mult", "--n", "3000", "--lam", "1" + ",0" * 2998 + ",1",
+          "--mu", ",".join(["0"] * 3000), "--r", "1"], 1),
+        (["tensor-general", "--n", "3000", "--i", "1", "--j", "1",
+          "--cvals", "0,2" + ",0" * 2999], 1),
+        (["limit", "--n", "800", "--i", "0", "--cvals", "2" + ",0" * 800], 1),
+    ], ids=["multiplicity", "flag-mult", "tensor-general", "limit"])
+    def test_high_rank_at_a_shallow_weight_is_accepted(self, capsys, argv, value):
+        # the weight forms are linear in the rank: all four were refused when
+        # they summed over the n x n inverse Cartan matrix
+        start = time.process_time()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert time.process_time() - start < 1.0
+        assert code == 0 and json.loads(out)["result"]["value"] == value
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
@@ -624,8 +646,7 @@ class TestCountedPasses:
 
     def test_every_priced_kind_is_counted_or_fixed(self):
         # the fixed terms grow with the rank, or with the members, alone
-        assert set(cli.PRICES) == set(KINDS) | {"matrix", "progressions", "partial sums",
-                                                "blocks"}
+        assert set(cli.PRICES) == set(KINDS) | {"progressions", "partial sums", "blocks"}
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(list(TABLE)), st.data())

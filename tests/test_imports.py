@@ -1,5 +1,5 @@
-"""The package's import graph, pinned in one table, and the code that
-reaches every definition in the package."""
+"""The package's import graph, pinned in one table, the names each module
+imports, and the code that reaches every definition in the package."""
 
 import ast
 from pathlib import Path
@@ -45,6 +45,24 @@ def package_imports(path: Path) -> set:
 def test_import_graph():
     modules = PACKAGE.glob("*.py")
     assert {path.stem: package_imports(path) for path in modules} == GRAPH
+
+
+def test_every_imported_name_is_used():
+    """Each name a module of the package imports is used in that module,
+    but those of the statements marked noqa: F401: the package's
+    re-exports, and names kept importable for the benchmark's tracer."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and "# noqa: F401" not in lines[node.lineno - 1]):
+                unused += [f"{path.stem}: {alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 def referenced_names(tree: ast.AST) -> set:

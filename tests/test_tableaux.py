@@ -315,18 +315,19 @@ class TestTauCount:
     def test_stop_keeps_counts_up_to_it(self, case, stop):
         eta, i = case
         full = tau_count(eta, i)
-        stopped = tau_count(eta, i, stop)
+        stopped = tableaux._shape_tree(len(eta), i, stop)[0](eta)
         if full <= stop:
             assert stopped == full
         else:
             assert stopped > stop
 
     def test_stop_cuts_a_deep_count_short(self):
-        assert tau_count((40, 40, 39), 1, 20000) == 10584
-        assert tau_count((40, 40, 39), 1, 10584) == 10584
-        assert tau_count((40, 40, 39), 1, 10583) > 10583
+        eta, deep = (40, 40, 39), (300, 300, 299)
+        assert tableaux._shape_tree(len(eta), 1, 20000)[0](eta) == 10584
+        assert tableaux._shape_tree(len(eta), 1, 10584)[0](eta) == 10584
+        assert tableaux._shape_tree(len(eta), 1, 10583)[0](eta) > 10583
         start = time.process_time()
-        assert tau_count((300, 300, 299), 1, 20000) > 20000
+        assert tableaux._shape_tree(len(deep), 1, 20000)[0](deep) > 20000
         assert time.process_time() - start < 1
 
     def test_bruteforce_is_the_count(self):

@@ -1,6 +1,7 @@
 """Root data and affine Weyl group elements, for the tests only: the
-Cartan matrices, the simple roots and the affine form that
-``affine_cartan`` computes with in integers, and the reflections,
+Cartan matrices and their inverses, the references for the forms that
+``affine_cartan`` computes from epsilon-coordinates, the simple roots,
+the affine form, and the reflections,
 translations, cofinal orbit sequences and reduced-pair lengths behind
 ``weyl_orbits``' closed forms."""
 
@@ -12,7 +13,6 @@ from affmult.affine_cartan import (
     FiniteWeight,
     bilinear,
     eps_coords,
-    inverse_cartan_scaled,
     theta,
 )
 from affmult.weyl_orbits import socle_formula, socle_oracle
@@ -25,6 +25,17 @@ def cartan_matrix(n: int) -> tuple:
     return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
         for i in range(n)
+    )
+
+
+def inverse_cartan_scaled(n: int) -> tuple:
+    """The integer matrix (n + 1) * C^{-1} of type A_n: entry (i, j) is
+    min(i,j) * (n + 1 - max(i,j)) with 1-based indices."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    return tuple(
+        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1))
+        for i in range(1, n + 1)
     )
 
 
