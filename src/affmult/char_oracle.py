@@ -53,7 +53,7 @@ from .affine_cartan import (  # noqa: F401
     scaled_f,
     weight_from_eps,
 )
-from .partitions import compositions
+from .partitions import compositions, times_q_factors
 from .records import Record
 from .weyl_orbits import _descend
 
@@ -147,13 +147,9 @@ def tensor_character(c1: TruncatedCharacter, c2: TruncatedCharacter,
 
 def _coloured_partition_counts(n: int, kmax: int) -> list:
     """Number of n-coloured partitions of k for k = 0..kmax: the
-    coefficients of prod_{r >= 1} (1 - q^r)^(-n)."""
-    counts = [1] + [0] * kmax
-    for r in range(1, kmax + 1):
-        for _ in range(n):
-            for k in range(r, kmax + 1):
-                counts[k] += counts[k - r]
-    return counts
+    coefficients of prod_{r >= 1} (1 - q^r)^(-n) to q^kmax, n divisions by
+    (q;q)_kmax."""
+    return times_q_factors([1] + [0] * kmax, range(1, kmax + 1), -n)
 
 
 def _maximal_weights(n: int, j: int, amax: int):

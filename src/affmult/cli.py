@@ -49,19 +49,21 @@ WORK_MAX = 5_000_000  # 1.5 s at the slowest rate measured for the estimated loo
 
 # The steps of one pass of each kind of loop, at the stage's rank n;
 # README's "CLI" table says what a pass is and where its bound sits.  The
-# last three kinds are fixed terms, which no loop counter counts.
+# last four kinds are fixed terms, which no loop counter counts.
 PRICES = {
     "leaves": lambda n: n + 5,             # an f-ball leaf, scaled_f of n entries: 0.5 + 0.03n us
     "socles": lambda n: 16 * (n + 5),      # a socle_formula test of a kept leaf: 7.5 + 0.47n us
     "family": lambda n: 8,                 # a pass of level_two_family's loop: 2.0-2.2 us
     "descent": lambda n: n + 2,            # a scan of _descend's n + 1 values: 0.5-0.8 us
     "memo": lambda n: 2,                   # a call of _count or _rho_multi_sorted: 0.4-0.5 us
-    "coefficients": lambda n: 1,           # a coefficient a Gaussian binomial shifts or multiplies
+    "coefficients": lambda n: 1,           # a coefficient a Gaussian binomial updates or multiplies
     "count": lambda n: 1,                  # a pass of the tableau tree's child loop, counting
     "listing": lambda n: n + 3,            # a pass of it that lists, and builds the rows
-    "progressions": lambda n: 40 + 2 * n,  # a flag_progression, O(n): 0.04-2 ms at n = 1-1000
+    "progressions": lambda n: 260 + 5 * n,  # a flag_progression, slowest orbit-set member:
+                                            # 78 us at n = 1, 0.19 ms at 100, 0.8-1.35 ms at 1000
     "partial sums": lambda n: 2,           # one of descent_length's n(n + 1)/2 partial sums
     "blocks": lambda n: 2,                 # a pass of the tableau count's block table: 0.14 us
+    "coordinates": lambda n: 16,           # a coordinate of flag-mult's weights, end to end: 2-5 us
 }
 
 
@@ -73,7 +75,7 @@ def parse_vec(text: str, name: str) -> tuple:
     if text.strip() == "":
         return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise ValidationError(f"parameter {name}: expected comma-separated integers")
 
@@ -222,6 +224,16 @@ def _affine(level_two: bool):
     return check
 
 
+def _check_rotation(args, q):
+    """The (0, j - i) instance of --cvals/--degree, by the diagram rotation:
+    the charge and weight the orbit sum runs on, in q.i and q.xi, where the
+    payload keeps the given values."""
+    try:
+        q.i, q.xi = rotated_to_zero(q.n, q.i, q.j, q.xi)
+    except ValueError as exc:
+        raise ValidationError(f"parameter --cvals: {exc}")
+
+
 def _check_norm_bound(args, q):
     q.bound = parse_rat(args.norm_bound, "--norm-bound")
     q.params["norm_bound"] = str(q.bound)
@@ -262,6 +274,7 @@ MU = Option((("--mu", dict(required=True)),), _check_mu)
 CVALS_DEGREE = (("--cvals", dict(required=True)), ("--degree", dict(default="0")))
 WEIGHT = Option(CVALS_DEGREE, _affine(level_two=False))
 LEVEL_TWO = Option(CVALS_DEGREE, _affine(level_two=True))
+ROTATED = Option((), _check_rotation)
 NORM_BOUND = Option((("--norm-bound", dict(required=True)),), _check_norm_bound)
 LAM_MU = Option((("--lam", dict(required=True)), ("--mu", dict(required=True))), _check_lam_mu)
 R = Option((("--r", dict(default=None)),), _check_r)
@@ -333,7 +346,10 @@ def cmd_gamma(q):
 
 
 def flag_steps(q):
-    """The coefficients of the Gaussian binomials and their product."""
+    """The passes over the weights' coordinates, which grow with the rank
+    alone; then the coefficients of the Gaussian binomials and their
+    product."""
+    yield "--lam/--mu", "the weights' coordinates", q.n, {"coordinates": q.n}
     a = nonneg_root_coeffs(q.lam - q.mu) or ()
     yield ("--lam/--mu", "the Gaussian binomials", q.n,
            {"coefficients": binomial_steps(a, direct_split(q.mu)[0].coords)})
@@ -349,11 +365,11 @@ def cmd_flag_mult(q):
             "header": ["exponent", "coefficient"]}, None
 
 
-def orbit_sum_steps(q, weight=lambda q: (q.i, q.xi)):
-    """The orbit sum at the charge and weight of weight(q): its walk's
-    leaves, the socle tests of those kept, and the counts of its rows, one
-    a kept leaf at most; returns its norm bound."""
-    bound = f_ball_bound(q.n, *weight(q))
+def orbit_sum_steps(q):
+    """The orbit sum at the charge q.i and weight q.xi: its walk's leaves,
+    the socle tests of those kept, and the counts of its rows, one a kept
+    leaf at most; returns its norm bound."""
+    bound = f_ball_bound(q.n, q.i, q.xi)
     kept = ball_leaves(q.n, bound, 2)
     yield "--degree", "the orbit sum", q.n, {"leaves": ball_leaves(q.n, bound, q.n + 1),
                                              "socles": kept, "memo": count_steps(q.n, bound, kept)}
@@ -391,15 +407,8 @@ def cmd_limit(q):
             "rows": rows, "header": ["mu", "threshold", "sequence"]}, None
 
 
-def _rotated(q) -> tuple:
-    try:
-        return rotated_to_zero(q.n, q.i, q.j, q.xi)
-    except ValueError as exc:
-        raise ValidationError(f"parameter --cvals: {exc}")
-
-
 def cmd_tensor_general(q):
-    return {"value": outer_multiplicity_formula(q.n, *_rotated(q))}, None
+    return {"value": outer_multiplicity_formula(q.n, q.i, q.xi)}, None
 
 
 def _verify_instance(task):
@@ -508,8 +517,8 @@ COMMANDS = {
                      limit_steps, cmd_limit),
     "tensor-general": Command("multiplicity in a general fundamental tensor product",
                               "rotation reduction to the (0, j - i) case",
-                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO),
-                              lambda q: orbit_sum_steps(q, _rotated), cmd_tensor_general),
+                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO, ROTATED),
+                              orbit_sum_steps, cmd_tensor_general),
     "verify": Command("run the cross-check suites", "cross-check suite",
                       (RANKS, ETA0_MAX, DEPTH), verify_steps, cmd_verify),
 }

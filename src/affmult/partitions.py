@@ -15,6 +15,9 @@ The convention is checked once per call of the public ``rho`` and
 The bounds on their passes, which the CLI prices, sit beside them:
 ``count_steps``, ``flag_count_steps``, ``binomial_steps``, and
 ``LIMIT_MAX_KMAX`` for the depth of ``_count``'s recursion.
+
+``times_q_factors`` is the one loop over factors 1 - q^r: the Gaussian
+binomials and the oracle's coloured-partition counts are built with it.
 """
 
 from __future__ import annotations
@@ -141,40 +144,61 @@ def flag_count_steps(arg, b: Sequence[int], caps: Sequence[int], kmax: int) -> i
     return t + 2 * x1 + lower * (x2 + x1) + 2 * (m + 1) * (max(b) + 1) * (min(top, m) + 1)
 
 
+def times_q_factors(coeffs: list, exponents, power: int = 1) -> list:
+    """Multiply the series coeffs, truncated after q^(len(coeffs) - 1), in
+    place by (1 - q^r)^power for each r of exponents, and return it.  A
+    factor 1 - q^r takes c_{k-r} from c_k, top down; a negative power
+    divides, each 1/(1 - q^r) a running sum of step r, bottom up.  Truncation
+    commutes with both, so the result is exact up to its length."""
+    top = len(coeffs)
+    for r in exponents:
+        for _ in range(abs(power)):
+            if power > 0:
+                for k in range(top - 1, r - 1, -1):
+                    coeffs[k] -= coeffs[k - r]
+            else:
+                for k in range(r, top):
+                    coeffs[k] += coeffs[k - r]
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def q_binomial(m: int, p: int) -> LaurentPoly:
     """Gaussian binomial [m choose p]_q; coefficient of q^s counts
-    partitions of s inside a p x (m-p) box."""
+    partitions of s inside a p x (m-p) box.  It is the polynomial
+    prod_{r <= p} (1 - q^{m-p+r}) / (1 - q^r) of degree p(m - p), with p
+    the smaller side, as [m choose p] = [m choose m - p]."""
     if p < 0 or p > m:
         raise ValueError("require 0 <= p <= m")
-    if p == 0 or p == m:
-        return LaurentPoly.one()
-    # Pascal recurrence [m, p] = [m-1, p] + q^{m-p} [m-1, p-1], one row
-    # row[k] = [k + d choose k]_q (k <= p) for each d <= m - p in turn
-    row = [LaurentPoly.one()] * (p + 1)
-    for d in range(1, m - p + 1):
-        for k in range(1, p + 1):
-            row[k] = row[k] + row[k - 1].shift(d)
-    return row[p]
+    p = min(p, m - p)
+    coeffs = times_q_factors([1] + [0] * (p * (m - p)), range(m - p + 1, m + 1))
+    return LaurentPoly(dict(enumerate(times_q_factors(coeffs, range(1, p + 1), -1))))
 
 
 def binomial_steps(a: Sequence[int], b: Sequence[int]) -> int:
     """A bound on the coefficients that q_binomial_product(a + b, a), cold,
-    and a prefactor shift move: (d + 1)(d + l + 1), l factors of degree
-    d = sum a_j b_j in all.  Pascal pass (d', k) shifts (k - 1)d' + 1, at most
-    (a_j b_j)^2/2 + a_j b_j in all; the product (D + 1)(d_j + 1) pairs into
-    a running product of degree D, at most d^2/2 + l d + l; the shift d + 1."""
+    and a prefactor shift update: the factors with a_j b_j > 0, l of them
+    of degree d = sum a_j b_j in all, take 2 s (a_j b_j + 1) kernel updates
+    each, s = min(a_j, b_j) (s passes of times_q_factors each way, none
+    longer than the list); the product (D + 1)(d_j + 1) pairs into a
+    running product of degree D <= d, at most (d + 1)(d + l); the shift
+    d + 1."""
     d = sum(x * y for x, y in zip(a, b))
-    return (d + 1) * (d + len(a) + 1)
+    kernel = sum(2 * min(x, y) * (x * y + 1) for x, y in zip(a, b))
+    return kernel + (d + 1) * (d + sum(1 for x, y in zip(a, b) if x * y) + 1)
 
 
 def q_binomial_product(m: Sequence[int], p: Sequence[int]) -> LaurentPoly:
-    """Product of Gaussian binomials [m_j choose p_j]_q."""
+    """Product of Gaussian binomials [m_j choose p_j]_q; the factors
+    [m choose 0] = [m choose m] = 1 are skipped."""
     if len(m) != len(p):
         raise ValueError("vectors must have equal length")
     out = LaurentPoly.one()
     for mj, pj in zip(m, p):
-        out = out * q_binomial(mj, pj)
+        if not 0 <= pj <= mj:
+            raise ValueError("require 0 <= p <= m")
+        if 0 < pj < mj:
+            out = out * q_binomial(mj, pj)
     return out
 
 

@@ -3,12 +3,15 @@ partitions and multipartitions that ``partitions.rho`` and
 ``partitions.rho_multi`` count, the box-complement bijection behind
 ``partitions.stabilize_threshold``, which the limit route uses, and one
 flag multiplicity counted as multipartitions, the reference of the limit
-route's ``flag_progression``."""
+route's ``flag_progression``; and the Gaussian binomials by the q-Pascal
+recurrence, the reference of ``partitions.q_binomial``."""
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from affmult.affine_cartan import FiniteWeight
+from affmult.laurent import LaurentPoly
 from affmult.multiplicities import _flag_data
 from affmult.partitions import (
     Partition, _is_bad_number, canonical, rho_multi, stabilize_threshold,
@@ -101,3 +104,16 @@ def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
         return 0
     a, b, shift = data
     return rho_multi(Fraction(r) - shift, b, a)
+
+
+@lru_cache(maxsize=None)
+def pascal_triangle(size: int) -> list:
+    """Rows m = 0..size of the Gaussian binomials [m choose p]_q, p = 0..m,
+    by the q-Pascal recurrence [m, p] = [m - 1, p] + q^(m - p) [m - 1, p - 1]."""
+    rows = [[LaurentPoly.one()]]
+    for m in range(1, size + 1):
+        prev = rows[-1]
+        rows.append([LaurentPoly.one()]
+                    + [prev[p] + prev[p - 1].shift(m - p) for p in range(1, m)]
+                    + [LaurentPoly.one()])
+    return rows

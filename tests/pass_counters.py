@@ -12,8 +12,10 @@ terms, installed by monkeypatching the names each loop calls once a pass:
   ``enumerate`` once a step and once more at the end;
 * ``memo``: calls of ``partitions._count`` and ``_rho_multi_sorted``,
   whose caches are cleared first, so that the count is a cold one;
-* ``coefficients``: coefficients that ``LaurentPoly.shift`` moves and
-  coefficient pairs that ``LaurentPoly.__mul__`` multiplies;
+* ``coefficients``: coefficient updates of ``partitions.times_q_factors``
+  as ``q_binomial`` calls it (the oracle's own calls are not counted),
+  coefficients that ``LaurentPoly.shift`` moves and coefficient pairs that
+  ``LaurentPoly.__mul__`` multiplies;
 * ``count`` and ``listing``: passes of the tableau tree's child loop,
   which calls ``divmod`` once a pass, the listing's where the listing's
   walk called the loop and the count's elsewhere (``shape_character``'s
@@ -78,6 +80,9 @@ def counting():
         mp.setattr(tableaux, "shape_character", unpaused(tableaux.shape_character))
         mp.setattr(partitions, "_count", tally("memo", partitions._count))
         mp.setattr(partitions, "_rho_multi_sorted", tally("memo", partitions._rho_multi_sorted))
+        mp.setattr(partitions, "times_q_factors", tally(
+            "coefficients", partitions.times_q_factors,
+            lambda c, rs, power=1: abs(power) * sum(max(len(c) - r, 0) for r in rs)))
         mp.setattr(LaurentPoly, "shift", tally("coefficients", LaurentPoly.shift,
                                                lambda p, s: len(p.coeffs)))
         mp.setattr(LaurentPoly, "__mul__", tally("coefficients", LaurentPoly.__mul__,

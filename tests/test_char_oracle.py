@@ -27,6 +27,7 @@ from affmult.char_oracle import (
     tensor_outer_multiplicities,
 )
 from affmult.multiplicities import outer_multiplicity_formula
+from affmult.partitions import rho_multi
 from affmult.weyl_orbits import socle_oracle
 from test_imports import package_imports
 from weyl_group import simple_reflection
@@ -158,6 +159,13 @@ class TestFrenkelKac:
     def test_coloured_partition_counts(self):
         assert _coloured_partition_counts(1, 6) == [1, 1, 2, 3, 5, 7, 11]
         assert _coloured_partition_counts(2, 4) == [1, 2, 5, 10, 20]
+
+    def test_coloured_partitions_are_multipartitions(self):
+        # an n-coloured partition of k is a multipartition of k with n
+        # components, each with parts at most k
+        for n in range(7):
+            assert _coloured_partition_counts(n, 30) == [rho_multi(k, (k,) * n)
+                                                         for k in range(31)], n
 
 
 class TestBrauerKlimyk:

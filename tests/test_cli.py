@@ -20,7 +20,7 @@ from affmult import cli
 from affmult.affine_cartan import affine_Lambda
 from affmult.cli import COMMANDS as TABLE
 from affmult.cli import Query, build_parser, main
-from affmult.multiplicities import delta_string, eta_from_xi, rotate
+from affmult.multiplicities import delta_string, eta_from_xi, rotate, rotated_to_zero
 from affmult.tableaux import mw_shapes_with_character
 from pass_counters import KINDS, counting
 
@@ -255,6 +255,17 @@ class TestValidation:
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert time.process_time() - start < 1.0
         assert code == 0 and json.loads(out)["result"]["value"] == value
+
+    def test_rank_linear_flag_mult_is_refused(self, capsys):
+        # 4-5 s when accepted: passes over the coordinates the binomials' bound
+        # did not see, about 5 us each
+        zeros = ",".join(["0"] * 1_000_000)
+        start = time.process_time()
+        code, out, err = run(capsys, "flag-mult", "--n", "1000000", "--lam", zeros,
+                             "--mu", zeros)
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("parameter --lam/--mu: the weights' coordinates: ")
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
@@ -646,7 +657,8 @@ class TestCountedPasses:
 
     def test_every_priced_kind_is_counted_or_fixed(self):
         # the fixed terms grow with the rank, or with the members, alone
-        assert set(cli.PRICES) == set(KINDS) | {"progressions", "partial sums", "blocks"}
+        assert set(cli.PRICES) == set(KINDS) | {"progressions", "partial sums", "blocks",
+                                                "coordinates"}
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(list(TABLE)), st.data())
@@ -911,6 +923,25 @@ class TestOtherCommands:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["result"]["value"] == 4
+
+    def test_tensor_general_rotates_once(self, capsys, monkeypatch):
+        calls = []
+
+        def rotated(*args):
+            calls.append(args)
+            return rotated_to_zero(*args)
+
+        monkeypatch.setattr(cli, "rotated_to_zero", rotated)
+        code, out, _ = run(capsys, "tensor-general", "--n", "2", "--i", "1", "--j", "2",
+                           "--cvals", "2,0,0", "--degree", "-4", "--format", "json")
+        assert code == 0 and len(calls) == 1
+        # the payload echoes the given charges and weight, not the rotated ones
+        assert json.loads(out)["params"] == {"cvals": [2, 0, 0], "degree": "-4", "i": 1,
+                                             "j": 2, "n": 2}
+        calls.clear()
+        code, _, err = run(capsys, "tensor-general", "--n", "2", "--i", "1", "--j", "2",
+                           "--cvals", "2,0,0", "--degree", "1")
+        assert code == 2 and len(calls) == 1 and err.startswith("parameter --cvals: ")
 
 
 class TestScripts:

@@ -20,9 +20,12 @@ from affmult.partitions import (
     rho,
     rho_multi,
     stabilize_threshold,
+    times_q_factors,
 )
 from affmult.weyl_orbits import ball_leaves
-from multipartitions import box_complement, enumerate_bounded, enumerate_multi, stabilize_bijection
+from multipartitions import (
+    box_complement, enumerate_bounded, enumerate_multi, pascal_triangle, stabilize_bijection,
+)
 from pass_counters import counting
 
 
@@ -182,6 +185,19 @@ class TestQBinomial:
             return
         assert q_binomial(m, p).is_palindromic()
 
+    def test_equals_the_pascal_reference(self):
+        rows = pascal_triangle(40)
+        for m in range(41):
+            for p in range(m + 1):
+                assert q_binomial(m, p) == rows[m][p], (m, p)
+
+    @settings(deadline=None)  # the first draw builds the reference triangle
+    @given(st.integers(0, 60), st.integers(0, 60))
+    def test_equals_the_pascal_reference_on_draws(self, m, p):
+        if p > m:
+            return
+        assert q_binomial(m, p) == pascal_triangle(60)[m][p]
+
     @given(st.integers(1, 12), st.integers(1, 11))
     def test_pascal_recurrence(self, m, p):
         if p > m - 1:
@@ -191,12 +207,36 @@ class TestQBinomial:
         assert lhs == rhs
 
 
+class TestQFactors:
+    def test_division_is_a_running_sum(self):
+        # 1/(1 - q)^2 = sum (k + 1) q^k, and 1/(1 - q^2) steps by two
+        assert times_q_factors([1, 0, 0, 0, 0], [1], -2) == [1, 2, 3, 4, 5]
+        assert times_q_factors([1, 0, 0, 0, 0], [2], -1) == [1, 0, 1, 0, 1]
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+           st.lists(st.integers(1, 14), max_size=4), st.integers(1, 3))
+    def test_division_undoes_multiplication(self, coeffs, exponents, power):
+        series = times_q_factors(list(coeffs), exponents, power)
+        assert times_q_factors(series, exponents, -power) == coeffs
+
+
 class TestQBinomialProduct:
     def test_two_squares(self):
         assert q_binomial_product((2, 2), (1, 1)) == LaurentPoly({0: 1, 1: 2, 2: 1})
 
     def test_trivial_factor(self):
         assert q_binomial_product((5,), (0,)) == LaurentPoly.one()
+
+    def test_trivial_factors_are_skipped(self):
+        with counting() as counts:
+            assert q_binomial_product((5, 3, 0), (5, 0, 0)) == LaurentPoly.one()
+        assert counts["coefficients"] == 0
+        try:
+            q_binomial_product((2,), (3,))
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("expected an error for p > m")
 
     def test_factors_multiply(self):
         assert q_binomial_product((4, 3), (2, 1)) == q_binomial(4, 2) * q_binomial(3, 1)
@@ -212,8 +252,8 @@ class TestQBinomialProduct:
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=5))
     def test_coefficients_within_binomial_steps(self, ab):
-        """The Pascal rows and the product shift and multiply at most
-        binomial_steps(a, b) coefficients, with the prefactor's shift."""
+        """The kernel's updates, the product's pairs and the prefactor's
+        shift come to at most binomial_steps(a, b) coefficients."""
         a, b = [x for x, _ in ab], [y for _, y in ab]
         with counting() as counts:
             q_binomial_product([x + y for x, y in ab], a).shift(Fraction(1, 2))
