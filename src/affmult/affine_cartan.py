@@ -193,7 +193,7 @@ class AffineWeight(Record):
         return self.finite.coords[i - 1]
 
     def c_values(self) -> tuple[int, ...]:
-        return tuple(self.value(i) for i in range(self.n + 1))
+        return (self.value(0),) + self.finite.coords
 
     def is_dominant(self) -> bool:
         return self.finite.is_dominant() and self.value(0) >= 0

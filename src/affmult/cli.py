@@ -26,10 +26,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine_cartan import AffineWeight, FiniteWeight, affine_Lambda, nonneg_root_coeffs
+from .affine_cartan import AffineWeight, FiniteWeight, affine_Lambda
 from .char_oracle import descent_passes, tensor_outer_multiplicities
 from .multiplicities import (
-    delta_string, direct_split, f_ball_bound, flag_multiplicity_poly, flag_progression,
+    _flag_data, delta_string, f_ball_bound, flag_multiplicity_poly, flag_progression,
     jk_from_eta, orbit_terms, outer_multiplicity_formula, outer_multiplicity_limit,
     rotated_to_zero, tau_formula,
 )
@@ -56,14 +56,14 @@ PRICES = {
     "family": lambda n: 8,                 # a pass of level_two_family's loop: 2.0-2.2 us
     "descent": lambda n: n + 2,            # a scan of _descend's n + 1 values: 0.5-0.8 us
     "memo": lambda n: 2,                   # a call of _count or _rho_multi_sorted: 0.4-0.5 us
-    "coefficients": lambda n: 1,           # a coefficient a Gaussian binomial updates or multiplies
+    "coefficients": lambda n: 1,           # a coefficient the q-series kernel updates or shifts
     "count": lambda n: 1,                  # a pass of the tableau tree's child loop, counting
     "listing": lambda n: n + 3,            # a pass of it that lists, and builds the rows
     "progressions": lambda n: 260 + 5 * n,  # a flag_progression, slowest orbit-set member:
                                             # 78 us at n = 1, 0.19 ms at 100, 0.8-1.35 ms at 1000
     "partial sums": lambda n: 2,           # one of descent_length's n(n + 1)/2 partial sums
     "blocks": lambda n: 2,                 # a pass of the tableau count's block table: 0.14 us
-    "coordinates": lambda n: 16,           # a coordinate of flag-mult's weights, end to end: 2-5 us
+    "coordinates": lambda n: 16,           # a weight's or polynomial's coordinate, all told: 2-5 us
 }
 
 
@@ -346,18 +346,17 @@ def cmd_gamma(q):
 
 
 def flag_steps(q):
-    """The passes over the weights' coordinates, which grow with the rank
-    alone; then the coefficients of the Gaussian binomials and their
-    product."""
+    """The passes over the weights' coordinates; then, at the a and b of
+    _flag_data, the coefficients of the Gaussian-binomial product and its
+    shift, and the polynomial's 1 + sum a_j b_j coordinates, printed."""
     yield "--lam/--mu", "the weights' coordinates", q.n, {"coordinates": q.n}
-    a = nonneg_root_coeffs(q.lam - q.mu) or ()
-    yield ("--lam/--mu", "the Gaussian binomials", q.n,
-           {"coefficients": binomial_steps(a, direct_split(q.mu)[0].coords)})
+    a, b, _shift = _flag_data(q.lam, q.mu) or ((), (), 0)
+    yield "--lam/--mu", "the Gaussian binomials", q.n, {
+        "coefficients": binomial_steps(a, b), "coordinates": 1 + sum(x * y for x, y in zip(a, b))}
 
 
 def cmd_flag_mult(q):
-    """Both modes read the generating polynomial; --r reads one
-    coefficient."""
+    """Both modes read the generating polynomial; --r reads one coefficient."""
     poly = flag_multiplicity_poly(q.lam, q.mu)
     if q.r is not None:
         return {"value": poly.coeff(q.r)}, None
@@ -366,9 +365,11 @@ def cmd_flag_mult(q):
 
 
 def orbit_sum_steps(q):
-    """The orbit sum at the charge q.i and weight q.xi: its walk's leaves,
-    the socle tests of those kept, and the counts of its rows, one a kept
-    leaf at most; returns its norm bound."""
+    """Two passes over each of the weight's n + 1 coroot values, 3-6 us of
+    set-up in all; then the orbit sum at the charge q.i and weight q.xi:
+    its walk's leaves, the socle tests of those kept, and the counts of its
+    rows, one a kept leaf at most; returns its norm bound."""
+    yield "--cvals", "the weight's coordinates", q.n, {"coordinates": 2 * (q.n + 1)}
     bound = f_ball_bound(q.n, q.i, q.xi)
     kept = ball_leaves(q.n, bound, 2)
     yield "--degree", "the orbit sum", q.n, {"leaves": ball_leaves(q.n, bound, q.n + 1),
@@ -540,7 +541,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes -6 as a value after a space, but not -1,2 or -1/3: join a token
+    # that starts with a single '-' to an option before it that takes a value
+    valued = {flag for c in COMMANDS.values() for option in c.options for flag, _ in option.flags}
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in valued | {"--format"} and token[:1] == "-" != token[1:2]:
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     command = COMMANDS[args.command]
     try:
         q = Query(args)

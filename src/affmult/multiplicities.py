@@ -72,9 +72,9 @@ def mu_split(mu: FiniteWeight) -> MuSplit:
 
 
 def _flag_data(lam: FiniteWeight, mu: FiniteWeight):
-    """Shared setup: root coefficients a of lam - mu (None if lam - mu
-    is not a non-negative root sum), bounds from the split of mu, and
-    the rational prefactor exponent (lam + mu1, lam - mu)/2."""
+    """Shared setup: root coefficients a of lam - mu (None if lam - mu is
+    not a non-negative root sum), bounds from the split of mu, and the
+    integer (lam + mu1, lam - mu)/2, as lam + mu1 = 2(mu0 + mu1) + lam - mu."""
     if not lam.is_dominant() or not mu.is_dominant():
         raise ValueError("weights must be dominant")
     diff = lam - mu
@@ -82,8 +82,7 @@ def _flag_data(lam: FiniteWeight, mu: FiniteWeight):
     if a is None:
         return None
     mu0, mu1 = direct_split(mu)
-    shift = Fraction(bilinear(lam + mu1, diff), 2)
-    return a, mu0.coords, shift
+    return a, mu0.coords, bilinear(lam + mu1, diff) // 2
 
 
 def flag_multiplicity_poly(lam: FiniteWeight, mu: FiniteWeight) -> LaurentPoly:
@@ -95,8 +94,7 @@ def flag_multiplicity_poly(lam: FiniteWeight, mu: FiniteWeight) -> LaurentPoly:
     if data is None:
         return LaurentPoly.zero()
     a, b, shift = data
-    poly = q_binomial_product([x + y for x, y in zip(a, b)], list(a))
-    return poly.shift(shift)
+    return q_binomial_product([x + y for x, y in zip(a, b)], a).shift(shift)
 
 
 def eta_prime(eta, i: int) -> tuple:
@@ -308,12 +306,10 @@ def rotate(c: int, lam: AffineWeight) -> AffineWeight:
     m = n + 1, and as (Lambda_k, Lambda_k) = k(m - k)/m, keeping the norm
     fixes d_k = (k(m - k) - k'(m - k'))/(2m)."""
     m = lam.n + 1
-    cv = lam.c_values()
-    scaled_shift = 0  # 2m * sum_k v_k d_k
-    for k, v in enumerate(cv):
-        kr = (k + c) % m
-        scaled_shift += v * (k * (m - k) - kr * (m - kr))
-    return AffineWeight.from_c_values(lam.n, [cv[(k - c) % m] for k in range(m)],
+    cv, s = lam.c_values(), -c % m  # the k-th value of the image is cv[(k + s) % m]
+    scaled_shift = sum(v * (k * (m - k) - (k + c) % m * (m - (k + c) % m))  # 2m sum_k v_k d_k
+                       for k, v in enumerate(cv) if v)
+    return AffineWeight.from_c_values(lam.n, cv[s:] + cv[:s],
                                       lam.degree + Fraction(scaled_shift, 2 * m))
 
 

@@ -162,44 +162,36 @@ def times_q_factors(coeffs: list, exponents, power: int = 1) -> list:
     return coeffs
 
 
-@lru_cache(maxsize=None)
+def q_binomial_product(m: Sequence[int], p: Sequence[int]) -> LaurentPoly:
+    """Product of Gaussian binomials [m_j choose p_j]_q, of degree d = sum
+    p_j(m_j - p_j), on one list of d + 1 coefficients, each factor
+    prod_{r <= s} (1 - q^{m_j-s+r}) / (1 - q^r) with s = min(p_j, m_j - p_j),
+    as [m choose p] = [m choose m - p]; truncation commutes with each pass."""
+    if len(m) != len(p):
+        raise ValueError("vectors must have equal length")
+    if not all(0 <= pj <= mj for mj, pj in zip(m, p)):
+        raise ValueError("require 0 <= p <= m")
+    coeffs = [1] + [0] * sum(pj * (mj - pj) for mj, pj in zip(m, p))
+    for mj, pj in zip(m, p):
+        s = min(pj, mj - pj)
+        times_q_factors(coeffs, range(mj - s + 1, mj + 1))
+        times_q_factors(coeffs, range(1, s + 1), -1)
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
 def q_binomial(m: int, p: int) -> LaurentPoly:
     """Gaussian binomial [m choose p]_q; coefficient of q^s counts
-    partitions of s inside a p x (m-p) box.  It is the polynomial
-    prod_{r <= p} (1 - q^{m-p+r}) / (1 - q^r) of degree p(m - p), with p
-    the smaller side, as [m choose p] = [m choose m - p]."""
-    if p < 0 or p > m:
-        raise ValueError("require 0 <= p <= m")
-    p = min(p, m - p)
-    coeffs = times_q_factors([1] + [0] * (p * (m - p)), range(m - p + 1, m + 1))
-    return LaurentPoly(dict(enumerate(times_q_factors(coeffs, range(1, p + 1), -1))))
+    partitions of s inside a p x (m-p) box."""
+    return q_binomial_product((m,), (p,))
 
 
 def binomial_steps(a: Sequence[int], b: Sequence[int]) -> int:
-    """A bound on the coefficients that q_binomial_product(a + b, a), cold,
-    and a prefactor shift update: the factors with a_j b_j > 0, l of them
-    of degree d = sum a_j b_j in all, take 2 s (a_j b_j + 1) kernel updates
-    each, s = min(a_j, b_j) (s passes of times_q_factors each way, none
-    longer than the list); the product (D + 1)(d_j + 1) pairs into a
-    running product of degree D <= d, at most (d + 1)(d + l); the shift
-    d + 1."""
+    """A bound on the coefficients that q_binomial_product(a + b, a) and a
+    prefactor shift update: d + 1 for the shift, d = sum a_j b_j, and for
+    each factor s = min(a_j, b_j) passes of times_q_factors each way, none
+    longer than the list of d + 1 coefficients."""
     d = sum(x * y for x, y in zip(a, b))
-    kernel = sum(2 * min(x, y) * (x * y + 1) for x, y in zip(a, b))
-    return kernel + (d + 1) * (d + sum(1 for x, y in zip(a, b) if x * y) + 1)
-
-
-def q_binomial_product(m: Sequence[int], p: Sequence[int]) -> LaurentPoly:
-    """Product of Gaussian binomials [m_j choose p_j]_q; the factors
-    [m choose 0] = [m choose m] = 1 are skipped."""
-    if len(m) != len(p):
-        raise ValueError("vectors must have equal length")
-    out = LaurentPoly.one()
-    for mj, pj in zip(m, p):
-        if not 0 <= pj <= mj:
-            raise ValueError("require 0 <= p <= m")
-        if 0 < pj < mj:
-            out = out * q_binomial(mj, pj)
-    return out
+    return (d + 1) * (2 * sum(min(x, y) for x, y in zip(a, b)) + 1)
 
 
 def stabilize_threshold(f: int, a: Sequence[int], b: Sequence[int]):

@@ -13,9 +13,8 @@ terms, installed by monkeypatching the names each loop calls once a pass:
 * ``memo``: calls of ``partitions._count`` and ``_rho_multi_sorted``,
   whose caches are cleared first, so that the count is a cold one;
 * ``coefficients``: coefficient updates of ``partitions.times_q_factors``
-  as ``q_binomial`` calls it (the oracle's own calls are not counted),
-  coefficients that ``LaurentPoly.shift`` moves and coefficient pairs that
-  ``LaurentPoly.__mul__`` multiplies;
+  as ``q_binomial_product`` calls it (the oracle's own calls are not
+  counted), and coefficients that ``LaurentPoly.shift`` moves;
 * ``count`` and ``listing``: passes of the tableau tree's child loop,
   which calls ``divmod`` once a pass, the listing's where the listing's
   walk called the loop and the count's elsewhere (``shape_character``'s
@@ -68,7 +67,7 @@ def counting():
                 paused[0] -= 1
         return inner
 
-    for cache in (partitions._count, partitions._rho_multi_sorted, partitions.q_binomial):
+    for cache in (partitions._count, partitions._rho_multi_sorted):
         cache.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weyl_orbits, "combinations_with_replacement", leaves)
@@ -85,6 +84,4 @@ def counting():
             lambda c, rs, power=1: abs(power) * sum(max(len(c) - r, 0) for r in rs)))
         mp.setattr(LaurentPoly, "shift", tally("coefficients", LaurentPoly.shift,
                                                lambda p, s: len(p.coeffs)))
-        mp.setattr(LaurentPoly, "__mul__", tally("coefficients", LaurentPoly.__mul__,
-                                                 lambda p, q: len(p.coeffs) * len(q.coeffs)))
         yield counts

@@ -5,11 +5,13 @@ import io
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from affmult.cli import Query, build_parser, main
 from affmult.multiplicities import delta_string, eta_from_xi, rotate, rotated_to_zero
 from affmult.tableaux import mw_shapes_with_character
 from pass_counters import KINDS, counting
+from test_shared_code import clear_caches
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -205,10 +208,11 @@ class TestValidation:
         (["verify", "--n", "1", "--eta0-max", "1000"], "--eta0-max"),
         (["verify", "--n", "1", "--depth", "100000"], "--depth"),
         # flag-mult: the Gaussian binomials' recursion depth (a RecursionError
-        # after 4.9 s and 24 s when the count ran) and the polynomial's degree
+        # after 4.9 s and 24 s when the count ran), and the polynomial's
+        # 500,001 terms, shifted and printed (1.9-2.0 s when run)
         (["flag-mult", "--n", "1", "--lam", "1000", "--mu", "500", "--r", "125500"], "--lam"),
         (["flag-mult", "--n", "1", "--lam", "1600", "--mu", "800", "--r", "320800"], "--lam"),
-        (["flag-mult", "--n", "1", "--lam", "200", "--mu", "100"], "--lam"),
+        (["flag-mult", "--n", "1", "--lam", "1000002", "--mu", "1000000"], "--lam"),
         # limit: k_max times the largest |b| (over 60 s and 8.6 s when run at
         # degree -400, whose orbit sum alone now passes WORK_MAX: see the last)
         (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-100",
@@ -267,6 +271,20 @@ class TestValidation:
         assert code == 2 and out == ""
         assert err.startswith("parameter --lam/--mu: the weights' coordinates: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["multiplicity", "--n", "263153", "--i", "0", "--cvals", "2" + ",0" * 263153],
+        ["tensor-general", "--n", "263153", "--i", "1", "--j", "1",
+         "--cvals", "0,2" + ",0" * 263152],
+    ], ids=["multiplicity", "tensor-general"])
+    def test_rank_linear_orbit_sum_is_refused(self, capsys, argv):
+        # 0.8-1.6 s when accepted: set-up that grows with the rank, where only
+        # the walk's leaves and socle tests were priced
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("parameter --cvals: the weight's coordinates: ")
+
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "limit", "--n", "1", "--i", "0", "--cvals", "2,0",
                            "--degree=-1", "--kmax", "100", "--format", "json")
@@ -288,6 +306,19 @@ class TestValidation:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert err.startswith(f"parameter {param}: ") and f"{total} steps" in err
+
+    @pytest.mark.parametrize("argv,cpu,value", [
+        (["flag-mult", "--n", "1", "--lam", "200", "--mu", "100"], 0.2, comb(100, 50)),
+        (["flag-mult", "--n", "2", "--lam", "250,350", "--mu", "300,100"], 1.0,
+         comb(200, 50) ** 2),
+    ])
+    def test_binomial_products_are_accepted(self, capsys, argv, cpu, value):
+        # refused at 6.5M and 226.6M steps when the factors were multiplied
+        # as LaurentPolys; the coefficients sum to the product of binomials
+        start = time.process_time()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert time.process_time() - start < cpu
+        assert code == 0 and sum(c for _, c in json.loads(out)["result"]["rows"]) == value
 
     def test_deep_pascal_rows_are_accepted(self, capsys):
         # [401 choose 1]_q: q_binomial recursed 401 deep and was refused
@@ -356,6 +387,44 @@ class TestValidation:
         assert proc.returncode == 2
         assert param in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestMemoSafety:
+    @pytest.mark.parametrize("refused,accepted,message", [
+        (["tau", "--n", "2", "--i", "1", "--eta", "200,200,199"],
+         ["tau", "--n", "2", "--i", "1", "--eta", "6,6,5"], "parameter --eta: more than "),
+        (["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6", "--kmax", "101"],
+         ["limit", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree=-6", "--kmax", "8"],
+         "parameter --kmax: "),
+    ], ids=["tau", "limit"])
+    def test_refused_query_leaves_sound_memos(self, capsys, refused, accepted, message):
+        # tau is refused by its stopped count of the shapes, limit once its
+        # estimate has walked the members; a query of the same rank and
+        # charge then prints what it prints alone, from cleared caches
+        clear_caches()
+        alone = run(capsys, *accepted, "--format", "json")
+        clear_caches()
+        code, out, err = run(capsys, *refused)
+        assert code == 2 and out == "" and err.startswith(message)
+        assert run(capsys, *accepted, "--format", "json") == alone
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("argv", [
+        ["socle", "--n", "2", "--level", "2", "--mu", "-1,2"],
+        ["gamma", "--n", "2", "--cvals", "2,0,0", "--degree", "-1/3", "--norm-bound", "4"],
+        ["multiplicity", "--n", "2", "--i", "1", "--cvals", "0,0,2", "--degree", "-6"],
+        ["flag-mult", "--n", "1", "--lam", "6", "--mu", "2", "--r", "-1/2"],
+        ["socle", "--n", "2", "--level", "2", "--mu", "-1,x"],
+        ["verify", "--n", "-1..2"],
+    ])
+    def test_prints_as_the_equals_form(self, capsys, argv):
+        # argparse takes a value that starts with '-' after a space only when
+        # it is a plain negative number, as -6 is and -1,2 and -1/3 are not
+        k = next(k for k, token in enumerate(argv) if token[0] == "-" != token[1])
+        joined = argv[:k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1:]
+        for fmt in ("json", "table", "csv"):
+            assert run(capsys, *argv, "--format", fmt) == run(capsys, *joined, "--format", fmt)
 
 
 # One value token: a small integer, or the kind of junk a user types.
@@ -942,6 +1011,20 @@ class TestOtherCommands:
         code, _, err = run(capsys, "tensor-general", "--n", "2", "--i", "1", "--j", "2",
                            "--cvals", "2,0,0", "--degree", "1")
         assert code == 2 and len(calls) == 1 and err.startswith("parameter --cvals: ")
+
+
+class TestReadme:
+    def test_cli_examples_exit_zero(self, capsys):
+        """Each affmult line of README's sh blocks, run through main."""
+        blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("affmult ")]
+        assert lines
+        for line in lines:
+            code, out, err = run(capsys, *shlex.split(line)[1:])
+            assert code == 0, (line, err)
+            if "--format json" in line:
+                assert json.loads(out)["command"] == shlex.split(line)[1]
 
 
 class TestScripts:

@@ -21,6 +21,7 @@ from affmult.affine_cartan import (
 )
 from affmult.laurent import LaurentPoly
 from affmult.multiplicities import (
+    _flag_data,
     _level_two_rows,
     a_of_eta,
     direct_split,
@@ -136,6 +137,15 @@ class TestFlagMultiplicity:
     def test_incomparable_weights(self):
         assert flag_multiplicity_poly(omega(2, 1), omega(2, 2)).is_zero()
         assert flag_multiplicity_at(omega(2, 1), omega(2, 2), 0) == 0
+
+    def test_prefactor_exponent_is_an_integer(self):
+        for n in (1, 2, 3):
+            for mu, lam in product(product(range(4), repeat=n), repeat=2):
+                mu, lam = FiniteWeight(n, mu), FiniteWeight(n, lam)
+                data = _flag_data(lam, mu)
+                if data is not None:
+                    assert data[2] == Fraction(bilinear(lam + direct_split(mu)[1], lam - mu), 2)
+                    assert type(data[2]) is int
 
     def test_coefficients_non_negative_and_palindromic(self):
         rng = random.Random(5)

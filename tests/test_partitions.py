@@ -2,6 +2,10 @@
 box-complement stabilization bijection."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations_with_replacement, product
+from math import prod
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +245,36 @@ class TestQBinomialProduct:
     def test_factors_multiply(self):
         assert q_binomial_product((4, 3), (2, 1)) == q_binomial(4, 2) * q_binomial(3, 1)
 
+    def test_equals_the_pascal_product(self):
+        """Every tuple of at most 3 factors [m choose p] with m <= 12; those
+        of 3 up to order, as the product commutes, with p <= m - p, as the
+        product reads [m choose p] as [m choose m - p], and without the
+        factors [m choose 0] = [m choose m] = 1, which make no pass (the
+        tuples of 1 and 2 have them all).  A coefficient
+        of the product is at most its value at q = 1, prod C(m, p) <= 924^3
+        < 2^30, so a polynomial with coefficients in [0, 2^30) equals it
+        exactly when their values at q = 2^30 agree."""
+        rows = pascal_triangle(12)
+        factors = [(m, p) for m in range(13) for p in range(m + 1)]
+        at_base = {f: sum(c << 30 * e for e, c in rows[f[0]][f[1]].coeffs.items())
+                   for f in factors}
+        inner = [(m, p) for m, p in factors if 0 < p <= m - p]
+        for fs in chain(product(factors, repeat=1), product(factors, repeat=2),
+                        combinations_with_replacement(inner, 3)):
+            poly = q_binomial_product(*zip(*fs))
+            assert all(0 <= c < 1 << 30 for c in poly.coeffs.values()), fs
+            assert sum(c << 30 * e for e, c in poly.coeffs.items()) == prod(
+                at_base[f] for f in fs), fs
+
+    @settings(deadline=None)  # the first draw may build the reference triangle
+    @given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), min_size=1, max_size=5))
+    def test_equals_the_pascal_product_on_draws(self, mp):
+        m = [max(x, y) for x, y in mp]
+        p = [min(x, y) for x, y in mp]
+        rows = pascal_triangle(60)
+        assert q_binomial_product(m, p) == reduce(
+            mul, (rows[mj][pj] for mj, pj in zip(m, p)), LaurentPoly.one())
+
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                     min_size=1, max_size=3), st.integers(0, 12))
     def test_coefficients_count_multipartitions(self, mp, s):
@@ -252,8 +286,8 @@ class TestQBinomialProduct:
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=5))
     def test_coefficients_within_binomial_steps(self, ab):
-        """The kernel's updates, the product's pairs and the prefactor's
-        shift come to at most binomial_steps(a, b) coefficients."""
+        """The kernel's updates on the product's one list and the
+        prefactor's shift come to at most binomial_steps(a, b) coefficients."""
         a, b = [x for x, _ in ab], [y for _, y in ab]
         with counting() as counts:
             q_binomial_product([x + y for x, y in ab], a).shift(Fraction(1, 2))
