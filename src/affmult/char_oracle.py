@@ -53,7 +53,7 @@ from .affine_cartan import (  # noqa: F401
     scaled_f,
     weight_from_eps,
 )
-from .partitions import compositions, times_q_factors
+from .partitions import times_q_factors
 from .records import Record
 from .weyl_orbits import _descend
 
@@ -294,10 +294,13 @@ def tensor_outer_multiplicities(Lam: AffineWeight, Lam2: AffineWeight,
     top = Lam + Lam2
     table = {}
     for d in range(depth + 1):
-        for cv in compositions(top.level, n + 1):
-            xi = AffineWeight.from_c_values(n, cv, top.degree - d)
-            if _below(top, xi):
-                table[xi] = sums.pop((cv, d), 0)
+        # top has level 2: xi is Lambda_a + Lambda_b - d delta, a <= b
+        for a in range(n, -1, -1):
+            for b in range(n, a - 1, -1):
+                cv = tuple((r == a) + (r == b) for r in range(n + 1))
+                xi = AffineWeight.from_c_values(n, cv, top.degree - d)
+                if _below(top, xi):
+                    table[xi] = sums.pop((cv, d), 0)
     if any(sums.values()):
         raise AssertionError("Brauer-Klimyk summand not below Lam + Lam2")
     if any(val < 0 for val in table.values()):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -39,8 +40,8 @@ from .tableaux import (
     _shape_tree, block_steps, count_passes, listing_passes, mw_shapes_with_character, tau_counts,
 )
 from .weyl_orbits import (
-    FAMILY_MAX_RANK, b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes,
-    level_two_family, orbit_pair, socle_formula, socle_oracle,
+    b_vector, ball_leaves, descent_length, enumerate_gamma, family_passes, level_two_family,
+    orbit_pair, socle_formula, socle_oracle,
 )
 
 # A work estimate counts steps of about 0.3 us; README's "CLI" table gives
@@ -81,11 +82,19 @@ def parse_vec(text: str, name: str) -> tuple:
 
 
 def parse_rat(text: str, name: str) -> Fraction:
+    """Fraction(text), whose exponent e is read first, as Fraction computes
+    10^e before anything can look at the value: past |e| = 20,000 the text
+    is read with e = 0, and a nonzero mantissa, of at most 4300 digits each
+    side of the point as int reads them, would give more digits than str
+    prints."""
+    # the text up to its last e, and the exponent after it, as Fraction reads them
+    exponent = re.fullmatch(r"(.*[eE])([-+]?\d+(?:_\d+)*)\s*", text, re.DOTALL)
     try:
-        value = Fraction(text)
+        huge = exponent is not None and abs(int(exponent[2])) > 20_000
+        value = Fraction(exponent[1] + "0") if huge else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"parameter {name}: expected a rational like -3 or 5/2")
-    if not _printable(value.numerator) or not _printable(value.denominator):
+    if (huge and value) or not _printable(value.numerator) or not _printable(value.denominator):
         raise ValidationError(f"parameter {name}: too many digits to print")
     return value
 
@@ -266,7 +275,6 @@ def _check_ranks(args, q):
 
 
 RANK = _at_least("--n", 1, required=True)
-LIMIT_RANK = _at_least("--n", 1, FAMILY_MAX_RANK, required=True)
 INDEX_I, INDEX_J = _index("i"), _index("j")
 ETA = Option((("--eta", dict(required=True)),), _check_eta)
 LEVEL = _at_least("--level", 1, required=True)
@@ -514,7 +522,7 @@ COMMANDS = {
                             "orbit-sum multiplicity formula", (RANK, INDEX_I, LEVEL_TWO),
                             orbit_sum_steps, cmd_multiplicity),
     "limit": Command("outer multiplicity via the stabilizing limit",
-                     "stabilizing flag-multiplicity limit", (LIMIT_RANK, INDEX_I, LEVEL_TWO, KMAX),
+                     "stabilizing flag-multiplicity limit", (RANK, INDEX_I, LEVEL_TWO, KMAX),
                      limit_steps, cmd_limit),
     "tensor-general": Command("multiplicity in a general fundamental tensor product",
                               "rotation reduction to the (0, j - i) case",

@@ -205,17 +205,6 @@ def stabilize_threshold(f: int, a: Sequence[int], b: Sequence[int]):
     return kmin
 
 
-def compositions(m: int, l: int):
-    """All ways to write m as an ordered sum of l non-negative integers."""
-    if l == 0:
-        if m == 0:
-            yield ()
-        return
-    for first in range(m + 1):
-        for rest in compositions(m - first, l - 1):
-            yield (first,) + rest
-
-
 def part_multiplicities(parts: Partition) -> list:
     """Distinct part sizes with multiplicities, largest first:
     [(k_1, r_1), ..., (k_s, r_s)] with k_1 > ... > k_s."""

@@ -26,7 +26,6 @@ The bounds on its passes, which the CLI prices, sit beside it:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from .partitions import canonical, part_multiplicities
@@ -84,12 +83,10 @@ def mw_shapes_with_character(eta, i: int, tree=None) -> list:
     return out
 
 
-@lru_cache(maxsize=1)
 def _blocks(m: int, i: int) -> tuple:
     """blocks[p][c], for parts = c mod m placed below p rows (mod m): the
     block size, the residues its rows hold beyond their full cycles, and
-    the row count after the block (mod m).  The last table is kept, so
-    that the count and the listing of one tau query build it once."""
+    the row count after the block (mod m)."""
     blocks = []
     for p in range(m):
         row = []

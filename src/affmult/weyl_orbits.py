@@ -291,22 +291,18 @@ class LevelTwoFamily(Record):
     __slots__ = ("j", "k", "n", "members")
 
 
-# level_two_family recurses once an entry of a, n + 1 of the interpreter's
-# 1000 frames at rank n: the CLI's limit, whose estimate walks the family,
-# takes ranks up to this, which leaves the rest to its callers
-FAMILY_MAX_RANK = 800
-
-
 def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     """All pairs (m, p) in the (j, k) family with f(a(m, p)) <= norm_bound,
     in decreasing order of a = 2p + m: a is weakly decreasing and
     non-negative, the parts m are m(s) = (2^{s-1}, 1^{n+1-s}) up to order
     for an admissible s, and res(p) is allowed for s.
 
-    The members are generated directly by a depth-first search over a,
-    largest entry first, on the integer N*f with N = n + 1.  For the N
-    coordinates x = (a, 0), N*f(a) = N*sum x^2 - (sum x)^2, which is N
-    times the sum of squared deviations of x from its mean.  As N*f is an
+    The members are generated directly, with no recursion: the live
+    prefixes of a grow one entry at a time, each by its next entries
+    largest first, so the full ones come in decreasing order.  The prunes
+    work on the integer N*f with N = n + 1.  For the N coordinates
+    x = (a, 0), N*f(a) = N*sum x^2 - (sum x)^2, which is N times the sum
+    of squared deviations of x from its mean.  As N*f is an
     integer, f(a) <= norm_bound exactly when N*f(a) <= floor(N*norm_bound).
 
     * Box.  (x_i - x_j)^2 <= 2((x_i - mean)^2 + (x_j - mean)^2) <= 2f, so
@@ -343,32 +339,35 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     if cap < 0:
         return LevelTwoFamily(j, k, n, ())
     evens = [s - 1 for s in admissible]
-    members = []
-    prefix = []
-
-    def rec(t, S, Q, e, v, P):
-        if t == n:
-            members.append(OrbitPair(*orbit_division(2, prefix), 2))
-            return
+    # a live prefix: (S, Q, even entries, last entry, P, link), where the
+    # link (entry, parent link) names its entries, last first
+    live = [(0, 0, 0, isqrt(2 * bound.numerator // bound.denominator), 0, None)]
+    for t in range(n):
         r = n - t - 1  # entries left after the next one
         size = t + 2  # the prefix with the next entry and the trailing 0
-        for x in range(v, -1, -1):
-            e1 = e + 1 - x % 2
-            if not any(e1 <= c <= e1 + r for c in evens):
-                continue
-            if r == 0 and (-P - (x - 1) // 2) % N not in admissible[e1 + 1]:
-                continue
-            S1, Q1 = S + x, Q + x * x
-            if S1 <= x * size:
-                if N * (size * Q1 - S1 * S1) > cap * size:
+        grown = []
+        for S, Q, e, v, P, link in live:
+            for x in range(v, -1, -1):
+                e1 = e + 1 - x % 2
+                if not any(e1 <= c <= e1 + r for c in evens):
                     continue
-            elif N * (Q1 + r * x * x) - (S1 + r * x) ** 2 > cap:
-                continue
-            prefix.append(x)
-            rec(t + 1, S1, Q1, e1, x, P + (x - 1) // 2)
-            prefix.pop()
-
-    rec(0, 0, 0, 0, isqrt(2 * bound.numerator // bound.denominator), 0)
+                if r == 0 and (-P - (x - 1) // 2) % N not in admissible[e1 + 1]:
+                    continue
+                S1, Q1 = S + x, Q + x * x
+                if S1 <= x * size:
+                    if N * (size * Q1 - S1 * S1) > cap * size:
+                        continue
+                elif N * (Q1 + r * x * x) - (S1 + r * x) ** 2 > cap:
+                    continue
+                grown.append((S1, Q1, e1, x, P + (x - 1) // 2, (x, link)))
+        live = grown
+    members = []
+    for *_, link in live:
+        a = []
+        while link is not None:
+            x, link = link
+            a.append(x)
+        members.append(OrbitPair(*orbit_division(2, a[::-1]), 2))
     for pair in members:
         s = pair.m.count(2) + 1
         if not (pair.in_dominant_set() and set(pair.m) <= {1, 2}

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -220,12 +221,11 @@ class TestValidation:
         (["limit", "--n", "1", "--i", "0", "--cvals", "2,0", "--degree=-200",
           "--kmax", "100"], "--kmax"),
         # work that grows with the rank alone: the tableau count's block table
-        # (3.2 s) and descent_length (1.3 s); and limit's family walk, which
-        # recurses once a coordinate (a RecursionError at rank 1000)
+        # (3.2 s) and descent_length (1.3 s); limit's rank has no cap but 1
         (["tau", "--n", "100", "--i", "0", "--eta", ",".join(["0"] * 101)], "--n"),
         (["socle", "--n", "4000", "--level", "1", "--mu=" + ",".join(["-1000"] * 4000)],
          "--n"),
-        (["limit", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], "--n"),
+        (["limit", "--n", "0", "--i", "0", "--cvals", "2"], "--n"),
         # tau: listing 2,362 shapes of 620 boxes (10 s when it ran)
         (["tau", "--n", "30", "--i", "0", "--eta", ",".join(["20"] * 31)], "--eta"),
         # the orbit sum's memo calls, priced as the limit's, at 2 steps
@@ -236,6 +236,11 @@ class TestValidation:
           "--degree=-1e4200"], "--degree"),
         (["gamma", "--n", "1000", "--cvals", "2" + ",0" * 1000, "--norm-bound", "1e4200"],
          "--norm-bound"),
+        # exponents past what prints, which Fraction multiplied out (1.7 s)
+        (["gamma", "--n", "1", "--cvals", "2,0", "--degree", "1e3000000", "--norm-bound", "1"],
+         "--degree"),
+        (["flag-mult", "--n", "1", "--lam", "1", "--mu", "1", "--r=-1e-3000000"], "--r"),
+        (["gamma", "--n", "1", "--cvals", "2,0", "--norm-bound", "1e3000000"], "--norm-bound"),
     ])
     def test_exit_code_two_names_parameter(self, capsys, argv, param):
         start = time.process_time()
@@ -250,15 +255,38 @@ class TestValidation:
           "--mu", ",".join(["0"] * 3000), "--r", "1"], 1),
         (["tensor-general", "--n", "3000", "--i", "1", "--j", "1",
           "--cvals", "0,2" + ",0" * 2999], 1),
-        (["limit", "--n", "800", "--i", "0", "--cvals", "2" + ",0" * 800], 1),
+        (["limit", "--n", "1000", "--i", "0", "--cvals", "2" + ",0" * 1000], 1),
     ], ids=["multiplicity", "flag-mult", "tensor-general", "limit"])
     def test_high_rank_at_a_shallow_weight_is_accepted(self, capsys, argv, value):
         # the weight forms are linear in the rank: all four were refused when
-        # they summed over the n x n inverse Cartan matrix
+        # they summed over the n x n inverse Cartan matrix, and limit at rank
+        # 1000 also when level_two_family recursed once a coordinate
         start = time.process_time()
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert time.process_time() - start < 1.0
         assert code == 0 and json.loads(out)["result"]["value"] == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(sign=st.sampled_from(["", "-", " +"]), zeros=st.sampled_from([0, 4299, 4301]),
+           digits=st.integers(0, 10 ** 12), point=st.sampled_from(["", ".", ".25", ".0_5"]),
+           mark=st.sampled_from("eE"), exponent=st.integers(-25_000, 25_000),
+           plus=st.booleans())
+    def test_parse_rat_is_fraction(self, sign, zeros, digits, point, mark, exponent, plus):
+        """parse_rat reads the exponent before Fraction would multiply it
+        out, and keeps Fraction's outcome: its value where that prints, or a
+        refusal, which past 4300 digits of a side of the point is Fraction's."""
+        text = f"{sign}{'0' * zeros}{digits}{point}{mark}{'+' * (plus and exponent >= 0)}{exponent}"
+        try:
+            value = Fraction(text)
+        except ValueError:
+            with pytest.raises(cli.ValidationError, match="^parameter --x: expected a rational"):
+                cli.parse_rat(text, "--x")
+            return
+        if cli._printable(value.numerator) and cli._printable(value.denominator):
+            assert cli.parse_rat(text, "--x") == value
+        else:
+            with pytest.raises(cli.ValidationError, match="^parameter --x: too many digits"):
+                cli.parse_rat(text, "--x")
 
     def test_rank_linear_flag_mult_is_refused(self, capsys):
         # 4-5 s when accepted: passes over the coordinates the binomials' bound
@@ -1025,6 +1053,16 @@ class TestReadme:
             assert code == 0, (line, err)
             if "--format json" in line:
                 assert json.loads(out)["command"] == shlex.split(line)[1]
+
+    def test_module_names_resolve(self):
+        """Each `module.name` of README naming a module of the package names
+        a definition of that module."""
+        modules = {path.stem for path in (ROOT / "src" / "affmult").glob("*.py")}
+        refs = [ref for ref in re.findall(r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text())
+                if ref[0] in modules]
+        assert refs
+        assert [f"{module}.{name}" for module, name in refs
+                if not hasattr(importlib.import_module(f"affmult.{module}"), name)] == []
 
 
 class TestScripts:

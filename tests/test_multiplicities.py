@@ -281,6 +281,8 @@ class TestTauFormula:
     def test_empty_character(self):
         assert tau_formula(2, 0, (0, 0, 0)) == 1
         assert tau_formula(1, 0, (0, 0)) == 1
+        # a walk of 5000 entries: a RecursionError when it recursed once an entry
+        assert tau_formula(5000, 0, (0,) * 5001) == 1
 
     def test_closed_double_sum_rank_two(self):
         # independent regression formula for characters (e, e, e-1):
