@@ -32,7 +32,7 @@ from .char_oracle import descent_passes, tensor_outer_multiplicities
 from .multiplicities import (
     _flag_data, delta_string, f_ball_bound, flag_multiplicity_poly, flag_progression,
     jk_from_eta, orbit_terms, outer_multiplicity_formula, outer_multiplicity_limit,
-    rotated_to_zero, tau_formula,
+    rotated_to_zero, tau_bound, tau_formula,
 )
 from .partitions import LIMIT_MAX_KMAX, binomial_steps, count_steps, flag_count_steps
 from .records import Record
@@ -297,13 +297,13 @@ def tau_steps(q):
     """The count's block table; then the count of the shapes, stopped once
     its passes would pass WORK_MAX, whose tree the listing then walks
     again without counting; the listing, and the formula's walk and
-    counts, at its norm bound, at most (n + 1)/2 + 4 eta_0."""
+    counts, at tau_bound, the f_ball_bound of the character's weight."""
     n, m, size = q.n, q.n + 1, sum(q.eta)
     yield "--n", "the tableau count's block table", n, {"blocks": block_steps(m)}
     stop = (WORK_MAX - q.steps) // (PRICES["count"](n) * count_passes(m))
     q.tree = _shape_tree(m, q.i, stop)
     rows = q.tree[0](q.eta)
-    bound = Fraction(m, 2) + 4 * q.eta[0]
+    bound = tau_bound(n, q.i, *jk_from_eta(q.eta, q.i), q.eta[0])
     walk = family_passes(n, bound, rows)
     yield ("--eta", f"{'more than ' * (rows > stop)}{min(rows, stop)} shapes of {_num(size)} "
            "boxes", n, {"count": (rows + 1) * count_passes(m), "family": walk,
@@ -426,11 +426,9 @@ def _verify_instance(task):
     kind, data = task
     if kind == "tau":
         n, i, etas = data
-        rows = []
-        for eta, b in zip(etas, tau_counts(etas, i)):  # one memo for the whole task
-            a = tau_formula(n, i, eta)
-            rows.append((a == b, f"tau n={n} i={i} eta={eta}", f"formula={a} brute={b}"))
-        return rows
+        counts = tau_counts(etas, i)  # one memo for the whole task
+        return [(a == b, f"tau n={n} i={i} eta={eta}", f"formula={a} brute={b}")
+                for eta, a, b in zip(etas, (tau_formula(n, i, eta) for eta in etas), counts)]
     n, i, depth = data
     table = tensor_outer_multiplicities(affine_Lambda(n, 0), affine_Lambda(n, i), depth)
     for xi, m in sorted(table.items(), key=lambda kv: -kv[0].degree):
@@ -442,48 +440,53 @@ def _verify_instance(task):
 
 
 def verify_steps(q):
-    """At every rank first the count's block tables, one a charge; then at
-    each rank the counts, about (n + 1)^3 (E + 1)^3/4 passes a charge for
-    E = --eta0-max; for each of the m(m + 1)/2 weights Lambda_j + Lambda_k,
-    m = n + 1, the formula walks of its delta-string, at norm bounds
-    m/2 + 4 eta_0, and the counts of all their rows through one memo; at
-    ranks <= 2 the oracle tables' descents and orbit sums, to D = --depth."""
+    """At every rank the count's block tables, one a charge; then at each
+    rank the counts, about (n + 1)^3 (E + 1)^3/4 passes a charge for E =
+    --eta0-max, the family walks of each delta-string, at tau_bound of its
+    first character and 4 more a step, and the counts of all their rows
+    through one memo; at ranks <= 2 the oracle tables, to D = --depth, at
+    the largest f_ball_bound of 2 Lambda_0 - D delta, which bounds that of
+    every entry, as (xibar, xibar) >= 0.  Keeps in q.tasks what cmd_verify
+    runs: the characters of each (n, i), then the oracle tables."""
     for n in q.ranks:
         yield "--n", f"the block tables of rank {n}", n, {"blocks": (n + 1) * block_steps(n + 1)}
+    q.tasks, oracle, d = [], [], q.depth
     for n in q.ranks:
-        m, e, d = n + 1, q.eta0_max, q.depth
+        m = n + 1
         yield ("--eta0-max", f"the tableau counts of rank {n}", n,
-               {"count": m ** 4 * (e + 1) ** 3 // 4})
-        weights, bounds = m * (m + 1) // 2, [Fraction(m + 8 * k, 2) for k in range(e + 1)]
-        rows = weights * sum(ball_leaves(n, b, 2) for b in bounds)
+               {"count": m ** 4 * (q.eta0_max + 1) ** 3 // 4})
+        bounds, ends = [], []  # the norm bound of each character's walk, and of each string's last
+        for i in range(m):
+            etas = []
+            for j in range(m):
+                k = (i - j) % m
+                string = delta_string(n, i, j, k, q.eta0_max) if j <= k else []
+                if string:
+                    top = tau_bound(n, i, j, k, string[0][0])
+                    bounds += [top + 4 * s for s in range(len(string))]
+                    ends.append(bounds[-1])
+                etas += string
+            q.tasks.append(("tau", (n, i, etas)))  # not empty: Lambda_0 + Lambda_i starts one
+        rows = sum(ball_leaves(n, b, 2) for b in bounds)
         yield "--eta0-max", f"the formulas of rank {n}", n, {
-            "family": weights * sum(family_passes(n, b) for b in bounds),
-            "memo": count_steps(n, bounds[-1], rows)}
-        if d and n <= 2:  # the oracle rows of cmd_verify
-            bound = Fraction(m, 2) + 4 * d
-            rows = weights * (d + 1) * ball_leaves(n, bound, 2)
+            "family": sum(family_passes(n, b) for b in bounds),
+            "memo": count_steps(n, max(ends), rows)}
+        if d and n <= 2:  # oracle rows cover ranks <= 2; the tests check rank 3
+            oracle += [("oracle", (n, i, d)) for i in range(m)]
+            lowest, entries = (affine_Lambda(n, 0) * 2).shift_delta(-d), m * (m + 1) // 2 * (d + 1)
+            bound = max(f_ball_bound(n, i, lowest) for i in range(m))
+            rows = entries * ball_leaves(n, bound, 2)
             yield "--depth", f"the oracle tables of rank {n}", n, {
                 "descent": sum(descent_passes(affine_Lambda(n, 0), affine_Lambda(n, i), d)
                                for i in range(m)),
-                "leaves": weights * (d + 1) * ball_leaves(n, bound, n + 1),
+                "leaves": entries * ball_leaves(n, bound, n + 1),
                 "socles": rows, "memo": count_steps(n, bound, rows)}
+    q.tasks += oracle
 
 
 def cmd_verify(q):
-    tasks = []
-    for n in q.ranks:
-        for i in range(n + 1):
-            etas = []
-            for j in range(n + 1):
-                k = (i - j) % (n + 1)
-                if j <= k:
-                    etas += delta_string(n, i, j, k, q.eta0_max)
-            if etas:
-                tasks.append(("tau", (n, i, etas)))
-    if q.depth > 0:  # oracle rows cover ranks <= 2; the tests check rank 3
-        tasks += [("oracle", (n, i, q.depth)) for n in q.ranks if n <= 2 for i in range(n + 1)]
     rows = [[key, "pass" if ok else "FAIL", detail]
-            for t in tasks for ok, key, detail in _verify_instance(t)]
+            for t in q.tasks for ok, key, detail in _verify_instance(t)]
     failures = [row for row in rows if row[1] == "FAIL"]
     result = {"instances": len(rows), "failures": len(failures),
               "rows": rows, "header": ["instance", "status", "detail"]}

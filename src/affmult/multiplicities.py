@@ -102,13 +102,9 @@ def eta_prime(eta, i: int) -> tuple:
     delta_{0,r} + delta_{i,r} - 2 eta_r + eta_{r-1} + eta_{r+1};
     eta indexes a dominant weight iff all entries are >= 0."""
     eta = tuple(eta)
-    m = len(eta)
-    i = i % m
-    return tuple(
-        (1 if r == 0 else 0) + (1 if r == i else 0)
-        - 2 * eta[r] + eta[(r - 1) % m] + eta[(r + 1) % m]
-        for r in range(m)
-    )
+    m, i = len(eta), i % len(eta)
+    return tuple((r == 0) + (r == i) - 2 * eta[r] + eta[r - 1] + eta[(r + 1) % m]
+                 for r in range(m))
 
 
 def jk_from_eta(eta, i: int):
@@ -117,9 +113,7 @@ def jk_from_eta(eta, i: int):
     ep = eta_prime(eta, i)
     if any(x < 0 for x in ep) or sum(ep) != 2:
         raise ValueError("eta' is not of the form e_j + e_k")
-    idx = [r for r, x in enumerate(ep) for _ in range(x)]
-    j, k = idx
-    return (j, k)
+    return tuple(r for r, x in enumerate(ep) for _ in range(x))
 
 
 def xi_from_eta(n: int, i: int, eta: Sequence[int]) -> AffineWeight:
@@ -207,32 +201,35 @@ def outer_multiplicity_formula(n: int, i: int, xi: AffineWeight) -> int:
 
 
 def f_eps(n: int, i: int, j: int, k: int, eta0: int, a: Sequence[int]) -> Fraction:
-    """Epsilon-coordinate form of f_{i,xi}:
-    f(w_i)/2 - f(w_j + w_k)/4 + eta_0 - f(a)/4, with w_* the fundamental
-    direction vectors."""
+    """Epsilon-coordinate form of f_{i,xi}, (tau_bound - f(a))/4: that is
+    f(w_i)/2 - f(w_j + w_k)/4 + eta_0 - f(a)/4, w_* as in tau_bound."""
+    return (tau_bound(n, i, j, k, eta0) - quadratic_f(a)) / 4
+
+
+def tau_bound(n: int, i: int, j: int, k: int, eta0: int) -> Fraction:
+    """The norm bound of tau_terms' walk of the (j, k) family at charge i
+    and depth eta0: K/N, N = n + 1, with K = N*(2f(w_i) - f(w_j + w_k) +
+    4 eta_0) in integers, w_* the fundamental direction vectors.  It equals
+    f_ball_bound at Lambda_j + Lambda_k - eta0 delta, which the tableau
+    route does not call, so that it stays independent of the orbit sum."""
+    N = n + 1
     wi = varpi_eps(n, residue(i, n))
-    wjk = tuple(x + y for x, y in zip(varpi_eps(n, residue(j, n)),
-                                      varpi_eps(n, residue(k, n))))
-    return (Fraction(quadratic_f(wi), 2) - Fraction(quadratic_f(wjk), 4)
-            + eta0 - Fraction(quadratic_f(a), 4))
+    wjk = tuple(x + y for x, y in zip(varpi_eps(n, residue(j, n)), varpi_eps(n, residue(k, n))))
+    return Fraction(2 * scaled_f(wi) - scaled_f(wjk) + 4 * N * eta0, N)
 
 
 def tau_terms(n: int, i: int, eta: Sequence[int]) -> list:
     """Per-pair breakdown of tau_formula: one row (pair, bounds, argument,
     count) per member of the level-2 family of the indices (j, k) read
-    off eta.  K = (n + 1) * f_ball_bound(n, i, xi_from_eta(n, i, eta)) is
-    found in integers, as N*(2f(w_i) - f(w_j + w_k) + 4 eta_0) with
-    N = n + 1; each argument equals f_eps."""
+    off eta, walked at tau_bound; each argument equals f_eps."""
     eta = tuple(eta)
     if len(eta) != n + 1:
         raise ValueError("eta must have n + 1 entries")
     j, k = jk_from_eta(eta, i)
-    N = n + 1
-    wi = varpi_eps(n, residue(i, n))
-    wjk = tuple(x + y for x, y in zip(varpi_eps(n, j), varpi_eps(n, k)))
-    K = 2 * scaled_f(wi) - scaled_f(wjk) + 4 * N * eta[0]
-    members = level_two_family(n, j, k, Fraction(K, N)).members
-    return [(pair, *row) for pair, row in zip(members, _level_two_rows(n, members, K))]
+    bound = tau_bound(n, i, j, k, eta[0])
+    members = level_two_family(n, j, k, bound).members
+    rows = _level_two_rows(n, members, int((n + 1) * bound))  # K, an integer
+    return [(pair, *row) for pair, row in zip(members, rows)]
 
 
 def tau_formula(n: int, i: int, eta: Sequence[int]) -> int:

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import importlib.util
+import hashlib
 import io
 import json
 import os
@@ -678,6 +679,44 @@ class TestBenchmarkInputs:
                     Query(parser.parse_args(argv))
 
 
+def output_digest(argvs) -> str:
+    """sha256 of the exit code, stdout and stderr of each argv run in turn
+    through main, every affmult cache cleared before each."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        clear_caches()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
+    return digest.hexdigest()
+
+
+# Digests of what the benchmark's queries print.  Outputs are meant to stay
+# byte-identical, so a change to one of these needs its reason in CHANGES.md.
+BENCHMARK_OUTPUTS = {
+    "verify json": "1d6e0eb2d160c20938562432c526413ff7c7914cee5556b1cc476d9ec955eb67",
+    "verify table": "ebd66dc4465e5b386d7c9290ad30cb5d3ba93deb2f73fe4d8396b179d9390833",
+    "verify csv": "c53f276044370430688b83b24c00816bc6d9cc16acc69e6378e0e0c85bab14d6",
+    "cli_cold seed 1": "a5ef1f4dc9d2b0b4583fc5721fa13bfbec5a0afebb98bdf74d35c31e05376927",
+}
+
+
+class TestBenchmarkOutputs:
+    def test_outputs_are_unchanged(self):
+        """The verify_sweep argv in all three formats and the 64 queries
+        of cli_cold's seed 1, in process, under 2 s of CPU in all."""
+        workloads = bench_workloads()
+        start = time.process_time()
+        got = {f"verify {fmt}": output_digest([workloads.VERIFY_ARGV[:-2] + ("--format", fmt)])
+               for fmt in ("json", "table", "csv")}
+        queries = workloads.instances("cli_cold", 1)
+        assert len(queries) == 64
+        got["cli_cold seed 1"] = output_digest(argv for _, argv, _ in queries)
+        assert time.process_time() - start < 2.0
+        assert got == BENCHMARK_OUTPUTS
+
+
 def below(n, i, j, eta0):
     """Lambda_j + Lambda_{i-j} - eta0 delta and its character for charge i,
     or None where the weight is not below Lambda_0 + Lambda_i."""
@@ -971,6 +1010,20 @@ class TestVerify:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_runs_the_estimates_tasks_in_order(self, monkeypatch, depth):
+        # the estimate builds the task list; the handler runs it as it is
+        ran, real = [], cli._verify_instance
+        monkeypatch.setattr(cli, "_verify_instance", lambda task: ran.append(task) or real(task))
+        q = Query(build_parser().parse_args(["verify", "--n", "1..3", "--eta0-max", "2",
+                                             "--depth", str(depth)]))
+        TABLE["verify"].run(q)
+        assert ran == q.tasks
+        strings = [("tau", (n, i, [eta for j in range(n + 1) if j <= (i - j) % (n + 1)
+                                   for eta in delta_string(n, i, j, (i - j) % (n + 1), 2)]))
+                   for n in (1, 2, 3) for i in range(n + 1)]
+        tables = [("oracle", (n, i, depth)) for n in (1, 2) for i in range(n + 1)]
+        assert q.tasks == strings + tables * (depth > 0)
 
     def test_delta_strings_follow_eta_from_xi(self):
         # lowering by delta = sum_l alpha_l adds 1 to every entry of eta

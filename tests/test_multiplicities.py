@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +25,7 @@ from affmult.multiplicities import (
     _flag_data,
     _level_two_rows,
     a_of_eta,
+    delta_string,
     direct_split,
     eta_from_xi,
     f_ball_bound,
@@ -37,6 +39,7 @@ from affmult.multiplicities import (
     outer_multiplicity_formula,
     outer_multiplicity_limit,
     rotate,
+    tau_bound,
     tau_formula,
     tau_terms,
     xi_from_eta,
@@ -329,6 +332,32 @@ class TestTauFormula:
         assert tau_formula(2, 1, (1, 1, 1)) == tau_bruteforce((1, 1, 1), 1)
         assert tau_formula(1, 1, (2, 2)) == tau_bruteforce((2, 2), 1)
         assert tau_formula(1, 0, (3, 2)) == tau_bruteforce((3, 2), 0)
+
+    def test_walk_bound_is_f_ball_bound(self, monkeypatch):
+        # the CLI prices the tableau route's walks at tau_bound: it is the
+        # bound tau_terms walks at, equal to f_ball_bound, at most
+        # (n + 1)/2 + 4 eta_0, and 4 more a step down a delta-string
+        walked = []
+
+        def walk(n, j, k, bound):
+            walked.append(bound)
+            return SimpleNamespace(members=())
+
+        monkeypatch.setattr(affmult.multiplicities, "level_two_family", walk)
+        for n in range(1, 7):
+            for i, j in product(range(n + 1), repeat=2):
+                k = (i - j) % (n + 1)
+                if j > k:
+                    continue
+                bounds = []
+                for eta in delta_string(n, i, j, k, 12):
+                    assert tau_terms(n, i, eta) == []
+                    bound = walked.pop()
+                    assert bound == tau_bound(n, i, j, k, eta[0])
+                    assert bound == f_ball_bound(n, i, xi_from_eta(n, i, eta))
+                    assert bound <= Fraction(n + 1, 2) + 4 * eta[0]
+                    bounds.append(bound)
+                assert bounds and all(b - a == 4 for a, b in zip(bounds, bounds[1:]))
 
 
 class TestLimitRoute:
