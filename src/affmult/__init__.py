@@ -32,7 +32,7 @@ from .multiplicities import (  # noqa: F401
     xi_from_eta,
 )
 from .partitions import q_binomial, q_binomial_product, rho, rho_multi  # noqa: F401
-from .tableaux import is_mw, tau_bruteforce, tau_count, tau_counts  # noqa: F401
+from .tableaux import is_mw, tau_bruteforce, tau_counts  # noqa: F401
 from .weyl_orbits import (  # noqa: F401
     OrbitPair,
     b_vector,

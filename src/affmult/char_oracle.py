@@ -172,15 +172,6 @@ def _maximal_weights(n: int, j: int, amax: int):
         yield a, t0
 
 
-def _shift_data(Lam: AffineWeight, Lam2: AffineWeight):
-    """Level L of Lam + Lam2 + rho_hat, epsilon vector of
-    c = Lam_bar + rho_bar, and the scaled norm of rho_bar."""
-    n = Lam.n
-    rho_bar = rho_hat(n).finite
-    return (Lam.level + Lam2.level + n + 1, eps_coords(Lam.finite + rho_bar),
-            scaled_f(eps_coords(rho_bar)))
-
-
 def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
     """The maximal weights (a, t0) of V(Lam2) whose strings can reach a
     summand of V(Lam) (x) V(Lam2) at delta-depth <= depth.
@@ -213,11 +204,16 @@ def _admitted_weights(Lam: AffineWeight, Lam2: AffineWeight, depth: int):
 
 def _ball(Lam: AffineWeight, Lam2: AffineWeight, depth: int) -> tuple:
     """j with Lam2 = Lambda_j, and L, c, |rho_bar|^2, R and the box radius
-    amax of the ball of _admitted_weights."""
+    amax of the ball of _admitted_weights: L is the level of Lam + Lam2 +
+    rho_hat, c the epsilon vector of Lam_bar + rho_bar, and each norm is
+    scaled by n + 1, as scaled_f gives it."""
     n = Lam.n
     m = n + 1
     j = Lam2.c_values().index(1)
-    lev, c, norm_rho = _shift_data(Lam, Lam2)
+    rho_bar = rho_hat(n).finite
+    lev = Lam.level + Lam2.level + m
+    c = eps_coords(Lam.finite + rho_bar)
+    norm_rho = scaled_f(eps_coords(rho_bar))
     if lev <= 1:
         raise AssertionError("the depth bound needs level > 1")
     norm_c = scaled_f(c)
@@ -249,7 +245,7 @@ def _brauer_klimyk(Lam: AffineWeight, Lam2: AffineWeight, depth: int,
     below Lam + Lam2), for depths <= depth."""
     n = Lam.n
     m = n + 1
-    lev, c, norm_rho = _shift_data(Lam, Lam2)
+    _, lev, c, norm_rho, _, _ = _ball(Lam, Lam2, depth)
     strings = []
     for a, t0 in weights:
         nu_eps = [x + y for x, y in zip(a, c)]

@@ -12,9 +12,11 @@ A single CLI query pays both at start-up.  ``Record`` gives a
 * the dataclass ``repr``, e.g. ``FiniteWeight(n=2, coords=(1, 0))``;
 * no assignment or deletion of a field after ``__init__``.
 
-The weights and orbit pairs built in the inner loops override
-``__init__``, ``__eq__`` and ``__hash__`` with hand-written methods, so
-they pay for no generic loop over their fields.
+The weights, which the inner loops build and the oracle keys its dicts
+by, override ``__init__``, ``__eq__`` and ``__hash__`` with hand-written
+methods, so they pay for no generic loop over their fields.  The orbit
+pairs, built one per family member but never compared or hashed on the
+routes, override ``__init__`` alone.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ One tree of shapes serves the count and the listing.  It builds shapes
 block by block of equal rows, largest part first, and cuts a branch
 only when no shape below it can qualify, because a residue count
 already exceeds the content character or a block of equal rows breaks
-the congruences.  The count (``tau_count``, behind ``tau_bruteforce``)
+the congruences.  The count (``tau_bruteforce``)
 memoizes the number of shapes below each node on a small state that
 does not name the character it started from, so ``tau_counts`` counts
 many characters of one length and charge through one memo: those of a
@@ -69,9 +69,9 @@ def mw_shapes_with_character(eta, i: int, tree=None) -> list:
     """All admissible i-charged shapes whose content character is eta,
     in the order of the n-regular partitions of |eta| listed by distinct
     part sizes from the largest down, each with its multiplicity: the
-    leaves of tau_count's tree, reached through the nodes whose memoized
-    count is positive, in tree when given (a _shape_tree(len(eta), i,
-    stop) that may have counted eta already).  Every shape is re-checked
+    leaves of tau_bruteforce's tree, reached through the nodes whose
+    memoized count is positive, in tree when given (a _shape_tree(len(eta),
+    i, stop) that may have counted eta already).  Every shape is re-checked
     against is_mw and shape_character."""
     eta = tuple(eta)
     n = len(eta) - 1
@@ -125,9 +125,9 @@ def listing_passes(rows: int, size: int) -> int:
 
 def _shape_tree(m: int, i: int, stop: Optional[int] = None):
     """The tree of admissible shapes at charge i for characters of length
-    m, as count(eta) and shapes(eta) over one memo (see tau_count and
-    mw_shapes_with_character).  A node is the state (residue counts left,
-    largest part allowed, rows placed mod m) and a leaf is 0.  With a
+    m, as count(eta) and shapes(eta) over one memo (see tau_bruteforce
+    and mw_shapes_with_character).  A node is the state (residue counts
+    left, largest part allowed, rows placed mod m) and a leaf is 0.  With a
     stop, a memoized count may be only some number above stop, so a
     stopped tree answers one count, and lists its shapes only if that
     count is at most stop: no node's running total can then have passed
@@ -210,19 +210,8 @@ def _shape_tree(m: int, i: int, stop: Optional[int] = None):
     return count, shapes
 
 
-def tau_count(eta, i: int) -> int:
-    """Number of admissible i-charged shapes with content character eta,
-    that is len(mw_shapes_with_character(eta, i)), without listing them.
-    The count below a node depends only on its state, because row r's
-    residues start at (1 - r + i) mod (n + 1) and the is_mw congruence
-    reads the rows so far only through 2 * prefix mod (n + 1); it is
-    memoized on that state, in a memo made for this call."""
-    eta = tuple(eta)
-    return _shape_tree(len(eta), i)[0](eta)
-
-
 def tau_counts(etas, i: int) -> list:
-    """[tau_count(eta, i) for eta in etas], through one counter: the
+    """[tau_bruteforce(eta, i) for eta in etas], through one counter: the
     characters share one memo, so subtrees that several of them reach
     (as the characters of one delta-string do) are counted once.  The
     characters must all have one length; no stop is taken, because a
@@ -238,6 +227,11 @@ def tau_counts(etas, i: int) -> list:
 
 
 def tau_bruteforce(eta, i: int) -> int:
-    """Count admissible i-charged tableaux with content character eta,
-    independently of the orbit-sum formula: see tau_count."""
-    return tau_count(eta, i)
+    """Number of admissible i-charged shapes with content character eta,
+    that is len(mw_shapes_with_character(eta, i)), without listing them.
+    The count below a node depends only on its state, because row r's
+    residues start at (1 - r + i) mod (n + 1) and the is_mw congruence
+    reads the rows so far only through 2 * prefix mod (n + 1); it is
+    memoized on that state, in a memo made for this call."""
+    eta = tuple(eta)
+    return _shape_tree(len(eta), i)[0](eta)

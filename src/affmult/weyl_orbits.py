@@ -135,14 +135,6 @@ class OrbitPair(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "level", level)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.m == other.m and self.p == other.p and self.level == other.level
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.p, self.level))
-
     @property
     def n(self) -> int:
         return len(self.m)

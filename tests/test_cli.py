@@ -24,7 +24,10 @@ from affmult import cli
 from affmult.affine_cartan import affine_Lambda
 from affmult.cli import COMMANDS as TABLE
 from affmult.cli import Query, build_parser, main
-from affmult.multiplicities import delta_string, eta_from_xi, rotate, rotated_to_zero
+from affmult.multiplicities import (
+    delta_string, eta_from_xi, outer_multiplicity_formula, outer_multiplicity_limit, rotate,
+    rotated_to_zero, tau_formula,
+)
 from affmult.tableaux import mw_shapes_with_character
 from pass_counters import KINDS, counting
 from test_shared_code import clear_caches
@@ -166,6 +169,18 @@ class TestMultiplicity:
         result = json.loads(out)["result"]
         assert result["value"] == 5
         assert result["stabilized_at"] == 6
+        # a row per orbit member: mu, its threshold, its sequence for k = 0..10
+        code, out, _ = run(capsys, "limit", "--n", "2", "--i", "1",
+                           "--cvals", "0,0,2", "--degree", "-6",
+                           "--kmax", "10", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["rows"] == [
+            [[2, 4], 4, [0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2]],
+            [[4, 0], 5, [0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2]],
+            [[0, 2], 6, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]],
+        ]
+        assert (result["value"], result["stabilized_at"]) == (5, 6)
 
 
 class TestValidation:
@@ -661,6 +676,17 @@ class TestBenchmarkInputs:
         for argv in argvs + [list(workloads.VERIFY_ARGV)]:
             Query(parser.parse_args(argv))
 
+    def test_prices_are_pinned(self):
+        """The work estimates of the verify_sweep argv and of the 64 queries
+        of cli_cold's seed 1; a change to either needs its reason in
+        CHANGES.md."""
+        workloads = bench_workloads()
+        parser = build_parser()
+        assert Query(parser.parse_args(list(workloads.VERIFY_ARGV))).steps == 544_146
+        queries = workloads.instances("cli_cold", 1)
+        assert len(queries) == 64
+        assert sum(Query(parser.parse_args(list(argv))).steps for _, argv, _ in queries) == 231_090
+
     def test_formula_ladder_inputs_are_accepted(self):
         """Every formula_ladder instance of seeds 1-3 passes the option
         checks and work estimates of tau, multiplicity and limit with
@@ -692,6 +718,21 @@ def output_digest(argvs) -> str:
     return digest.hexdigest()
 
 
+def ladder_digest(instances) -> str:
+    """sha256 of the three routes of each formula_ladder instance in turn:
+    tau_formula, the orbit sum, and the limit's value, stabilized_at and
+    sequences, every affmult cache cleared before each instance."""
+    digest = hashlib.sha256()
+    for n, i, j, k, eta0, eta, kmax in instances:
+        clear_caches()
+        xi = (affine_Lambda(n, j) + affine_Lambda(n, k)).shift_delta(-eta0)
+        limit = outer_multiplicity_limit(n, i, xi, kmax)
+        sequences = [(mu.coords, threshold, values) for mu, threshold, values in limit.sequences]
+        digest.update(repr((tau_formula(n, i, eta), outer_multiplicity_formula(n, i, xi),
+                            limit.value, limit.stabilized_at, sequences)).encode())
+    return digest.hexdigest()
+
+
 # Digests of what the benchmark's queries print.  Outputs are meant to stay
 # byte-identical, so a change to one of these needs its reason in CHANGES.md.
 BENCHMARK_OUTPUTS = {
@@ -699,13 +740,16 @@ BENCHMARK_OUTPUTS = {
     "verify table": "ebd66dc4465e5b386d7c9290ad30cb5d3ba93deb2f73fe4d8396b179d9390833",
     "verify csv": "c53f276044370430688b83b24c00816bc6d9cc16acc69e6378e0e0c85bab14d6",
     "cli_cold seed 1": "a5ef1f4dc9d2b0b4583fc5721fa13bfbec5a0afebb98bdf74d35c31e05376927",
+    "formula_ladder seed 1": "91979b2e7b231601038a3c376e85fc3db74aa4e07100dcf556b9ec247a112da3",
 }
 
 
 class TestBenchmarkOutputs:
     def test_outputs_are_unchanged(self):
         """The verify_sweep argv in all three formats and the 64 queries
-        of cli_cold's seed 1, in process, under 2 s of CPU in all."""
+        of cli_cold's seed 1, in process, under 2 s of CPU in all; then the
+        18 formula_ladder instances of seed 1, ranks 2-7, under 10 s of CPU
+        (1.7-3.0 s measured on a 2-core VM)."""
         workloads = bench_workloads()
         start = time.process_time()
         got = {f"verify {fmt}": output_digest([workloads.VERIFY_ARGV[:-2] + ("--format", fmt)])
@@ -714,6 +758,11 @@ class TestBenchmarkOutputs:
         assert len(queries) == 64
         got["cli_cold seed 1"] = output_digest(argv for _, argv, _ in queries)
         assert time.process_time() - start < 2.0
+        start = time.process_time()
+        ladder = workloads.instances("formula_ladder", 1)
+        assert len(ladder) == 18
+        got["formula_ladder seed 1"] = ladder_digest(ladder)
+        assert time.process_time() - start < 10.0
         assert got == BENCHMARK_OUTPUTS
 
 
@@ -1132,17 +1181,3 @@ class TestScripts:
             "((2, 2), (0, -1))          (1, 0)     5         1",
         ]
         assert lines[-1] == "total: 5"
-
-    def test_stabilization_demo(self):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "stabilization_demo.py")],
-            capture_output=True, text=True, env=src_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[2:] == [
-            "(2, 4)         4          [0, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2]",
-            "(4, 0)         5          [0, 0, 0, 0, 1, 2, 2, 2, 2, 2, 2]",
-            "(0, 2)         6          [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]",
-            "",
-            "stabilized at k = 6; limit sum = 5",
-            "closed-formula value = 5",
-        ]

@@ -20,6 +20,7 @@ from affmult.affine_cartan import (
     omega,
     theta,
 )
+from affmult.char_oracle import tensor_outer_multiplicities
 from affmult.laurent import LaurentPoly
 from affmult.multiplicities import (
     _flag_data,
@@ -457,6 +458,59 @@ class TestRotation:
                 d = rng.randint(-m, 2 * m)
                 assert rotate(c, x + y) == rotate(c, x) + rotate(c, y)
                 assert rotate(c, rotate(d, x)) == rotate(c + d, x)
+
+
+class TestDiagramMirror:
+    """The reflection sigma: r -> -r mod (n + 1) of the A_n^(1) diagram fixes
+    node 0, so [V(Lambda_0) (x) V(Lambda_i) : V(Lambda_j + Lambda_k - d delta)]
+    equals the multiplicity with -i, -j, -k, and a character eta maps to
+    (eta_0, eta_n, ..., eta_1).  On finite weights sigma reverses the
+    coordinates."""
+
+    @staticmethod
+    def mirror(v: tuple) -> tuple:
+        return v[:1] + v[:0:-1]
+
+    def test_tau_routes(self):
+        # the shapes of charges i and -i are different sets, so the count
+        # meets sigma only through its values
+        instances = 0
+        for n in range(1, 6):
+            m = n + 1
+            for i in range(m):
+                for j in range(m):
+                    k = (i - j) % m
+                    if j > k:
+                        continue
+                    for eta in delta_string(n, i, j, k, 8 if n <= 3 else 5):
+                        image = self.mirror(eta)
+                        values = {tau_formula(n, i, eta), tau_bruteforce(eta, i),
+                                  tau_formula(n, -i % m, image), tau_bruteforce(image, -i % m)}
+                        assert len(values) == 1, (n, i, eta)
+                        instances += 1
+        assert instances == 341
+
+    def test_flag_multiplicity_poly(self):
+        nonzero = 0
+        for n in range(1, 5):
+            weights = [FiniteWeight(n, coords) for coords in product(range(4), repeat=n)]
+            polys = {(lam.coords, mu.coords): flag_multiplicity_poly(lam, mu)
+                     for lam in weights for mu in weights}
+            for (lam, mu), poly in polys.items():
+                assert poly == polys[lam[::-1], mu[::-1]], (lam, mu)
+                nonzero += not poly.is_zero()
+        assert nonzero == 6350
+
+    def test_oracle_tables(self):
+        for n in (1, 2):
+            for i in range(n + 1):
+                table = tensor_outer_multiplicities(affine_Lambda(n, 0), affine_Lambda(n, i), 2)
+                image = tensor_outer_multiplicities(affine_Lambda(n, 0),
+                                                    affine_Lambda(n, -i % (n + 1)), 2)
+                assert any(table.values())
+                assert ({(self.mirror(xi.c_values()), xi.degree): value
+                         for xi, value in table.items()}
+                        == {(xi.c_values(), xi.degree): value for xi, value in image.items()})
 
 
 class TestGeneralFundamental:
