@@ -89,9 +89,7 @@ def omega(n: int, i: int) -> FiniteWeight:
 
 def theta(n: int) -> FiniteWeight:
     """Highest root; alpha_1 + ... + alpha_n."""
-    if n == 1:
-        return FiniteWeight(1, (2,))
-    return FiniteWeight(n, tuple(1 if j in (0, n - 1) else 0 for j in range(n)))
+    return FiniteWeight(n, tuple((j == 0) + (j == n - 1) for j in range(n)))
 
 
 def bilinear(lam: FiniteWeight, mu: FiniteWeight) -> Fraction:

@@ -233,16 +233,6 @@ def _affine(level_two: bool):
     return check
 
 
-def _check_rotation(args, q):
-    """The (0, j - i) instance of --cvals/--degree, by the diagram rotation:
-    the charge and weight the orbit sum runs on, in q.i and q.xi, where the
-    payload keeps the given values."""
-    try:
-        q.i, q.xi = rotated_to_zero(q.n, q.i, q.j, q.xi)
-    except ValueError as exc:
-        raise ValidationError(f"parameter --cvals: {exc}")
-
-
 def _check_norm_bound(args, q):
     q.bound = parse_rat(args.norm_bound, "--norm-bound")
     q.params["norm_bound"] = str(q.bound)
@@ -282,7 +272,6 @@ MU = Option((("--mu", dict(required=True)),), _check_mu)
 CVALS_DEGREE = (("--cvals", dict(required=True)), ("--degree", dict(default="0")))
 WEIGHT = Option(CVALS_DEGREE, _affine(level_two=False))
 LEVEL_TWO = Option(CVALS_DEGREE, _affine(level_two=True))
-ROTATED = Option((), _check_rotation)
 NORM_BOUND = Option((("--norm-bound", dict(required=True)),), _check_norm_bound)
 LAM_MU = Option((("--lam", dict(required=True)), ("--mu", dict(required=True))), _check_lam_mu)
 R = Option((("--r", dict(default=None)),), _check_r)
@@ -416,6 +405,17 @@ def cmd_limit(q):
             "rows": rows, "header": ["mu", "threshold", "sequence"]}, None
 
 
+def tensor_general_steps(q):
+    """The orbit sum at the (0, j - i) instance of --cvals/--degree, by the
+    diagram rotation, kept in q.i and q.xi; the payload keeps the given
+    values."""
+    try:
+        q.i, q.xi = rotated_to_zero(q.n, q.i, q.j, q.xi)
+    except ValueError as exc:
+        raise ValidationError(f"parameter --cvals: {exc}")
+    yield from orbit_sum_steps(q)
+
+
 def cmd_tensor_general(q):
     return {"value": outer_multiplicity_formula(q.n, q.i, q.xi)}, None
 
@@ -455,7 +455,7 @@ def verify_steps(q):
         m = n + 1
         yield ("--eta0-max", f"the tableau counts of rank {n}", n,
                {"count": m ** 4 * (q.eta0_max + 1) ** 3 // 4})
-        bounds, ends = [], []  # the norm bound of each character's walk, and of each string's last
+        bounds = []  # the norm bound of each character's walk
         for i in range(m):
             etas = []
             for j in range(m):
@@ -464,13 +464,12 @@ def verify_steps(q):
                 if string:
                     top = tau_bound(n, i, j, k, string[0][0])
                     bounds += [top + 4 * s for s in range(len(string))]
-                    ends.append(bounds[-1])
                 etas += string
             q.tasks.append(("tau", (n, i, etas)))  # not empty: Lambda_0 + Lambda_i starts one
         rows = sum(ball_leaves(n, b, 2) for b in bounds)
         yield "--eta0-max", f"the formulas of rank {n}", n, {
             "family": sum(family_passes(n, b) for b in bounds),
-            "memo": count_steps(n, max(ends), rows)}
+            "memo": count_steps(n, max(bounds), rows)}
         if d and n <= 2:  # oracle rows cover ranks <= 2; the tests check rank 3
             oracle += [("oracle", (n, i, d)) for i in range(m)]
             lowest, entries = (affine_Lambda(n, 0) * 2).shift_delta(-d), m * (m + 1) // 2 * (d + 1)
@@ -529,8 +528,8 @@ COMMANDS = {
                      limit_steps, cmd_limit),
     "tensor-general": Command("multiplicity in a general fundamental tensor product",
                               "rotation reduction to the (0, j - i) case",
-                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO, ROTATED),
-                              orbit_sum_steps, cmd_tensor_general),
+                              (RANK, INDEX_I, INDEX_J, LEVEL_TWO),
+                              tensor_general_steps, cmd_tensor_general),
     "verify": Command("run the cross-check suites", "cross-check suite",
                       (RANKS, ETA0_MAX, DEPTH), verify_steps, cmd_verify),
 }

@@ -1,17 +1,18 @@
 """Sparse Laurent polynomials in one variable q.
 
-Coefficients are integers; exponents may be integers or exact rationals
-(generating polynomials of graded multiplicities carry a global rational
-degree shift).  Stored as a dict from exponent to non-zero coefficient;
-an integer exponent and the equal ``Fraction`` compare and hash alike, so
-plain dict lookup and equality already match them.
+Coefficients are integers, and every polynomial the library builds has
+integer exponents: the degree shift of the flag multiplicities is an
+integer.  Stored as a dict from exponent to non-zero coefficient.  An
+integer and the equal ``Fraction`` compare and hash alike, so ``coeff``
+still answers a ``Fraction`` key, as ``flag-mult --r`` passes one: 2 and
+Fraction(2) read the same coefficient, and 5/2 reads 0.
 """
 
 from __future__ import annotations
 
 
 class LaurentPoly:
-    """Integer-coefficient polynomial with integer or rational exponents."""
+    """Integer-coefficient polynomial in q, keyed by exponent."""
 
     __slots__ = ("coeffs",)
 
@@ -21,10 +22,6 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 if c:
                     self.coeffs[e] = c
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
 
     @staticmethod
     def one() -> "LaurentPoly":

@@ -92,7 +92,7 @@ def flag_multiplicity_poly(lam: FiniteWeight, mu: FiniteWeight) -> LaurentPoly:
     Zero when lam - mu is not a non-negative sum of simple roots."""
     data = _flag_data(lam, mu)
     if data is None:
-        return LaurentPoly.zero()
+        return LaurentPoly()
     a, b, shift = data
     return q_binomial_product([x + y for x, y in zip(a, b)], a).shift(shift)
 
@@ -323,10 +323,8 @@ def rotated_to_zero(n: int, i: int, j: int, xi: AffineWeight) -> tuple:
     if not _below(top, xi):
         raise ValueError("xi is not below Lambda_i + Lambda_j")
     c = (-i) % m
-    li = rotate(c, affine_Lambda(n, i))  # Lambda_0 + e1 * delta
-    lj = rotate(c, affine_Lambda(n, j))  # Lambda_{j-i} + e2 * delta
-    shift = li.degree + lj.degree
-    return (j - i) % m, rotate(c, xi).shift_delta(-shift)
+    # rotate is additive: top goes to Lambda_0 + Lambda_{j-i} + shift * delta
+    return (j - i) % m, rotate(c, xi).shift_delta(-rotate(c, top).degree)
 
 
 def general_fundamental(n: int, i: int, j: int, xi: AffineWeight) -> int:

@@ -14,9 +14,7 @@ A single CLI query pays both at start-up.  ``Record`` gives a
 
 The weights, which the inner loops build and the oracle keys its dicts
 by, override ``__init__``, ``__eq__`` and ``__hash__`` with hand-written
-methods, so they pay for no generic loop over their fields.  The orbit
-pairs, built one per family member but never compared or hashed on the
-routes, override ``__init__`` alone.
+methods, so they pay for no generic loop over their fields.
 """
 
 from __future__ import annotations

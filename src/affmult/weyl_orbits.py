@@ -130,11 +130,6 @@ class OrbitPair(Record):
 
     __slots__ = ("m", "p", "level")
 
-    def __init__(self, m: tuple, p: tuple, level: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "level", level)
-
     @property
     def n(self) -> int:
         return len(self.m)

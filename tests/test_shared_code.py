@@ -88,7 +88,6 @@ ROW_CODE = {
     "partitions._rho_multi_sorted":
         "tests/test_partitions.py::TestRhoMulti::test_capped_matches_enumeration",
     "partitions.rho_multi": "tests/test_partitions.py::TestRhoMulti::test_matches_enumeration",
-    "weyl_orbits.OrbitPair.__init__": ORBIT_PAIR,
     "weyl_orbits.OrbitPair.a_vector": ORBIT_PAIR,
     "weyl_orbits.OrbitPair.in_dominant_set": ORBIT_PAIR,
     "weyl_orbits.OrbitPair.n": ORBIT_PAIR,

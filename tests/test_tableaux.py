@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affmult import cli, tableaux
 from affmult.affine_cartan import affine_Lambda
 from affmult.multiplicities import (
+    delta_string,
     eta_from_xi,
     eta_prime,
     general_fundamental,
@@ -91,6 +92,49 @@ def signature_epsilons(shape, b, n):
         else:
             eps[j] += 1
     return eps
+
+
+def reduced_signature(shape, b, n, j):
+    """Rows of the removable and of the addable j-nodes that the
+    cancellation of signature_epsilons leaves, from the top row down; each
+    removable node cancels the nearest addable one above it.  e_j removes
+    the lowest removable node left, the node f_j re-adds, and f_j adds the
+    topmost addable node left."""
+    m = n + 1
+    parts = tuple(shape) + (0,)
+    removable, addable = [], []
+    for r, part in enumerate(parts, start=1):
+        if (r == 1 or parts[r - 2] > part) and (part + 1 - r + b) % m == j:
+            addable.append(r)
+        if r < len(parts) and part > parts[r] and (part - r + b) % m == j:
+            if addable:
+                addable.pop()
+            else:
+                removable.append(r)
+    return removable, addable
+
+
+def add_box(shape, r, step):
+    """shape with step (1 or -1) boxes added at the end of row r."""
+    parts = list(shape) + [0]
+    parts[r - 1] += step
+    return tuple(part for part in parts if part)
+
+
+def mirror_shape(shape, b, n):
+    """The image of shape under the crystal isomorphism B(Lambda_b) ->
+    B(Lambda_{-b}) with e_j -> e_{-j}: remove good nodes down to the empty
+    shape, the smallest residue j with epsilon_j > 0 each time, then, at
+    charge -b, add good nodes of the residues -j in reverse order."""
+    m = n + 1
+    path = []
+    while shape:
+        j = next(j for j in range(m) if reduced_signature(shape, b, n, j)[0])
+        shape = add_box(shape, reduced_signature(shape, b, n, j)[0][-1], -1)
+        path.append(j)
+    for j in reversed(path):
+        shape = add_box(shape, reduced_signature(shape, -b % m, n, -j % m)[1][0], 1)
+    return shape
 
 
 @st.composite
@@ -247,6 +291,34 @@ class TestAdmissibility:
         assert is_mw((3,), 1, 2)       # 3 + 1 = 1 mod 3
         assert not is_mw((4,), 1, 2)   # 4 + 1 = 2 mod 3
         assert is_mw((2, 2), 0, 2)     # 2 + 0 = 2 mod 3
+
+
+class TestMirrorBijection:
+    def test_mirror_maps_listings_one_to_one(self):
+        # the diagram reflection sigma: r -> -r mod (n + 1) fixes node 0, so
+        # as a crystal isomorphism it keeps epsilon_0 <= 1 and the other
+        # epsilon_j = 0, and maps the charge-i shapes of character eta onto
+        # the charge -i shapes of (eta_0, eta_n, ..., eta_1)
+        start = time.process_time()
+        instances = shapes = 0
+        for n in (1, 2, 3):
+            m = n + 1
+            for i in range(m):
+                for j in range(m):
+                    k = (i - j) % m
+                    for eta in delta_string(n, i, j, k, 6) if j <= k else ():
+                        listing = mw_shapes_with_character(eta, i)
+                        for shape in listing:
+                            assert [len(reduced_signature(shape, i, n, r)[0])
+                                    for r in range(m)] == signature_epsilons(shape, i, n)
+                        image = [mirror_shape(shape, i, n) for shape in listing]
+                        mirrored = mw_shapes_with_character(eta[:1] + eta[:0:-1], -i % m)
+                        assert sorted(image) == sorted(mirrored), (n, i, eta)
+                        assert len(set(image)) == len(image), (n, i, eta)
+                        assert [mirror_shape(shape, -i % m, n) for shape in image] == listing
+                        instances, shapes = instances + 1, shapes + len(listing)
+        assert time.process_time() - start < 2.0
+        assert (instances, shapes) == (122, 452)
 
 
 class TestBruteForce:

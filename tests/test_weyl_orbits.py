@@ -1,7 +1,9 @@
 """Affine Weyl action, dominant orbit representatives, level-2 orbit
 families and reduced-pair lengths."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import isqrt
@@ -482,6 +484,10 @@ def family_inputs(draw):
     return n, j, k, bound
 
 
+# sha256 of the members of test_members_are_pinned's families, in turn
+FAMILY_DIGEST = "b5662c91599cd0e24437d4ebd56b6a14ad1b36720714fd46aac2bed343908a65"
+
+
 class TestGeneratedFamily:
     @settings(max_examples=150, deadline=None)
     @given(family_inputs())
@@ -496,6 +502,24 @@ class TestGeneratedFamily:
                                   Fraction(40, 7), 12):
                         assert (level_two_family(n, j, k, bound)
                                 == reference_family(n, j, k, bound))
+
+    def test_members_are_pinned(self):
+        """(m, p) of every member, in order, for n = 1-8, every j and k in
+        [0, n] and seven bounds: 1,988 families, 9,055 members, against
+        the digest taken at commit 34cefa7, so that a change to the walk or
+        to OrbitPair that moves a member fails here; under 3 s of CPU
+        (0.50-0.67 s measured on a 2-core VM)."""
+        start = time.process_time()
+        digest, families, members = hashlib.sha256(), 0, 0
+        for n in range(1, 9):
+            for j, k in product(range(n + 1), repeat=2):
+                for bound in (-1, 0, Fraction(1, 2), 3, 10, Fraction(21, 2), 30):
+                    pairs = [(pair.m, pair.p) for pair in level_two_family(n, j, k, bound).members]
+                    families, members = families + 1, members + len(pairs)
+                    digest.update(repr(pairs).encode())
+        assert time.process_time() - start < 3.0
+        assert (families, members) == (1988, 9055)
+        assert digest.hexdigest() == FAMILY_DIGEST
 
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=8))
     def test_scaled_f(self, a):
