@@ -40,10 +40,6 @@ class FiniteWeight(Record):
     def __hash__(self):
         return hash((self.n, self.coords))
 
-    @staticmethod
-    def zero(n: int) -> "FiniteWeight":
-        return FiniteWeight(n, (0,) * n)
-
     def __add__(self, other: "FiniteWeight") -> "FiniteWeight":
         self._check(other)
         return FiniteWeight(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))

@@ -248,7 +248,7 @@ def _check_lam_mu(args, q):
 
 def _check_r(args, q):
     q.r = None if args.r is None else parse_rat(args.r, "--r")
-    q.params["r"] = args.r
+    q.params["r"] = None if q.r is None else str(q.r)
 
 
 def _check_ranks(args, q):

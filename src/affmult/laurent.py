@@ -23,10 +23,6 @@ class LaurentPoly:
                 if c:
                     self.coeffs[e] = c
 
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
     def coeff(self, e) -> int:
         return self.coeffs.get(e, 0)
 

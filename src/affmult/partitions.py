@@ -7,11 +7,11 @@ off the non-negative integers — callers feed it exact rationals coming
 from quadratic-form evaluations, and non-integral arguments must count
 as zero rather than raise.
 
-The convention is checked once per call of the public ``rho`` and
-``rho_multi``.  The cached recursions behind them, ``_count`` and
-``_rho_multi_sorted``, take non-negative ints only, and
-``_rho_multi_sorted`` calls ``_count`` on the same keys as ``rho``:
-(m, b, cap) with the part-count cap lowered to at most m.
+The convention is checked once per call of ``rho_multi``, whose
+one-component case ``rho`` is.  The cached recursions behind it,
+``_count`` and ``_rho_multi_sorted``, take non-negative ints only, and
+``_rho_multi_sorted`` calls ``_count`` on keys (m, b, cap) with the
+part-count cap lowered to at most m.
 The bounds on their passes, which the CLI prices, sit beside them:
 ``count_steps``, ``flag_count_steps``, ``binomial_steps``, and
 ``LIMIT_MAX_KMAX`` for the depth of ``_count``'s recursion.
@@ -69,13 +69,9 @@ def _is_bad_number(m) -> bool:
 
 
 def rho(m, b: int, max_parts: Optional[int] = None) -> int:
-    """|P_b(m)| (with optional part-count cap); 0 off Z_{>=0}, and 0
-    under a negative cap, as in rho_multi."""
-    if _is_bad_number(m) or (max_parts is not None and max_parts < 0):
-        return 0
-    m = int(m)
-    cap = m if max_parts is None else min(max_parts, m)
-    return _count(m, b, cap)
+    """|P_b(m)|, with an optional part-count cap: rho_multi's one-component
+    case."""
+    return rho_multi(m, (b,), None if max_parts is None else (max_parts,))
 
 
 def rho_multi(m, b: Sequence[int], a: Optional[Sequence[int]] = None) -> int:
@@ -107,7 +103,7 @@ def _rho_multi_sorted(m: int, comps: tuple) -> int:
         return 1 if m == 0 else 0
     bj, cj = comps[0]
     rest = comps[1:]
-    # the keys of rho: a partition of s has at most s parts
+    # a partition of s has at most s parts, so caps at or above s share a key
     return sum(
         _count(s, bj, s if cj == -1 else min(cj, s)) * _rho_multi_sorted(m - s, rest)
         for s in range(m + 1)

@@ -11,11 +11,11 @@ One tree of shapes serves the count and the listing.  It builds shapes
 block by block of equal rows, largest part first, and cuts a branch
 only when no shape below it can qualify, because a residue count
 already exceeds the content character or a block of equal rows breaks
-the congruences.  The count (``tau_bruteforce``)
-memoizes the number of shapes below each node on a small state that
-does not name the character it started from, so ``tau_counts`` counts
-many characters of one length and charge through one memo: those of a
-delta-string xi - eta_0 delta reach largely the same subtrees.  The
+the congruences.  The count (``tau_counts``, and ``tau_bruteforce``
+for one character) memoizes the number of shapes below each node on a
+small state that does not name the character it started from, so it
+counts many characters of one length and charge through one memo: those
+of a delta-string xi - eta_0 delta reach largely the same subtrees.  The
 listing (``mw_shapes_with_character``, the rows of the CLI ``tau``
 command) runs the same child loop but enters only nodes of positive
 count, so it costs about its output.  The tree uses no orbit and no
@@ -69,7 +69,7 @@ def mw_shapes_with_character(eta, i: int, tree=None) -> list:
     """All admissible i-charged shapes whose content character is eta,
     in the order of the n-regular partitions of |eta| listed by distinct
     part sizes from the largest down, each with its multiplicity: the
-    leaves of tau_bruteforce's tree, reached through the nodes whose
+    leaves of tau_counts' tree, reached through the nodes whose
     memoized count is positive, in tree when given (a _shape_tree(len(eta),
     i, stop) that may have counted eta already).  Every shape is re-checked
     against is_mw and shape_character."""
@@ -125,8 +125,8 @@ def listing_passes(rows: int, size: int) -> int:
 
 def _shape_tree(m: int, i: int, stop: Optional[int] = None):
     """The tree of admissible shapes at charge i for characters of length
-    m, as count(eta) and shapes(eta) over one memo (see tau_bruteforce
-    and mw_shapes_with_character).  A node is the state (residue counts
+    m, as count(eta) and shapes(eta) over one memo (see tau_counts and
+    mw_shapes_with_character).  A node is the state (residue counts
     left, largest part allowed, rows placed mod m) and a leaf is 0.  With a
     stop, a memoized count may be only some number above stop, so a
     stopped tree answers one count, and lists its shapes only if that
@@ -211,11 +211,16 @@ def _shape_tree(m: int, i: int, stop: Optional[int] = None):
 
 
 def tau_counts(etas, i: int) -> list:
-    """[tau_bruteforce(eta, i) for eta in etas], through one counter: the
-    characters share one memo, so subtrees that several of them reach
-    (as the characters of one delta-string do) are counted once.  The
-    characters must all have one length; no stop is taken, because a
-    stopped memo holds values that are only bounds."""
+    """For each eta of etas, the number of admissible i-charged shapes
+    with content character eta, that is len(mw_shapes_with_character(eta,
+    i)), without listing them.  The count below a node depends only on its
+    state, because row r's residues start at (1 - r + i) mod (n + 1) and
+    the is_mw congruence reads the rows so far only through 2 * prefix mod
+    (n + 1); it is memoized on that state, in one memo made for this call,
+    so subtrees that several characters reach (as the characters of one
+    delta-string do) are counted once.  The characters must all have one
+    length; no stop is taken, because a stopped memo holds values that are
+    only bounds."""
     etas = [tuple(eta) for eta in etas]
     lengths = {len(eta) for eta in etas}
     if len(lengths) > 1:
@@ -227,11 +232,5 @@ def tau_counts(etas, i: int) -> list:
 
 
 def tau_bruteforce(eta, i: int) -> int:
-    """Number of admissible i-charged shapes with content character eta,
-    that is len(mw_shapes_with_character(eta, i)), without listing them.
-    The count below a node depends only on its state, because row r's
-    residues start at (1 - r + i) mod (n + 1) and the is_mw congruence
-    reads the rows so far only through 2 * prefix mod (n + 1); it is
-    memoized on that state, in a memo made for this call."""
-    eta = tuple(eta)
-    return _shape_tree(len(eta), i)[0](eta)
+    """The tableau count of the one character eta: tau_counts([eta], i)."""
+    return tau_counts([eta], i)[0]

@@ -110,10 +110,10 @@ def flag_multiplicity_at(lam: FiniteWeight, mu: FiniteWeight, r) -> int:
 def pascal_triangle(size: int) -> list:
     """Rows m = 0..size of the Gaussian binomials [m choose p]_q, p = 0..m,
     by the q-Pascal recurrence [m, p] = [m - 1, p] + q^(m - p) [m - 1, p - 1]."""
-    rows = [[LaurentPoly.one()]]
+    rows = [[LaurentPoly({0: 1})]]
     for m in range(1, size + 1):
         prev = rows[-1]
-        rows.append([LaurentPoly.one()]
+        rows.append([LaurentPoly({0: 1})]
                     + [prev[p] + prev[p - 1].shift(m - p) for p in range(1, m)]
-                    + [LaurentPoly.one()])
+                    + [LaurentPoly({0: 1})])
     return rows

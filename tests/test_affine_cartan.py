@@ -127,7 +127,7 @@ class TestQuadraticForm:
 
 class TestEpsCoords:
     def test_zero(self):
-        assert eps_coords(FiniteWeight.zero(3)) == (0, 0, 0)
+        assert eps_coords(FiniteWeight(3, (0, 0, 0))) == (0, 0, 0)
 
     def test_rank_two_example(self):
         assert eps_coords(2 * omega(2, 1)) == (2, 2)

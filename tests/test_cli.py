@@ -282,6 +282,18 @@ class TestValidation:
         assert time.process_time() - start < 1.0
         assert code == 0 and json.loads(out)["result"]["value"] == value
 
+    @pytest.mark.parametrize("argv,key,text", [
+        (["gamma", "--n", "2", "--cvals", "0,0,2", "--degree=-12/2", "--norm-bound", "08/2"],
+         "degree", "-6"),
+        (["gamma", "--n", "2", "--cvals", "0,0,2", "--degree=-12/2", "--norm-bound", "08/2"],
+         "norm_bound", "4"),
+        (["flag-mult", "--n", "1", "--lam", "6", "--mu", "2", "--r", "0.2e1"], "r", "2"),
+        (["flag-mult", "--n", "1", "--lam", "6", "--mu", "2"], "r", None),
+    ], ids=["degree", "norm-bound", "r", "no-r"])
+    def test_params_echo_the_checked_value(self, capsys, argv, key, text):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["params"][key] == text
+
     @settings(max_examples=200, deadline=None)
     @given(sign=st.sampled_from(["", "-", " +"]), zeros=st.sampled_from([0, 4299, 4301]),
            digits=st.integers(0, 10 ** 12), point=st.sampled_from(["", ".", ".25", ".0_5"]),
@@ -765,6 +777,19 @@ class TestBenchmarkOutputs:
         assert time.process_time() - start < 10.0
         assert got == BENCHMARK_OUTPUTS
 
+    @pytest.mark.parametrize("seed,digest", [
+        (2, "ab08b201d22b371295af279114413e871bbb390fd34e1a2a5a6457b8ca43d752"),
+        (3, "332b27f43f10b9e4930fdab3391acc30c70a2ccaf990967c60f36ed8455adaa2"),
+    ], ids=["seed 2", "seed 3"])
+    def test_other_ladder_seeds_are_unchanged(self, seed, digest):
+        """The 18 formula_ladder instances of seeds 2 and 3, each seed under
+        10 s of CPU (1.9-2.8 s measured on a 2-core VM)."""
+        start = time.process_time()
+        ladder = bench_workloads().instances("formula_ladder", seed)
+        assert len(ladder) == 18
+        assert ladder_digest(ladder) == digest
+        assert time.process_time() - start < 10.0
+
 
 def below(n, i, j, eta0):
     """Lambda_j + Lambda_{i-j} - eta0 delta and its character for charge i,
@@ -1166,18 +1191,3 @@ class TestReadme:
         assert [f"{module}.{name}" for module, name in refs
                 if not hasattr(importlib.import_module(f"affmult.{module}"), name)] == []
 
-
-class TestScripts:
-    def test_headline_breakdown(self):
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "headline_breakdown.py")],
-            capture_output=True, text=True, env=src_env())
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        rows = lines[lines.index("per-member breakdown of the orbit-pair formula:") + 2:-1]
-        assert rows == [
-            "((2, 2), (2, 0))           (2, 1)     1         2",
-            "((2, 2), (1, 1))           (0, 2)     3         2",
-            "((2, 2), (0, -1))          (1, 0)     5         1",
-        ]
-        assert lines[-1] == "total: 5"

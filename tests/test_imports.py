@@ -1,5 +1,5 @@
 """The package's import graph, pinned in one table, the names each module
-imports, and the code that reaches every definition in the package."""
+imports, and the code that reaches every definition and method in the package."""
 
 import ast
 from pathlib import Path
@@ -80,11 +80,11 @@ def referenced_names(tree: ast.AST) -> set:
 
 
 def root_names() -> set:
-    """The names the package's users refer to: the cli module, scripts/,
-    bench/ with the attributes its tracer's SPANS and COUNTS name in
-    strings, and the names tests/test_acceptance.py imports."""
+    """The names the package's users refer to: the cli module, bench/ with
+    the attributes its tracer's SPANS and COUNTS name in strings, and the
+    names tests/test_acceptance.py imports."""
     found = referenced_names(ast.parse((PACKAGE / "cli.py").read_text()))
-    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+    for path in sorted((ROOT / "bench").glob("*.py")):
         found |= referenced_names(ast.parse(path.read_text()))
     for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body:
         if isinstance(node, ast.Assign) and any(
@@ -98,21 +98,58 @@ def root_names() -> set:
     return found
 
 
+def package_definitions(methods: bool) -> dict:
+    """(module, name) of each top-level function and class of the package,
+    with the names its body refers to.  With methods, also (module,
+    "Class.method") of each non-dunder method of a class, with the names
+    its body refers to; a class's own names then leave out those bodies,
+    as a method runs only where it is named."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            parts = [node]
+            if methods and isinstance(node, ast.ClassDef):
+                own = [part for part in node.body if isinstance(part, ast.FunctionDef)
+                       and not part.name.startswith("__")]
+                for method in own:
+                    found[(path.stem, f"{node.name}.{method.name}")] = referenced_names(method)
+                parts = node.bases + node.keywords + node.decorator_list + [
+                    part for part in node.body if part not in own]
+            found[(path.stem, node.name)] = set().union(*map(referenced_names, parts))
+    return found
+
+
+def unreached(roots: set, definitions: dict) -> list:
+    """The definitions not reached from roots through the names of the
+    definitions reached, each matched by its own name."""
+    by_name = {}
+    for key in definitions:
+        by_name.setdefault(key[1].split(".")[-1], []).append(key)
+    seen, todo = set(), roots & by_name.keys()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for key in by_name[name]:
+            todo |= (definitions[key] & by_name.keys()) - seen
+    return sorted(f"{module}.{name}" for module, name in definitions
+                  if name.split(".")[-1] not in seen)
+
+
 def test_every_definition_is_reached():
     """Every top-level function and class of the package is reached from
     root_names through the bodies of the definitions reached, matched by
     name, so code that only the tests call lives in the tests' helpers."""
-    definitions = {}
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((path.stem, node))
-    reached = set()
-    todo = root_names() & definitions.keys()
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        for _module, node in definitions[name]:
-            todo |= (referenced_names(node) & definitions.keys()) - reached
-    assert sorted(f"{module}.{name}" for name, found in definitions.items()
-                  for module, _node in found if name not in reached) == []
+    assert unreached(root_names(), package_definitions(methods=False)) == []
+
+
+def test_every_method_is_reached():
+    """Every non-dunder method of a package class is named by a root or by
+    the body of a reached definition.  The roots add to root_names every
+    name tests/test_acceptance.py uses, as the gate calls methods of the
+    values it gets (.is_palindromic(), .coeff, .shift)."""
+    roots = root_names() | referenced_names(
+        ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    assert [name for name in unreached(roots, package_definitions(methods=True))
+            if name.count(".") == 2] == []

@@ -102,7 +102,7 @@ class TestTranslations:
 
     def test_zero_translation(self):
         lam = AffineWeight(omega(2, 1), 2, Fraction(3))
-        assert translation(FiniteWeight.zero(2), lam) == lam
+        assert translation(FiniteWeight(2, (0, 0)), lam) == lam
 
     def test_rejects_non_lattice_vector(self):
         try:
@@ -131,8 +131,8 @@ class TestSocle:
     def test_zero_weight(self):
         for n in (1, 2, 3):
             for level in (1, 2, 3):
-                soc = socle_formula(level, FiniteWeight.zero(n)).weight
-                assert soc == AffineWeight(FiniteWeight.zero(n), level, Fraction(0))
+                soc = socle_formula(level, FiniteWeight(n, (0,) * n)).weight
+                assert soc == AffineWeight(FiniteWeight(n, (0,) * n), level, Fraction(0))
 
     def test_level_two_square(self):
         soc = socle_formula(2, 2 * omega(2, 1)).weight
@@ -144,7 +144,7 @@ class TestSocle:
         soc = socle_formula(1, theta(2)).weight
         probe = AffineWeight(theta(2).w0_image(), 1, Fraction(0))
         assert soc == socle_oracle(probe).weight
-        assert soc.finite == FiniteWeight.zero(2)
+        assert soc.finite == FiniteWeight(2, (0, 0))
         assert soc.degree == 1
 
     def test_rank_one_single_box(self):
@@ -269,8 +269,8 @@ class TestGammaMembership:
     def test_zero_in_vacuum(self):
         for n in (1, 2):
             for level in (1, 2):
-                xi = AffineWeight(FiniteWeight.zero(n), level, Fraction(0))
-                assert gamma_contains(xi, FiniteWeight.zero(n))
+                xi = AffineWeight(FiniteWeight(n, (0,) * n), level, Fraction(0))
+                assert gamma_contains(xi, FiniteWeight(n, (0,) * n))
 
     def test_doubled_weight(self):
         xi = AffineWeight(2 * omega(2, 1), 2, Fraction(0))
@@ -280,16 +280,16 @@ class TestGammaMembership:
     def test_r_of_examples(self):
         assert r_of(2 * omega(2, 1), AffineWeight(2 * omega(2, 1), 2, Fraction(0))) == 0
         assert r_of(2 * omega(1, 1),
-                    AffineWeight(FiniteWeight.zero(1), 2, Fraction(0))) == Fraction(-1, 2)
+                    AffineWeight(FiniteWeight(1, (0,)), 2, Fraction(0))) == Fraction(-1, 2)
 
 
 class TestEnumerateGamma:
     def test_vacuum(self):
         for n in (1, 2):
-            xi = AffineWeight(FiniteWeight.zero(n), 2, Fraction(0))
+            xi = AffineWeight(FiniteWeight(n, (0,) * n), 2, Fraction(0))
             out = enumerate_gamma(xi, 0)
             assert len(out) == 1
-            assert out[0][0] == FiniteWeight.zero(n)
+            assert out[0][0] == FiniteWeight(n, (0,) * n)
 
     def test_headline_orbit_set(self):
         xi = AffineWeight(2 * omega(2, 2), 2, Fraction(-6))
@@ -298,7 +298,7 @@ class TestEnumerateGamma:
         assert bounds == [(0, 2), (1, 0), (2, 1)]
 
     def test_members_pass_membership_test(self):
-        xi = AffineWeight(FiniteWeight.zero(1), 2, Fraction(0))
+        xi = AffineWeight(FiniteWeight(1, (0,)), 2, Fraction(0))
         for mu, _pair in enumerate_gamma(xi, 8):
             assert gamma_contains(xi, mu)
 

@@ -75,7 +75,7 @@ def in_root_lattice(b: Sequence[int]) -> bool:
 
 
 def affine_delta(n: int) -> AffineWeight:
-    return AffineWeight(FiniteWeight.zero(n), 0, Fraction(1))
+    return AffineWeight(FiniteWeight(n, (0,) * n), 0, Fraction(1))
 
 
 def affine_alpha(n: int, i: int) -> AffineWeight:
