@@ -128,13 +128,15 @@ def scaled_f(a: Sequence[int]) -> int:
     return (len(a) + 1) * sum(x * x for x in a) - sum(a) ** 2
 
 
-def scaled_cap(n: int, norm_bound) -> int:
-    """floor((n + 1) * norm_bound) for a rational bound.  As (n + 1)*f(a)
+def scaled_cap(scale: int, norm_bound) -> int:
+    """floor(scale * norm_bound) for an int or Fraction bound: the box of
+    each walk and the bound that prices it.  At scale n + 1, as (n + 1)*f(a)
     is the integer scaled_f(a), f(a) <= norm_bound exactly when
-    scaled_f(a) <= scaled_cap(n, norm_bound); the cap is negative exactly
-    when the bound is."""
+    scaled_f(a) <= scaled_cap(n + 1, norm_bound); at scale 2, every entry
+    of a dominant a with f(a) <= norm_bound is at most its isqrt, as
+    a_i^2 <= 2 f(a).  The cap is negative exactly when the bound is."""
     bound = Fraction(norm_bound)
-    return (n + 1) * bound.numerator // bound.denominator
+    return scale * bound.numerator // bound.denominator
 
 
 def quadratic_f(a: Sequence) -> Fraction:

@@ -64,9 +64,6 @@ class TruncatedCharacter(Record):
 
     __slots__ = ("highest", "depth", "mults")
 
-    def mult(self, w: AffineWeight) -> int:
-        return self.mults.get(w, 0)
-
 
 def freudenthal_character(Lam: AffineWeight, depth: int) -> TruncatedCharacter:
     """Weight multiplicities of the simple module V(Lam) at all weights

@@ -39,7 +39,7 @@ from .affine_cartan import (
     varpi_eps,
 )
 from .laurent import LaurentPoly
-from .partitions import q_binomial_product, rho_multi, stabilize_threshold
+from .partitions import _is_bad_number, q_binomial_product, rho_multi, stabilize_threshold
 from .records import Record
 from .weyl_orbits import b_vector, enumerate_gamma, level_two_family, r_of
 
@@ -181,11 +181,10 @@ def orbit_terms(n: int, i: int, xi: AffineWeight) -> list:
     """Per-member breakdown of outer_multiplicity_formula: one row
     (mu, bounds, f, count) per member of the orbit set of xi, in the order
     of enumerate_gamma, with bounds = mu_split(mu).bounds, f = f_{i,xi}(mu)
-    and count = rho_multi(f, bounds)."""
+    and count = rho_multi(f, bounds).  xi must be dominant of level 2;
+    enumerate_gamma refuses one that is not dominant."""
     if xi.level != 2:
         raise ValueError("xi must have level 2")
-    if not xi.is_dominant():
-        raise ValueError("xi must be dominant")
     bound = f_ball_bound(n, i, xi)
     members = enumerate_gamma(xi, bound)
     rows = _level_two_rows(n, [pair for _mu, pair in members], (n + 1) * bound)
@@ -267,9 +266,9 @@ def outer_multiplicity_limit(n: int, i: int, xi: AffineWeight,
         values = tuple(rho_multi(arg + k * sum(b), b, [c + k for c in caps])
                        for k in range(k_max + 1))
         # b is the row's bounds reversed and -caps is a_of_eta(mu - omega_i);
-        # at a negative or fractional f the count is 0 at every k
-        threshold = (max(0, stabilize_threshold(int(f), [-c for c in caps], b))
-                     if f.denominator == 1 and f >= 0 else 0)
+        # at an f off the non-negative integers the count is 0 at every k
+        threshold = (0 if _is_bad_number(f)
+                     else max(0, stabilize_threshold(int(f), [-c for c in caps], b)))
         sequences.append((mu, threshold, values))
     last = max((threshold for _mu, threshold, _values in sequences), default=0)
     return LimitResult(sum(values[-1] for *_, values in sequences),

@@ -7,8 +7,9 @@ off the non-negative integers — callers feed it exact rationals coming
 from quadratic-form evaluations, and non-integral arguments must count
 as zero rather than raise.
 
-The convention is checked once per call of ``rho_multi``, whose
-one-component case ``rho`` is.  The cached recursions behind it,
+The convention is one predicate, ``_is_bad_number``: ``rho_multi``
+(whose one-component case ``rho`` is), ``flag_count_steps`` and the limit
+route's thresholds call it.  The cached recursions behind ``rho_multi``,
 ``_count`` and ``_rho_multi_sorted``, take non-negative ints only, and
 ``_rho_multi_sorted`` calls ``_count`` on keys (m, b, cap) with the
 part-count cap lowered to at most m.
@@ -114,8 +115,8 @@ def count_steps(n: int, bound, rows: int) -> int:
     """A bound on the calls of _count and _rho_multi_sorted, cold, made by an
     orbit sum of at most rows rows at a norm bound: a call a row, then
     memos of (m + 1)^2 values a part and component, to arguments m <= bound/4
-    with parts up to floor(M/2), M the f-ball walk's largest entry."""
-    m, parts = floor(Fraction(max(bound, 0)) / 4), isqrt(max(scaled_cap(n, bound), 0)) // 2
+    with parts up to floor(M/2), M = isqrt(scaled_cap(n + 1, bound)) the walk's box."""
+    m, parts = floor(Fraction(max(bound, 0)) / 4), isqrt(max(scaled_cap(n + 1, bound), 0)) // 2
     return rows + (m + 1) ** 2 * (parts + 1) * n
 
 
@@ -123,14 +124,14 @@ def flag_count_steps(arg, b: Sequence[int], caps: Sequence[int], kmax: int) -> i
     """A bound on the calls of _count and _rho_multi_sorted, cold, made by
     the k_max + 1 flag multiplicities of a limit-route member, the k-th
     rho_multi(arg + k|b|, b, caps + k) (flag_progression), none where its
-    argument is negative or fractional.  To m' on L components with
-    b_j > 0, _rho_multi_sorted makes 2(m' + 1) calls at the top and, as the
-    caps change with k, (m' + 1)(m' + 2) at each of the L - 1 levels below;
-    _count 2 a miss, on keys (s, b', c'), s <= m, b' <= max b and
-    c' <= min(max caps + k_max, m), m the last argument."""
+    argument is off the non-negative integers (_is_bad_number).  To m' on
+    L components with b_j > 0, _rho_multi_sorted makes 2(m' + 1) calls at
+    the top and, as the caps change with k, (m' + 1)(m' + 2) at each of the
+    L - 1 levels below; _count 2 a miss, on keys (s, b', c'), s <= m,
+    b' <= max b and c' <= min(max caps + k_max, m), m the last argument."""
     s = sum(b)
     m, top = arg + kmax * s, max(caps) + kmax  # the last count's argument and largest cap
-    if m < 0 or Fraction(m).denominator != 1:
+    if _is_bad_number(m):
         return 0
     m = int(m)
     t = min(kmax + 1, m // s + 1) if s else kmax + 1  # the k that count

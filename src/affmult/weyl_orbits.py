@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, floor, isqrt
+from math import comb, isqrt
 from typing import Sequence
 
 from .affine_cartan import (
@@ -196,13 +196,13 @@ def _dominant_eps_in_ball(n: int, norm_bound):
     """Weakly decreasing non-negative integer vectors a of length n with
     f(a) <= norm_bound, in decreasing lexicographic order.
 
-    The walk covers the box a_i^2 <= cap, with cap = floor((n+1)*norm_bound)
-    from scaled_cap: the C(M + n, n) weakly decreasing vectors in [0, M]^n,
+    The walk covers the box a_i^2 <= cap, with cap = scaled_cap(n + 1,
+    norm_bound): the C(M + n, n) weakly decreasing vectors in [0, M]^n,
     M = isqrt(cap), that ball_leaves counts, in one flat loop over
     combinations_with_replacement.  Each leaf is tested in integers:
     (n+1)*f(a) is the integer scaled_f(a), so f(a) <= norm_bound exactly
     when scaled_f(a) <= cap."""
-    cap = scaled_cap(n, norm_bound)
+    cap = scaled_cap(n + 1, norm_bound)
     if cap < 0:
         return
     for a in combinations_with_replacement(range(isqrt(cap), -1, -1), n):
@@ -227,16 +227,16 @@ def enumerate_gamma(xi: AffineWeight, norm_bound) -> list:
 
 
 def ball_leaves(n: int, bound, scale: int) -> int:
-    """C(M + n, n), M = isqrt(floor(scale * bound)) for an int or Fraction
-    bound: at scale n + 1 the leaves _dominant_eps_in_ball tests, at scale 2
-    a box holding the kept ones, as a_1^2 <= 2 f(a) <= 2 bound.
+    """C(M + n, n), M = isqrt(scaled_cap(scale, bound)): at scale n + 1 the
+    leaves _dominant_eps_in_ball tests, at scale 2 a box holding the kept
+    ones, as a_1^2 <= 2 f(a) <= 2 bound.
 
     Past 2^64, where no estimate accepts the walk, it returns a power of
     two 2^e <= C(M + n, n), e > 64, from C(M + n, n) = C(M + n, k) >=
     ((M + n)/k)^k for k = min(M, n): the exact count has about n log2(M)
     bits, and at n = 1000 and a bound of 4,200 digits took 6 s of a 2-core
     VM to multiply out."""
-    cap = scale * bound.numerator // bound.denominator  # floor(scale * bound)
+    cap = scaled_cap(scale, bound)
     if cap < 0:
         return 0
     m = isqrt(cap)
@@ -248,14 +248,14 @@ def ball_leaves(n: int, bound, scale: int) -> int:
 def family_passes(n: int, bound, shapes=None) -> int:
     """A bound on the passes of level_two_family(n, j, k, bound): a pass at
     depth t names a weakly decreasing vector of t entries in [0, M], M =
-    isqrt(floor(2 * bound)), distinct passes distinct vectors, and there are
+    isqrt(scaled_cap(2, bound)), distinct passes distinct vectors, and there are
     C(M + t, t) <= C(M + n, n) of them, so n * ball_leaves(n, bound, 2) in
     all.  Given the shapes the tableau route counts for the weight, also
     n(n + 1)(M + 1) a shape and one more: measured, not derived (under 0.4
     of it at ranks up to 40)."""
     box = n * ball_leaves(n, bound, 2)
     return box if shapes is None else min(
-        box, (shapes + 1) * n * (n + 1) * (isqrt(floor(2 * Fraction(bound))) + 1))
+        box, (shapes + 1) * n * (n + 1) * (isqrt(scaled_cap(2, bound)) + 1))
 
 
 def family_residues(n: int, j: int, k: int, s: int) -> set:
@@ -289,11 +289,11 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     largest first, so the full ones come in decreasing order.  The prunes
     work on the integer N*f with N = n + 1.  For the N coordinates
     x = (a, 0), N*f(a) = N*sum x^2 - (sum x)^2, which is N times the sum
-    of squared deviations of x from its mean.  As N*f is an
-    integer, f(a) <= norm_bound exactly when N*f(a) <= floor(N*norm_bound).
+    of squared deviations of x from its mean.  As N*f is an integer,
+    f(a) <= norm_bound exactly when N*f(a) <= scaled_cap(N, norm_bound).
 
     * Box.  (x_i - x_j)^2 <= 2((x_i - mean)^2 + (x_j - mean)^2) <= 2f, so
-      with x_j = 0, a_i^2 <= 2f(a) and a_1 <= isqrt(floor(2*norm_bound)).
+      with x_j = 0, a_i^2 <= 2f(a) and a_1 <= isqrt(scaled_cap(2, norm_bound)).
     * Prune by f.  After a prefix of t entries, let S and Q be the sum and
       the square sum of the prefix and the trailing 0 (t + 1 entries).
       The r = n - t remaining entries lie in [0, v], v the last entry of
@@ -302,7 +302,7 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
       N(Q + r y^2) - (S + r y)^2 with derivative 2r((t+1)y - S).  The
       least N*f is therefore N((t+1)Q - S^2)/(t+1) at y = S/(t+1) when
       S <= v(t+1), and N(Q + r v^2) - (S + r v)^2 at y = v otherwise.
-      A branch whose least N*f exceeds floor(N*norm_bound) is dropped.
+      A branch whose least N*f exceeds scaled_cap(N, norm_bound) is dropped.
     * Prune by parity.  m_i = 2 exactly when a_i is even, so the count of
       even entries is s - 1.  A branch is dropped once no admissible
       s - 1 lies between the even entries so far and that count plus r.
@@ -321,14 +321,13 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     for s in range(1, N + 1):
         if (s - (j - k)) % N == 0 or (s + (j - k)) % N == 0:
             admissible[s] = family_residues(n, j, k, s)
-    bound = Fraction(norm_bound)
-    cap = scaled_cap(n, bound)
+    cap = scaled_cap(N, norm_bound)
     if cap < 0:
         return LevelTwoFamily(j, k, n, ())
     evens = [s - 1 for s in admissible]
     # a live prefix: (S, Q, even entries, last entry, P, link), where the
     # link (entry, parent link) names its entries, last first
-    live = [(0, 0, 0, isqrt(2 * bound.numerator // bound.denominator), 0, None)]
+    live = [(0, 0, 0, isqrt(scaled_cap(2, norm_bound)), 0, None)]
     for t in range(n):
         r = n - t - 1  # entries left after the next one
         size = t + 2  # the prefix with the next entry and the trailing 0
@@ -361,7 +360,7 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
                 and scaled_f(pair.a_vector()) <= cap
                 and s in admissible and pair.residue() in admissible[s]):
             raise AssertionError(f"generated pair {pair} is not in the "
-                                 f"({j}, {k}) family within f <= {bound}")
+                                 f"({j}, {k}) family within f <= {norm_bound}")
     return LevelTwoFamily(j, k, n, tuple(members))
 
 

@@ -66,14 +66,15 @@ def test_every_imported_name_is_used():
 
 
 def referenced_names(tree: ast.AST) -> set:
-    """The names a syntax tree refers to: bare names, attribute names and
-    names imported from a module."""
+    """The names a syntax tree refers to: bare names and names imported
+    from a module as they are, and attribute names with a leading dot
+    (obj.name gives ".name")."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            found.add("." + node.attr)
         elif isinstance(node, ast.ImportFrom):
             found |= {alias.name for alias in node.names}
     return found
@@ -81,8 +82,8 @@ def referenced_names(tree: ast.AST) -> set:
 
 def root_names() -> set:
     """The names the package's users refer to: the cli module, bench/ with
-    the attributes its tracer's SPANS and COUNTS name in strings, and the
-    names tests/test_acceptance.py imports."""
+    the attributes its tracer's SPANS and COUNTS name in strings (which it
+    looks up as attributes), and the names tests/test_acceptance.py imports."""
     found = referenced_names(ast.parse((PACKAGE / "cli.py").read_text()))
     for path in sorted((ROOT / "bench").glob("*.py")):
         found |= referenced_names(ast.parse(path.read_text()))
@@ -91,7 +92,7 @@ def root_names() -> set:
                 getattr(target, "id", None) in ("SPANS", "COUNTS") for target in node.targets):
             for const in ast.walk(node.value):
                 if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    found |= set(const.value.split("."))
+                    found |= {"." + part for part in const.value.split(".")}
     for node in ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()).body:
         if isinstance(node, ast.ImportFrom):
             found |= {alias.name for alias in node.names}
@@ -123,18 +124,23 @@ def package_definitions(methods: bool) -> dict:
 
 def unreached(roots: set, definitions: dict) -> list:
     """The definitions not reached from roots through the names of the
-    definitions reached, each matched by its own name."""
+    definitions reached: a function or class by its own name, bare or as an
+    attribute, and a method only as an attribute, so that a local variable
+    of the same spelling does not reach it."""
     by_name = {}
     for key in definitions:
-        by_name.setdefault(key[1].split(".")[-1], []).append(key)
+        owner, _, name = key[1].rpartition(".")
+        for ref in ("." + name,) if owner else (name, "." + name):
+            by_name.setdefault(ref, []).append(key)
     seen, todo = set(), roots & by_name.keys()
     while todo:
-        name = todo.pop()
-        seen.add(name)
-        for key in by_name[name]:
+        ref = todo.pop()
+        seen.add(ref)
+        for key in by_name[ref]:
             todo |= (definitions[key] & by_name.keys()) - seen
+    reached = {key for ref in seen for key in by_name[ref]}
     return sorted(f"{module}.{name}" for module, name in definitions
-                  if name.split(".")[-1] not in seen)
+                  if (module, name) not in reached)
 
 
 def test_every_definition_is_reached():
@@ -145,8 +151,9 @@ def test_every_definition_is_reached():
 
 
 def test_every_method_is_reached():
-    """Every non-dunder method of a package class is named by a root or by
-    the body of a reached definition.  The roots add to root_names every
+    """Every non-dunder method of a package class is named as an attribute
+    (obj.method) by a root or by the body of a reached definition.  The
+    roots add to root_names every
     name tests/test_acceptance.py uses, as the gate calls methods of the
     values it gets (.is_palindromic(), .coeff, .shift)."""
     roots = root_names() | referenced_names(

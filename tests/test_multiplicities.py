@@ -1,7 +1,9 @@
 """The three multiplicity routes, flag multiplicity polynomials, and the
 rotation reduction for general fundamental tensor products."""
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -49,7 +51,9 @@ from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
 from affmult.weyl_orbits import enumerate_gamma, orbit_pair, r_of
 from multipartitions import flag_multiplicity_at
+from test_cli import below
 from test_imports import package_imports
+from test_shared_code import clear_caches
 from weyl_group import affine_alpha, affine_bilinear, affine_delta, alpha, inverse_cartan
 
 
@@ -588,6 +592,88 @@ class TestLimitRegression:
         res = outer_multiplicity_limit(n, i, AffineWeight.from_c_values(n, cvals, degree), kmax)
         assert (res.value, res.stabilized_at) == (value, stabilized_at)
         assert [(mu.coords, thr, vals) for mu, thr, vals in res.sequences] == sequences
+
+
+def route_digest(n, i, xi, k_max):
+    """(value, stabilized_at, sha256) of a route: with k_max None, the orbit
+    sum and the digest of its rows (mu, bounds, f, count), stabilized_at
+    None; else the limit route and the digest of its value, stabilized_at and
+    sequences.  Each mu is given by its coroot values."""
+    if k_max is None:
+        out = [(mu.coords, b, f, count) for mu, b, f, count in orbit_terms(n, i, xi)]
+        value, stabilized_at = sum(row[-1] for row in out), None
+    else:
+        res = outer_multiplicity_limit(n, i, xi, k_max)
+        value, stabilized_at = res.value, res.stabilized_at
+        out = (value, stabilized_at,
+               [(mu.coords, thr, vals) for mu, thr, vals in res.sequences])
+    return value, stabilized_at, hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+class TestReachPins:
+    """The routes at the depths where the parked speed-ups of ROADMAP items
+    15 (one walk for the orbit sum and the limit route) and 4b (the limit
+    route's counts) will land, pinned before either does: the orbit sum at
+    n = 8 and the limit route at n = 8 and n = 4, each under a CPU bound of
+    at least 3x its cold time on a 2-core VM (0.33, 0.30, 0.14 and 0.11 s).
+    tau_formula gives each value."""
+
+    CASES = [
+        # (n, i, j, eta0, k_max or None for the orbit sum) at xi = Lambda_j +
+        # Lambda_{i-j} - eta0 delta, what route_digest gives, CPU bound in s
+        ((8, 1, 0, 6, None), (20, None,
+         "378bfd9ce0c799ed495dcc359ed7ea1979a6d5759f6ed3ebdd069099ff421ef6"), 1.5),
+        ((8, 1, 0, 6, 6), (20, 6,
+         "69b506cbc716745b69471506507451cb90866bd2c43f577840b148df8ed34b96"), 2.0),
+        ((4, 1, 0, 20, 20), (1900, 20,
+         "496caa2150f063ddf7a830eb746e311f3b81d9fb1610a689f7adb66bf5e55a7f"), 1.0),
+        ((4, 2, 1, 20, 20), (980, 20,
+         "3122e1f2b5cdcffa8f137d8b323875abcfdad435c6c3841ba680079d59e0fcc3"), 1.0),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=["item 15 orbit sum", "item 15 limit",
+                                                 "item 4b i=1", "item 4b i=2"])
+    def test_pinned(self, case):
+        (n, i, j, eta0, k_max), pinned, cpu = case
+        xi, eta = below(n, i, j, eta0)
+        clear_caches()
+        start = time.process_time()
+        assert route_digest(n, i, xi, k_max) == pinned
+        assert time.process_time() - start < cpu
+        assert tau_formula(n, i, eta) == pinned[0]
+
+
+def tau_at(n, i, j, d):
+    """tau_formula at Lambda_j + Lambda_{i-j} - d delta and charge i, 0 where
+    that weight is not below Lambda_0 + Lambda_i."""
+    found = below(n, i, j, d)
+    return 0 if found is None else tau_formula(n, i, found[1])
+
+
+class TestRankThreshold:
+    """ROADMAP item 6's rank threshold n*: an observation on computed
+    values, not a derived result."""
+
+    def test_constant_from_the_larger_index(self):
+        """At xi = Lambda_j + Lambda_k - d delta with charge i = j + k and
+        k >= j, tau_formula is constant in n from n* = max(d + k - 1, i, 1)
+        on: all 42 strings with i <= 3, d <= 6, checked up to n = 12 (also
+        seen on the 81 strings with i <= 4, d <= 8, up to n = 16)."""
+        strings = 0
+        for i in range(4):
+            for j in range(i // 2 + 1):
+                k = i - j
+                for d in range(7):
+                    start = max(d + k - 1, i, 1)
+                    values = {tau_at(n, i, j, d) for n in range(start, 13)}
+                    assert len(values) == 1, (i, j, k, d, start)
+                    strings += 1
+        assert strings == 42
+
+    def test_smaller_index_is_too_early(self):
+        """n* = d + j - 1 would put (i, j, k, d) = (1, 0, 1, 2) constant
+        from n = 1 on, but its values are 1 at n = 1 and 2 from n = 2 on."""
+        assert [tau_at(n, 1, 0, 2) for n in range(1, 6)] == [1, 2, 2, 2, 2]
 
 
 class TestFlagProgression:

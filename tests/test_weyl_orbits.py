@@ -351,8 +351,9 @@ class TestIntegerWalk:
     def test_scaled_cap(self):
         for n in range(1, 8):
             for bound in (0, 3, Fraction(5, 3), Fraction(-1, 7), Fraction(37, 8), -2):
-                cap = scaled_cap(n, bound)
-                assert cap <= (n + 1) * bound < cap + 1
+                for scale in (n + 1, 2):
+                    cap = scaled_cap(scale, bound)
+                    assert cap <= scale * bound < cap + 1
 
     def test_matches_rational_walk(self):
         """Same list in the same order for ranks 1-7 and levels 1-3, at
