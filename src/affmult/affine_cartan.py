@@ -102,16 +102,11 @@ def bilinear(lam: FiniteWeight, mu: FiniteWeight) -> Fraction:
 
 
 def eps_coords(mu: FiniteWeight) -> tuple[int, ...]:
-    """Epsilon-basis coordinates a with a_i = sum_{j <= n+1-i} mu(h_j).
-
-    These are the coordinates of -w0(mu); the quadratic form f evaluated
-    on them recovers (mu, mu).
-    """
-    n = mu.n
-    prefix = [0] * (n + 1)
-    for j, c in enumerate(mu.coords, start=1):
-        prefix[j] = prefix[j - 1] + c
-    return tuple(prefix[n + 1 - i] for i in range(1, n + 1))
+    """Epsilon-basis coordinates a with a_i = sum_{j <= n+1-i} mu(h_j), the
+    prefix sums of the coordinates reversed, as bilinear and a_of_eta read
+    them.  These are the coordinates of -w0(mu); the quadratic form f
+    evaluated on them recovers (mu, mu)."""
+    return tuple(accumulate(mu.coords))[::-1]
 
 
 def weight_from_eps(n: int, a: Sequence[int]) -> FiniteWeight:

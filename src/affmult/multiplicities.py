@@ -137,19 +137,15 @@ def eta_from_xi(n: int, i: int, xi: AffineWeight) -> tuple:
 
 
 def delta_string(n: int, i: int, j: int, k: int, eta0_max: int) -> list:
-    """Characters of Lambda_j + Lambda_k - eta0 * delta for eta0 <= eta0_max
-    that lie below Lambda_0 + Lambda_i.  Lowering by delta = sum_l alpha_l
-    adds 1 to every entry, so once one eta0 lies below, every deeper one
-    does, and its character is the first one plus the difference of the
-    eta0 in every entry."""
-    top = affine_Lambda(n, j) + affine_Lambda(n, k)
-    for eta0 in range(eta0_max + 1):
-        try:
-            first = eta_from_xi(n, i, top.shift_delta(-eta0))
-        except ValueError:
-            continue
-        return [tuple(e + d for e in first) for d in range(eta0_max + 1 - eta0)]
-    return []
+    """eta_from_xi of Lambda_j + Lambda_k - eta0 delta for each eta0 <= eta0_max
+    at which it lies below Lambda_0 + Lambda_i.  As theta = sum_l alpha_l, it
+    is (eta0, a_1 + eta0, ..., a_n + eta0) with a = a_of_eta(omega_i - omega_j
+    - omega_k), below from eta0 = max(0, -min a) on.  There is none unless
+    j + k = i mod n + 1, which puts omega_i - omega_j - omega_k in Q."""
+    if residue(j + k - i, n):
+        return []
+    a = a_of_eta((affine_Lambda(n, i) - affine_Lambda(n, j) - affine_Lambda(n, k)).finite)
+    return [(eta0,) + tuple(x + eta0 for x in a) for eta0 in range(max(0, -min(a)), eta0_max + 1)]
 
 
 def f_ball_bound(n: int, i: int, xi: AffineWeight) -> Fraction:

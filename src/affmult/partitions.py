@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import floor, isqrt
 from typing import Optional, Sequence
 
@@ -204,11 +205,5 @@ def stabilize_threshold(f: int, a: Sequence[int], b: Sequence[int]):
 
 def part_multiplicities(parts: Partition) -> list:
     """Distinct part sizes with multiplicities, largest first:
-    [(k_1, r_1), ..., (k_s, r_s)] with k_1 > ... > k_s."""
-    out = []
-    for p in parts:
-        if out and out[-1][0] == p:
-            out[-1][1] += 1
-        else:
-            out.append([p, 1])
-    return [(k, r) for k, r in out]
+    [(k_1, r_1), ..., (k_s, r_s)] with k_1 > ... > k_s, one per run."""
+    return [(k, len(list(run))) for k, run in groupby(parts)]

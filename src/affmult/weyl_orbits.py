@@ -317,10 +317,8 @@ def level_two_family(n: int, j: int, k: int, norm_bound) -> LevelTwoFamily:
     """
     N = n + 1
     j, k = j % N, k % N
-    admissible = {}
-    for s in range(1, N + 1):
-        if (s - (j - k)) % N == 0 or (s + (j - k)) % N == 0:
-            admissible[s] = family_residues(n, j, k, s)
+    # s is admissible exactly when it allows a residue
+    admissible = {s: res for s in range(1, N + 1) if (res := family_residues(n, j, k, s))}
     cap = scaled_cap(N, norm_bound)
     if cap < 0:
         return LevelTwoFamily(j, k, n, ())

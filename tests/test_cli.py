@@ -13,6 +13,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -1104,23 +1105,24 @@ class TestVerify:
         assert q.tasks == strings + tables * (depth > 0)
 
     def test_delta_strings_follow_eta_from_xi(self):
-        # lowering by delta = sum_l alpha_l adds 1 to every entry of eta
-        for n in range(1, 5):
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    k = (i - j) % (n + 1)
-                    top = affine_Lambda(n, j) + affine_Lambda(n, k)
-                    found = []
-                    for eta0 in range(16):
-                        try:
-                            found.append(eta_from_xi(n, i, top.shift_delta(-eta0)))
-                        except ValueError:
-                            assert not found  # the string has no gap
-                    assert found
-                    assert delta_string(n, i, j, k, 15) == found
-                    first, d0 = found[0], 16 - len(found)
-                    for eta0, eta in enumerate(found, start=d0):
-                        assert eta == tuple(e + eta0 - d0 for e in first)
+        # every (j, k), on the charge class j + k = i mod n + 1 and off it,
+        # against a search of eta0 = 0, ..., 15 through eta_from_xi; lowering
+        # by delta = sum_l alpha_l adds 1 to every entry of eta
+        for n in range(1, 9):
+            for i, j, k in product(range(n + 1), repeat=3):
+                top = affine_Lambda(n, j) + affine_Lambda(n, k)
+                found = []
+                for eta0 in range(16):
+                    try:
+                        found.append((eta0, eta_from_xi(n, i, top.shift_delta(-eta0))))
+                    except ValueError:
+                        assert not found  # the string has no gap
+                assert bool(found) == ((j + k - i) % (n + 1) == 0)
+                for eta0_max in (-1, 0, 3, 15):
+                    assert delta_string(n, i, j, k, eta0_max) == [
+                        eta for eta0, eta in found if eta0 <= eta0_max]
+                for eta0, eta in found:
+                    assert eta == tuple(e + eta0 - found[0][0] for e in found[0][1])
 
 
 class TestOtherCommands:

@@ -65,6 +65,27 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_demazure_check_is_independent():
+    """tests/demazure.py, the check of the flag multiplicities, takes from
+    the package only FiniteWeight, and from weyl_group only the affine
+    Cartan matrix, whose body refers to nothing weyl_group imports."""
+    taken = set()
+    for node in ast.walk(ast.parse((ROOT / "tests" / "demazure.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            taken |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            taken |= {(alias.name, None) for alias in node.names}
+    assert {(module, name) for module, name in taken
+            if module.split(".")[0] in ("affmult", "weyl_group")} == {
+        ("affmult.affine_cartan", "FiniteWeight"), ("weyl_group", "affine_cartan_matrix")}
+    tree = ast.parse((ROOT / "tests" / "weyl_group.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    matrix = next(node for node in tree.body
+                  if getattr(node, "name", None) == "affine_cartan_matrix")
+    assert referenced_names(matrix) & imported == set()
+
+
 def referenced_names(tree: ast.AST) -> set:
     """The names a syntax tree refers to: bare names and names imported
     from a module as they are, and attribute names with a leading dot

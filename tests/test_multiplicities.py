@@ -50,6 +50,7 @@ from affmult.multiplicities import (
 from affmult.partitions import rho, rho_multi
 from affmult.tableaux import tau_bruteforce
 from affmult.weyl_orbits import enumerate_gamma, orbit_pair, r_of
+from demazure import height, peel
 from multipartitions import flag_multiplicity_at
 from test_cli import below
 from test_imports import package_imports
@@ -170,6 +171,25 @@ class TestFlagMultiplicity:
                 continue
             assert all(c > 0 for c in poly.coeffs.values())
             assert poly.is_palindromic()
+
+    def test_demazure_peel(self):
+        # the peel of ch D(1, lam) into ch D(2, mu) shifted by s delta, with
+        # s read as q^s, against the q-binomial product in both directions:
+        # the same mu, and the same polynomial for each.  The mu are every
+        # dominant one of height at most lam's, which holds every mu <= lam
+        nonzero = 0
+        for n, top in ((1, 12), (2, 5), (3, 3)):
+            for coords in product(range(top + 1), repeat=n):
+                lam = FiniteWeight(n, coords)
+                polys = {}
+                for mu in product(range(height(coords) // n + 1), repeat=n):
+                    if height(mu) <= height(coords):
+                        poly = flag_multiplicity_poly(lam, FiniteWeight(n, mu))
+                        if not poly.is_zero():
+                            polys[FiniteWeight(n, mu)] = poly.coeffs
+                assert peel(lam) == polys
+                nonzero += len(polys)
+        assert nonzero == 912
 
     def test_value_extraction_matches_polynomial(self):
         rng = random.Random(9)

@@ -22,17 +22,19 @@ from affmult.char_oracle import (
     freudenthal_character, tensor_character, tensor_outer_multiplicities,
 )
 from affmult.multiplicities import (
-    general_fundamental, orbit_terms, outer_multiplicity_formula, outer_multiplicity_limit,
-    tau_formula, tau_terms, xi_from_eta,
+    flag_multiplicity_poly, general_fundamental, orbit_terms, outer_multiplicity_formula,
+    outer_multiplicity_limit, tau_formula, tau_terms, xi_from_eta,
 )
 from affmult.tableaux import tau_bruteforce
 from affmult.weyl_orbits import socle_formula, socle_oracle
+from demazure import peel
 
 ROUTE_LAYERS = {"weyl_orbits", "partitions", "multiplicities", "tableaux", "char_oracle"}
 
 ETA = (6, 6, 5)  # the headline character, and its weight at rank 2, charge 1
 XI = xi_from_eta(2, 1, ETA)
 SHALLOW = xi_from_eta(2, 1, (2, 2, 1))  # a weight of the oracle's table to depth 2
+LAM = FiniteWeight(2, (2, 2))  # lam of the flag check; mu = (1, 1) is in its peel
 
 
 def socles(socle):
@@ -73,6 +75,9 @@ CHECKS = {
     # the orbit sum against the stabilizing limit
     "orbit_sum_vs_limit": (lambda: outer_multiplicity_formula(2, 1, XI),
                            lambda: outer_multiplicity_limit(2, 1, XI, 12)),
+    # the flag multiplicities against the peel of Demazure characters
+    "flag_vs_demazure": (lambda: flag_multiplicity_poly(LAM, FiniteWeight(2, (1, 1))),
+                         lambda: peel(LAM)),
 }
 
 ORBIT_PAIR = "tests/test_weyl_orbits.py::TestOrbitPair::test_division_round_trip_and_dominance"
@@ -106,6 +111,7 @@ SHARED = {
     "criterion7": ROW_CODE,
     "criterion8": {},
     "brauer_klimyk_vs_freudenthal": {},
+    "flag_vs_demazure": {},
     # the limit route reads its members, f and bounds off orbit_terms
     "orbit_sum_vs_limit": {
         **ROW_CODE,
